@@ -18,7 +18,7 @@ from . import descriptor, explore, properties, weights
 from .costs import DEFAULT_PLATFORM, PlatformSpec, report
 from .descriptor import DescriptorError
 from .explore import ConstraintSet, DesignPoint, SweepError
-from .graph import ArchGraph, GraphError, validate
+from .graph import ArchGraph, GraphError
 from .weights import WeightFormatError
 
 
@@ -74,12 +74,6 @@ def _graph_from_args(args) -> tuple[ArchGraph, dict]:
     raise SweepError("one of --arch or --family is required")
 
 
-def _require_valid(graph: ArchGraph) -> None:
-    violations = validate(graph)
-    if violations:
-        raise GraphError("invalid graph: " + "; ".join(violations))
-
-
 def _report_rows(m) -> list[tuple[str, str]]:
     fps = "inf" if math.isinf(m.fps_proxy) else f"{m.fps_proxy:.2f} FPS (proxy)"
     rows = [
@@ -100,7 +94,6 @@ def _report_rows(m) -> list[tuple[str, str]]:
 
 def cmd_describe(args) -> int:
     graph, _ = _graph_from_args(args)
-    _require_valid(graph)
     platform = _load_platform(args.platform)
     m = report(graph, platform, batch=args.batch)
     if args.json:
@@ -273,7 +266,6 @@ def cmd_pareto(args) -> int:
 
 def cmd_check(args) -> int:
     graph, metaparams = _graph_from_args(args)
-    _require_valid(graph)
     platform = _load_platform(args.platform)
     constraints = ConstraintSet.load(args.constraints)
     point = DesignPoint(metaparams, report(graph, platform, batch=args.batch),

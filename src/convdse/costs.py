@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
-                    Pool, ReLU, Shuffle, TensorShape, infer_shapes, topological_order)
+                    Pool, ReLU, Shuffle, TensorShape, _spatial_size, infer_shapes)
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ def layer_macs(spec: LayerSpec, in_shape: TensorShape) -> int:
         c_in = in_shape.channels
         if c_in % spec.groups != 0:
             raise ValueError(f"groups must divide input channels (g={spec.groups}, C_in={c_in})")
-        h_out = (in_shape.height + 2 * spec.pad - spec.kernel_h) // spec.stride + 1
-        w_out = (in_shape.width + 2 * spec.pad - spec.kernel_w) // spec.stride + 1
+        h_out = _spatial_size(in_shape.height, spec.kernel_h, spec.stride, spec.pad, False)
+        w_out = _spatial_size(in_shape.width, spec.kernel_w, spec.stride, spec.pad, False)
         if h_out < 1 or w_out < 1:
             raise ValueError(f"convolution output {h_out}x{w_out} is not positive")
         return spec.kernel_h * spec.kernel_w * (c_in // spec.groups) * spec.filters * h_out * w_out
@@ -128,34 +128,59 @@ def layer_macs(spec: LayerSpec, in_shape: TensorShape) -> int:
     raise ValueError(f"unknown layer type {type(spec).__name__}")
 
 
-def _bound_shapes(graph: ArchGraph) -> list[tuple[str, LayerSpec, Optional[TensorShape]]]:
+@dataclass(frozen=True)
+class LayerCost:
+    """One row of the per-layer cost table. ``live_words`` counts every
+    activation live while the layer runs: its inputs, its own output, and
+    earlier outputs that a later layer still reads."""
+
+    node_id: str
+    spec: LayerSpec
+    in_shapes: tuple[TensorShape, ...]
+    out_shape: TensorShape
+    params: int
+    macs: int
+    live_words: int
+
+
+def layer_costs(graph: ArchGraph) -> list[LayerCost]:
+    """Per-layer cost table in topological execution order, built from one
+    shape-inference walk. A node's output is freed after its last consumer
+    has run."""
     shapes = infer_shapes(graph)
-    out = []
-    for nid, spec in graph.nodes:
-        preds = graph.preds.get(nid, ())
-        in_shape = shapes[preds[0]] if preds else None
-        out.append((nid, spec, in_shape))
-    return out
+    last_use: dict[str, int] = {}
+    for i, nid in enumerate(shapes):
+        last_use[nid] = i
+        for p in graph.preds.get(nid, ()):
+            last_use[p] = i
+    freed = [0] * len(shapes)
+    for nid, i in last_use.items():
+        freed[i] += shapes[nid].elements
+    specs = dict(graph.nodes)
+    rows = []
+    live = 0
+    for i, (nid, out) in enumerate(shapes.items()):
+        spec = specs[nid]
+        in_shapes = tuple(shapes[p] for p in graph.preds.get(nid, ()))
+        live += out.elements
+        rows.append(LayerCost(nid, spec, in_shapes, out,
+                              layer_params(spec, in_shapes[0]) if in_shapes else 0,
+                              layer_macs(spec, in_shapes[0]) if in_shapes else 0, live))
+        live -= freed[i]
+    return rows
+
+
+def _traffic_words(table: list[LayerCost]) -> int:
+    return sum(row.out_shape.elements + sum(s.elements for s in row.in_shapes)
+               for row in table)
 
 
 def model_params(graph: ArchGraph) -> int:
-    return sum(layer_params(spec, s) for _, spec, s in _bound_shapes(graph)
-               if not isinstance(spec, Input))
+    return sum(row.params for row in layer_costs(graph))
 
 
 def model_macs(graph: ArchGraph) -> int:
-    return sum(layer_macs(spec, s) for _, spec, s in _bound_shapes(graph)
-               if not isinstance(spec, Input))
-
-
-def per_layer_params(graph: ArchGraph) -> dict[str, int]:
-    return {nid: (0 if isinstance(spec, Input) else layer_params(spec, s))
-            for nid, spec, s in _bound_shapes(graph)}
-
-
-def per_layer_macs(graph: ArchGraph) -> dict[str, int]:
-    return {nid: (0 if isinstance(spec, Input) else layer_macs(spec, s))
-            for nid, spec, s in _bound_shapes(graph)}
+    return sum(row.macs for row in layer_costs(graph))
 
 
 def storage_bytes(graph: ArchGraph, bits_per_param: int = 32) -> int:
@@ -168,29 +193,13 @@ def peak_activation_bytes(graph: ArchGraph, word_bytes: int = 4) -> int:
     """Maximum bytes of simultaneously live activations over a topological
     execution. A node's output stays live until its last consumer has run;
     while a node runs, its inputs and its own output are live together."""
-    shapes = infer_shapes(graph)
-    order = topological_order(graph)
-    position = {nid: i for i, nid in enumerate(order)}
-    succ = graph.successors()
-    last_use = {nid: max((position[s] for s in succ[nid]), default=position[nid])
-                for nid in order}
-    peak = 0
-    for i, nid in enumerate(order):
-        live = sum(shapes[other].elements for other in order[:i + 1]
-                   if last_use[other] >= i)
-        peak = max(peak, live * word_bytes)
-    return peak
+    return max(row.live_words for row in layer_costs(graph)) * word_bytes
 
 
 def activation_traffic_words(graph: ArchGraph) -> int:
     """Total input plus output activation words across all layers: every
     tensor is counted once when written and once per consumer read."""
-    shapes = infer_shapes(graph)
-    total = 0
-    for nid, _ in graph.nodes:
-        total += shapes[nid].elements
-        total += sum(shapes[p].elements for p in graph.preds.get(nid, ()))
-    return total
+    return _traffic_words(layer_costs(graph))
 
 
 def energy_from_counts(total_macs: int, total_params: int, activation_words: int,
@@ -213,21 +222,18 @@ def energy_from_counts(total_macs: int, total_params: int, activation_words: int
 
 
 def energy_estimate(graph: ArchGraph, platform: PlatformSpec, batch: int = 1) -> float:
-    return energy_from_counts(model_macs(graph), model_params(graph),
-                              activation_traffic_words(graph),
-                              peak_activation_bytes(graph, platform.word_bytes),
-                              platform, batch)
+    return report(graph, platform, batch).energy_per_frame
 
 
 def report(graph: ArchGraph, platform: PlatformSpec = DEFAULT_PLATFORM,
            batch: int = 1) -> MetricsReport:
     """Assemble the full metric vector for one architecture."""
-    params = model_params(graph)
-    macs = model_macs(graph)
+    table = layer_costs(graph)
+    params = sum(row.params for row in table)
+    macs = sum(row.macs for row in table)
     storage = params * platform.word_bytes
-    peak = peak_activation_bytes(graph, platform.word_bytes)
-    energy = energy_from_counts(macs, params, activation_traffic_words(graph), peak,
-                                platform, batch)
+    peak = max(row.live_words for row in table) * platform.word_bytes
+    energy = energy_from_counts(macs, params, _traffic_words(table), peak, platform, batch)
     fps = platform.macs_per_second / macs if macs > 0 else math.inf
     return MetricsReport(
         name=graph.name,

@@ -7,7 +7,8 @@ pure function, so graphs can be shared freely between threads.
 
 from __future__ import annotations
 
-import math
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -130,23 +131,6 @@ class ArchGraph:
     nodes: tuple[tuple[str, LayerSpec], ...]
     preds: Mapping[str, tuple[str, ...]]
 
-    def layer(self, node_id: str) -> LayerSpec:
-        for nid, spec in self.nodes:
-            if nid == node_id:
-                return spec
-        raise KeyError(node_id)
-
-    def node_ids(self) -> list[str]:
-        return [nid for nid, _ in self.nodes]
-
-    def successors(self) -> dict[str, list[str]]:
-        succ: dict[str, list[str]] = {nid: [] for nid, _ in self.nodes}
-        for nid, _ in self.nodes:
-            for p in self.preds.get(nid, ()):
-                if p in succ:
-                    succ[p].append(nid)
-        return succ
-
 
 class GraphBuilder:
     """Incrementally assembles an ArchGraph; node ids are auto-generated
@@ -164,11 +148,11 @@ class GraphBuilder:
 
     def add(self, spec: LayerSpec, inputs: Iterable[str] = (), name: Optional[str] = None) -> str:
         node_id = name if name is not None else self._auto_name(type(spec).__name__.lower())
-        if any(node_id == nid for nid, _ in self._nodes):
+        if node_id in self._preds:
             raise GraphError(f"duplicate id {node_id!r}")
         inputs = tuple(inputs)
         for src in inputs:
-            if not any(src == nid for nid, _ in self._nodes):
+            if src not in self._preds:
                 raise GraphError(f"{node_id!r} references unknown input {src!r}")
         self._nodes.append((node_id, spec))
         self._preds[node_id] = inputs
@@ -214,32 +198,39 @@ def topological_order(graph: ArchGraph) -> list[str]:
 
     Raises GraphError on cycles or dangling predecessor references.
     """
-    ids = graph.node_ids()
-    id_set = set(ids)
-    indeg = {nid: 0 for nid in ids}
-    for nid in ids:
+    index = {nid: i for i, (nid, _) in enumerate(graph.nodes)}
+    indeg = [0] * len(graph.nodes)
+    succ: list[list[int]] = [[] for _ in graph.nodes]
+    for i, (nid, _) in enumerate(graph.nodes):
         for p in graph.preds.get(nid, ()):
-            if p not in id_set:
+            if p not in index:
                 raise GraphError(f"{nid!r} references unknown input {p!r}")
-            indeg[nid] += 1
-    succ = graph.successors()
-    emitted: set[str] = set()
+            indeg[i] += 1
+            succ[index[p]].append(i)
+    ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
     order: list[str] = []
-    while len(order) < len(ids):
-        nid = next((i for i in ids if i not in emitted and indeg[i] == 0), None)
-        if nid is None:
-            raise GraphError("graph contains a cycle")
-        emitted.add(nid)
-        order.append(nid)
-        for s in succ[nid]:
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(graph.nodes[i][0])
+        for s in succ[i]:
             indeg[s] -= 1
+            if indeg[s] == 0:
+                heapq.heappush(ready, s)
+    if len(order) < len(graph.nodes):
+        raise GraphError("graph contains a cycle")
     return order
 
 
-def _conv_spatial(in_dim: int, kernel: int, stride: int, pad: int, use_ceil: bool) -> int:
-    num = in_dim + 2 * pad - kernel
-    out = (math.ceil(num / stride) if use_ceil else num // stride) + 1
-    return out
+def _spatial_size(in_dim: int, kernel: int, stride: int, pad: int, ceil_mode: bool) -> int:
+    """Number of window positions along one axis; the one rule that shape
+    inference, the cost model and the executor share. With ``ceil_mode`` a
+    trailing partial window counts, unless it would start at or past the
+    input edge (the PyTorch rule). Zero or less means the axis collapsed."""
+    span = in_dim + 2 * pad - kernel
+    if not ceil_mode:
+        return span // stride + 1
+    out = -(-span // stride) + 1
+    return out - 1 if (out - 1) * stride >= in_dim + pad else out
 
 
 def _node_output_shape(spec: LayerSpec, in_shapes: list[TensorShape], node_id: str) -> TensorShape:
@@ -247,8 +238,8 @@ def _node_output_shape(spec: LayerSpec, in_shapes: list[TensorShape], node_id: s
         return spec.shape
     if isinstance(spec, Conv):
         s = in_shapes[0]
-        h = _conv_spatial(s.height, spec.kernel_h, spec.stride, spec.pad, False)
-        w = _conv_spatial(s.width, spec.kernel_w, spec.stride, spec.pad, False)
+        h = _spatial_size(s.height, spec.kernel_h, spec.stride, spec.pad, False)
+        w = _spatial_size(s.width, spec.kernel_w, spec.stride, spec.pad, False)
         if h < 1 or w < 1:
             raise ShapeError(f"{node_id}: convolution output {h}x{w} is not positive "
                              f"(input {s}, kernel {spec.kernel_h}x{spec.kernel_w}, "
@@ -258,8 +249,8 @@ def _node_output_shape(spec: LayerSpec, in_shapes: list[TensorShape], node_id: s
         return TensorShape(1, 1, spec.filters)
     if isinstance(spec, Pool):
         s = in_shapes[0]
-        h = _conv_spatial(s.height, spec.kernel, spec.stride, 0, spec.ceil_mode)
-        w = _conv_spatial(s.width, spec.kernel, spec.stride, 0, spec.ceil_mode)
+        h = _spatial_size(s.height, spec.kernel, spec.stride, 0, spec.ceil_mode)
+        w = _spatial_size(s.width, spec.kernel, spec.stride, 0, spec.ceil_mode)
         if h < 1 or w < 1:
             raise ShapeError(f"{node_id}: pool output {h}x{w} is not positive "
                              f"(input {s}, kernel {spec.kernel}, stride {spec.stride})")
@@ -272,39 +263,39 @@ def _node_output_shape(spec: LayerSpec, in_shapes: list[TensorShape], node_id: s
         h, w = in_shapes[0].height, in_shapes[0].width
         for s in in_shapes[1:]:
             if (s.height, s.width) != (h, w):
-                raise ShapeError(f"{node_id}: concat inputs disagree on spatial size "
+                raise ShapeError(f"{node_id}: concat inputs must share height and width "
                                  f"({s} vs {in_shapes[0]})")
         return TensorShape(h, w, sum(s.channels for s in in_shapes))
     raise GraphError(f"{node_id}: unknown layer type {type(spec).__name__}")
 
 
-def validate(graph: ArchGraph) -> list[str]:
-    """Return every structural and divisibility violation; empty list means ok.
+def _walk(graph: ArchGraph) -> tuple[dict[str, TensorShape], list[str], bool]:
+    """Check and bind the whole graph in one O(N+E) pass.
 
-    Violations are data, not exceptions: each entry names the offending node.
+    Returns the output shape of every node that could be bound, keyed in
+    topological order; every violation, each reported once; and whether a
+    shape rule failed (a collapsed dimension or a concat mismatch).
     """
-    violations: list[str] = []
-    ids = graph.node_ids()
-    seen: set[str] = set()
-    for nid in ids:
-        if nid in seen:
-            violations.append(f"{nid}: duplicate id")
-        seen.add(nid)
-    if len(seen) != len(ids):
-        return violations  # ids ambiguous; further checks would mislead
-
     specs = dict(graph.nodes)
+    if len(specs) != len(graph.nodes):
+        counts = Counter(nid for nid, _ in graph.nodes)
+        # ids are ambiguous; further checks would mislead
+        return {}, [f"{nid}: duplicate id" for nid, n in counts.items() if n > 1], False
+
+    violations: list[str] = []
     inputs = [nid for nid, spec in graph.nodes if isinstance(spec, Input)]
     if not inputs:
         violations.append("graph: missing Input")
     elif len(inputs) > 1:
         violations.append(f"graph: multiple Input nodes ({', '.join(inputs)})")
 
+    unknown = False
     for nid, spec in graph.nodes:
         preds = graph.preds.get(nid, ())
         for p in preds:
             if p not in specs:
                 violations.append(f"{nid}: references unknown input {p!r}")
+                unknown = True
         if isinstance(spec, Input):
             if preds:
                 violations.append(f"{nid}: Input node must have no predecessors")
@@ -316,89 +307,69 @@ def validate(graph: ArchGraph) -> list[str]:
         if isinstance(spec, Conv) and spec.filters % spec.groups != 0:
             violations.append(f"{nid}: groups must divide filters "
                               f"(g={spec.groups}, F={spec.filters})")
-
+    if unknown:
+        return {}, violations, False
     try:
         order = topological_order(graph)
-    except GraphError as exc:
-        if "cycle" in str(exc):  # unknown references were already reported above
-            violations.append(f"graph: {exc}")
-        return violations
+    except GraphError as exc:  # the references are known, so this is a cycle
+        violations.append(f"graph: {exc}")
+        return {}, violations, False
 
-    if inputs:
-        reachable = {inputs[0]}
-        for nid in order:
-            if any(p in reachable for p in graph.preds.get(nid, ())):
-                reachable.add(nid)
-        for nid in ids:
-            if nid not in reachable:
-                violations.append(f"{nid}: not reachable from Input")
+    reachable = set(inputs[:1])
+    shapes: dict[str, TensorShape] = {}
+    shape_failed = False
+    for nid in order:
+        spec, preds = specs[nid], graph.preds.get(nid, ())
+        if any(p in reachable for p in preds):
+            reachable.add(nid)
+        elif inputs and nid not in reachable:
+            violations.append(f"{nid}: not reachable from Input")
+        if not isinstance(spec, Input) and (not preds or any(p not in shapes for p in preds)):
+            continue  # an input could not be bound; its violation is already recorded
+        in_shapes = [shapes[p] for p in preds]
+        if isinstance(spec, (Conv, Shuffle)) and in_shapes[0].channels % spec.groups != 0:
+            violations.append(f"{nid}: groups must divide input channels "
+                              f"(g={spec.groups}, C_in={in_shapes[0].channels})")
+        try:
+            shapes[nid] = _node_output_shape(spec, in_shapes, nid)
+        except GraphError as exc:
+            violations.append(str(exc))
+            shape_failed = shape_failed or isinstance(exc, ShapeError)
 
-    succ = graph.successors()
-    sinks = [nid for nid in ids if not succ[nid]]
+    sinks = _sinks(graph)
     if len(sinks) != 1:
         violations.append(f"graph: expected exactly one sink node, found {len(sinks)} "
                           f"({', '.join(sinks)})")
-
-    # Bind-time checks need shapes; propagate tolerantly and skip nodes whose
-    # inputs could not be resolved.
-    shapes: dict[str, Optional[TensorShape]] = {}
-    for nid in order:
-        spec = specs[nid]
-        in_shapes = [shapes.get(p) for p in graph.preds.get(nid, ())]
-        if not isinstance(spec, Input) and (not in_shapes or any(s is None for s in in_shapes)):
-            shapes[nid] = None
-            continue
-        if isinstance(spec, Conv):
-            c_in = in_shapes[0].channels
-            if c_in % spec.groups != 0:
-                violations.append(f"{nid}: groups must divide input channels "
-                                  f"(g={spec.groups}, C_in={c_in})")
-        elif isinstance(spec, Shuffle):
-            c_in = in_shapes[0].channels
-            if c_in % spec.groups != 0:
-                violations.append(f"{nid}: groups must divide input channels "
-                                  f"(g={spec.groups}, C_in={c_in})")
-        elif isinstance(spec, Concat):
-            hw = {(s.height, s.width) for s in in_shapes}
-            if len(hw) > 1:
-                violations.append(f"{nid}: concat inputs must share height and width")
-        try:
-            shapes[nid] = _node_output_shape(spec, in_shapes, nid)
-        except GraphError:
-            shapes[nid] = None
-    return violations
+    return shapes, violations, shape_failed
 
 
-def check_valid(graph: ArchGraph) -> None:
-    """Raise GraphError listing all violations when the graph is invalid."""
-    violations = validate(graph)
-    if violations:
-        raise GraphError(f"invalid graph {graph.name!r}: " + "; ".join(violations))
+def validate(graph: ArchGraph) -> list[str]:
+    """Return every structural, divisibility and shape violation; an empty
+    list means ``infer_shapes`` and every cost function succeed.
+
+    Violations are data, not exceptions: each entry names the offending node.
+    """
+    return _walk(graph)[1]
 
 
 def infer_shapes(graph: ArchGraph) -> dict[str, TensorShape]:
-    """Map every node id to its output shape. Requires a valid graph;
-    raises ShapeError naming the node when a dimension collapses."""
-    check_valid(graph)
-    specs = dict(graph.nodes)
-    shapes: dict[str, TensorShape] = {}
-    for nid in topological_order(graph):
-        in_shapes = [shapes[p] for p in graph.preds.get(nid, ())]
-        shapes[nid] = _node_output_shape(specs[nid], in_shapes, nid)
+    """Map every node id to its output shape, keyed in topological order.
+    Raises ShapeError naming the node when a dimension collapses, and
+    GraphError listing every violation for any other invalid graph."""
+    shapes, violations, shape_failed = _walk(graph)
+    if violations:
+        error = ShapeError if shape_failed else GraphError
+        raise error(f"invalid graph {graph.name!r}: " + "; ".join(violations))
     return shapes
 
 
-def input_shape_of(graph: ArchGraph, node_id: str, shapes: Mapping[str, TensorShape]) -> TensorShape:
-    """Shape feeding ``node_id`` (first predecessor's output)."""
-    preds = graph.preds.get(node_id, ())
-    if not preds:
-        raise GraphError(f"{node_id}: has no predecessor")
-    return shapes[preds[0]]
+def _sinks(graph: ArchGraph) -> list[str]:
+    consumed = {p for nid, _ in graph.nodes for p in graph.preds.get(nid, ())}
+    return [nid for nid, _ in graph.nodes if nid not in consumed]
 
 
 def sink_id(graph: ArchGraph) -> str:
-    succ = graph.successors()
-    sinks = [nid for nid in graph.node_ids() if not succ[nid]]
+    sinks = _sinks(graph)
     if len(sinks) != 1:
         raise GraphError(f"expected exactly one sink, found {len(sinks)}")
     return sinks[0]
@@ -412,7 +383,7 @@ def lower_fc(graph: ArchGraph) -> ArchGraph:
     new_nodes = []
     for nid, spec in graph.nodes:
         if isinstance(spec, FullyConnected):
-            s = input_shape_of(graph, nid, shapes)
+            s = shapes[graph.preds[nid][0]]
             spec = Conv(s.height, s.width, spec.filters, groups=1, stride=1, pad=0,
                         bias=spec.bias)
         new_nodes.append((nid, spec))

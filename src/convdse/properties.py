@@ -17,7 +17,7 @@ import numpy as np
 
 from . import compress, costs, huffman, refexec
 from .graph import (ArchGraph, Conv, GraphBuilder, Pool, ReLU, Shuffle, TensorShape,
-                    infer_shapes, lower_fc)
+                    infer_shapes, lower_fc, validate)
 from .weights import WeightTensor
 
 
@@ -65,7 +65,9 @@ def _divisors(n: int) -> list[int]:
 
 def random_graph(rng: np.random.Generator, max_layers: int = 8) -> ArchGraph:
     """Small random valid graph: a chain of conv/pool/relu/shuffle layers
-    with at most one fire-style diamond, sometimes finished by GAP or FC."""
+    with at most one fire-style diamond, sometimes finished by GAP or FC.
+    Pools draw kernel and stride from 1..3 independently, with or without
+    ceil_mode, so stride > kernel and trailing partial windows occur."""
     b = GraphBuilder(f"fuzz{rng.integers(1 << 30)}")
     h = int(rng.integers(6, 13))
     c = int(rng.choice([2, 3, 4, 6, 8]))
@@ -96,10 +98,10 @@ def random_graph(rng: np.random.Generator, max_layers: int = 8) -> ArchGraph:
         elif op == "relu":
             x = b.relu(x)
         elif op == "pool":
-            if rng.random() < 0.5:
-                x = b.maxpool(x, 2, 2)
-            else:
-                x = b.avgpool(x, 2, 2)
+            kernel = int(rng.choice([k for k in (1, 2, 3)
+                                     if k <= min(shape.height, shape.width)]))
+            pool = b.maxpool if rng.random() < 0.5 else b.avgpool
+            x = pool(x, kernel, int(rng.integers(1, 4)), ceil_mode=bool(rng.random() < 0.5))
         elif op == "shuffle":
             g = int(rng.choice([d for d in _divisors(shape.channels) if d > 1]))
             x = b.shuffle(x, g)
@@ -135,6 +137,10 @@ def check_run_shapes(seed: int = 1, trials: int = 12) -> PropertyResult:
     rng = np.random.default_rng(seed)
     for i in range(trials):
         graph = random_graph(rng)
+        violations = validate(graph)
+        if violations:
+            return PropertyResult("run_shapes", False,
+                                  f"graph {i} ({graph.name}): validate reported {violations}")
         shapes = infer_shapes(graph)
         weights = refexec.random_weights(graph, rng)
         in_shape = shapes[graph.nodes[0][0]]

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, Pool, ReLU,
-                    Shuffle, TensorShape, check_valid, infer_shapes, sink_id, topological_order)
+                    Shuffle, TensorShape, _spatial_size, infer_shapes, sink_id)
 from .weights import WeightTensor
 
 
@@ -94,8 +94,8 @@ def conv_forward(x: np.ndarray, spec: Conv, weight: np.ndarray,
     if weight.shape != (spec.filters, cg, spec.kernel_h, spec.kernel_w):
         raise ExecutionError(f"weight shape {weight.shape} does not match "
                              f"({spec.filters}, {cg}, {spec.kernel_h}, {spec.kernel_w})")
-    h_out = (h_in + 2 * spec.pad - spec.kernel_h) // spec.stride + 1
-    w_out = (w_in + 2 * spec.pad - spec.kernel_w) // spec.stride + 1
+    h_out = _spatial_size(h_in, spec.kernel_h, spec.stride, spec.pad, False)
+    w_out = _spatial_size(w_in, spec.kernel_w, spec.stride, spec.pad, False)
     xp = np.pad(x.astype(np.float64), ((0, 0), (spec.pad, spec.pad), (spec.pad, spec.pad)))
     wd = weight.astype(np.float64)
     out = np.zeros((spec.filters, h_out, w_out), dtype=np.float64)
@@ -117,16 +117,12 @@ def conv_forward(x: np.ndarray, spec: Conv, weight: np.ndarray,
 
 def pool_forward(x: np.ndarray, spec: Pool) -> np.ndarray:
     """Max/avg pooling. With ceil_mode the trailing window may overhang the
-    input; max ignores the missing elements, avg still divides by the full
-    kernel area (one convention, applied everywhere)."""
+    input (it always starts inside it); max ignores the missing elements,
+    avg still divides by the full kernel area (one convention, applied
+    everywhere)."""
     c, h_in, w_in = x.shape
-    num_h, num_w = h_in - spec.kernel, w_in - spec.kernel
-    if spec.ceil_mode:
-        h_out = -(-num_h // spec.stride) + 1
-        w_out = -(-num_w // spec.stride) + 1
-    else:
-        h_out = num_h // spec.stride + 1
-        w_out = num_w // spec.stride + 1
+    h_out = _spatial_size(h_in, spec.kernel, spec.stride, 0, spec.ceil_mode)
+    w_out = _spatial_size(w_in, spec.kernel, spec.stride, 0, spec.ceil_mode)
     out = np.zeros((c, h_out, w_out), dtype=np.float32)
     for oy in range(h_out):
         iy = oy * spec.stride
@@ -144,12 +140,7 @@ def pool_forward(x: np.ndarray, spec: Pool) -> np.ndarray:
 def shuffle_forward(x: np.ndarray, groups: int) -> np.ndarray:
     """Channel shuffle: with n = C/g, output channel j takes input channel
     (j mod g) * n + j // g. Spatial values are untouched."""
-    c = x.shape[0]
-    if c % groups != 0:
-        raise ExecutionError(f"groups must divide input channels (g={groups}, C_in={c})")
-    n = c // groups
-    sources = [(j % groups) * n + j // groups for j in range(c)]
-    return x[sources]
+    return x[shuffle_sources(x.shape[0], groups)]
 
 
 def shuffle_sources(channels: int, groups: int) -> list[int]:
@@ -162,7 +153,6 @@ def shuffle_sources(channels: int, groups: int) -> list[int]:
 
 def _execute(graph: ArchGraph, weights: Sequence[WeightTensor], input_tensor: Tensor3D,
              count_macs: bool) -> tuple[dict[str, np.ndarray], int]:
-    check_valid(graph)
     shapes = infer_shapes(graph)
     by_name = {}
     for t in weights:
@@ -188,7 +178,7 @@ def _execute(graph: ArchGraph, weights: Sequence[WeightTensor], input_tensor: Te
     counter = [0]
     specs = dict(graph.nodes)
     acts: dict[str, np.ndarray] = {}
-    for nid in topological_order(graph):
+    for nid, expect in shapes.items():
         spec = specs[nid]
         srcs = [acts[p] for p in graph.preds.get(nid, ())]
         if isinstance(spec, Input):
@@ -215,7 +205,6 @@ def _execute(graph: ArchGraph, weights: Sequence[WeightTensor], input_tensor: Te
             out = np.concatenate(srcs, axis=0)
         else:
             raise ExecutionError(f"{nid}: unknown layer type {type(spec).__name__}")
-        expect = shapes[nid]
         if out.shape != (expect.channels, expect.height, expect.width):
             raise ExecutionError(f"{nid}: produced shape {out.shape}, expected "
                                  f"({expect.channels}, {expect.height}, {expect.width})")

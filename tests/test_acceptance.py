@@ -54,7 +54,7 @@ def test_criterion_03_squeezenet_scale():
 def test_criterion_04_fc7_vs_squeezenet():
     g = zoo.alexnet()
     fc7_in = infer_shapes(g)[g.preds["fc7"][0]]
-    fc7_params = costs.layer_params(g.layer("fc7"), fc7_in)
+    fc7_params = costs.layer_params(dict(g.nodes)["fc7"], fc7_in)
     ratio = fc7_params / costs.model_params(zoo.squeezenet(0.5))
     ok = 13 <= ratio <= 15
     criterion(4, "fc7 alone outweighs squeezenet 13-15x", ok, f"ratio={ratio:.2f}")

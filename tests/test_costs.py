@@ -3,11 +3,11 @@ import math
 
 import pytest
 
-from convdse import zoo
+from convdse import graph, zoo
 from convdse.costs import (DEFAULT_PLATFORM, PlatformSpec, activation_traffic_words,
-                           energy_estimate, energy_from_counts, layer_macs, layer_params,
-                           model_macs, model_params, peak_activation_bytes, report,
-                           storage_bytes)
+                           energy_estimate, energy_from_counts, layer_costs, layer_macs,
+                           layer_params, model_macs, model_params, peak_activation_bytes,
+                           report, storage_bytes)
 from convdse.graph import (Conv, FullyConnected, GraphBuilder, Pool, ReLU, TensorShape)
 
 
@@ -126,6 +126,36 @@ class TestPeakActivations:
 
         peaks = [peak_activation_bytes(with_pool_at(k)) for k in range(1, 6)]
         assert all(b >= a for a, b in zip(peaks, peaks[1:]))
+
+
+class TestLayerCosts:
+    def test_rows_follow_execution_order(self):
+        b = GraphBuilder("diamond")
+        x = b.input(TensorShape(4, 4, 2))       # 32 elements
+        s = b.conv(x, 1, 8, name="squeeze")     # 128 elements
+        right = b.conv(s, 3, 4, pad=1, name="right")  # 64 elements
+        left = b.conv(s, 1, 4, name="left")     # 64 elements
+        b.concat([left, right], name="cat")     # 128 elements
+        g = b.build()
+        rows = layer_costs(g)
+        assert [r.node_id for r in rows] == ["input", "squeeze", "right", "left", "cat"]
+        # squeeze frees the input; left frees squeeze; cat frees everything
+        assert [r.live_words for r in rows] == [32, 160, 192, 256, 256]
+        assert rows[-1].in_shapes == (TensorShape(4, 4, 4), TensorShape(4, 4, 4))
+        assert [r.params for r in rows] == [0, 24, 292, 36, 0]
+        assert sum(r.macs for r in rows) == model_macs(g)
+
+    def test_report_sorts_the_graph_once(self, monkeypatch):
+        calls = []
+        original = graph.topological_order
+
+        def counting(g):
+            calls.append(g.name)
+            return original(g)
+
+        monkeypatch.setattr(graph, "topological_order", counting)
+        report(zoo.squeezenet())
+        assert len(calls) == 1
 
 
 class TestEnergy:

@@ -83,6 +83,6 @@ def test_conv_kernel_accepts_scalar():
         {"id": "c", "op": "conv", "params": {"kernel": 3, "filters": 8}, "inputs": ["input"]},
     ]})
     g = parse(text)
-    spec = g.layer("c")
+    spec = dict(g.nodes)["c"]
     assert (spec.kernel_h, spec.kernel_w) == (3, 3)
     assert spec.groups == 1 and spec.stride == 1 and spec.pad == 0 and spec.bias

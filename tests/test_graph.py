@@ -83,6 +83,13 @@ class TestValidate:
         b.relu(x)
         assert any("sink" in v for v in validate(b.build()))
 
+    def test_collapsed_pool_is_reported_once(self):
+        g = chain(Pool("max", 3, 1), ReLU(), input_shape=TensorShape(2, 2, 1))
+        violations = validate(g)
+        assert len(violations) == 1 and violations[0].startswith("pool1:")
+        with pytest.raises(ShapeError, match="pool1"):
+            infer_shapes(g)
+
     def test_unreachable_node(self):
         g = ArchGraph("island", (("input", Input(TensorShape(2, 2, 2))),
                                  ("a", ReLU()), ("b", ReLU()), ("c", ReLU())),
@@ -143,14 +150,14 @@ class TestLowerFc:
     def test_1x1_case(self):
         g = chain(FullyConnected(1000), input_shape=TensorShape(1, 1, 512))
         lowered = lower_fc(g)
-        spec = lowered.layer(sink_id(lowered))
+        spec = dict(lowered.nodes)[sink_id(lowered)]
         assert spec == Conv(1, 1, 1000, groups=1, stride=1, pad=0, bias=True)
         assert costs.model_params(g) == costs.model_params(lowered)
 
     def test_spatial_fc_preserves_params_and_shapes(self):
         g = chain(FullyConnected(4096), input_shape=TensorShape(6, 6, 256))
         lowered = lower_fc(g)
-        spec = lowered.layer(sink_id(lowered))
+        spec = dict(lowered.nodes)[sink_id(lowered)]
         assert (spec.kernel_h, spec.kernel_w) == (6, 6)
         assert costs.model_params(g) == costs.model_params(lowered)
         assert costs.model_macs(g) == costs.model_macs(lowered)

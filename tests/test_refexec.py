@@ -80,6 +80,14 @@ class TestKernels:
         out = pool_forward(x, Pool("max", 2, 2, ceil_mode=True))
         assert out[0].tolist() == [[4.0, 5.0], [7.0, 8.0]]
 
+    def test_ceil_pool_with_stride_past_kernel_runs(self):
+        g = single_layer(lambda b, x: b.maxpool(x, 1, 3, ceil_mode=True), TensorShape(5, 5, 1))
+        assert infer_shapes(g)["pool1"] == TensorShape(2, 2, 1)
+        x = np.arange(25, dtype=np.float32).reshape(1, 5, 5)
+        out = run(g, [], tensor(x))
+        assert out.shape == TensorShape(2, 2, 1)
+        assert out.chw().tolist() == x[:, ::3, ::3].tolist()
+
     def test_gap_and_concat(self):
         b = GraphBuilder("gapcat")
         x = b.input(TensorShape(2, 2, 2))

@@ -142,7 +142,7 @@ class TestMobilenetLike:
         g = mobilenet_like(1.0)
         shapes = infer_shapes(g)
         nid = "dw7"
-        spec = g.layer(nid)
+        spec = dict(g.nodes)[nid]
         in_shape = shapes[g.preds[nid][0]]
         assert spec.groups == in_shape.channels
         dense = Conv(3, 3, spec.filters, groups=1, stride=spec.stride, pad=spec.pad,
