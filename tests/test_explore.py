@@ -117,6 +117,19 @@ class TestFindSaturation:
         points = [point(1, 0.30), point(2, 0.25), point(3, 0.20)]
         assert find_saturation(points, epsilon=0.01) is None
 
+    def test_improving_to_the_last_point_returns_none(self):
+        # a loop that checks every point but the last without saturating means
+        # the last point beat its predecessor by more than epsilon
+        assert find_saturation([point(1, 0.30), point(2, 0.20)], epsilon=0.005) is None
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            errors = np.round(rng.uniform(0.1, 0.3, n), 3).tolist()
+            points = [point(i + 1, e) for i, e in enumerate(errors)]
+            found = find_saturation(points, epsilon=0.005)
+            improving = all(min(errors[i + 1:]) < errors[i] - 0.005 for i in range(n - 1))
+            assert (found is None) == improving
+
     def test_improvement_within_epsilon_saturates(self):
         points = [point(1, 0.30), point(2, 0.298), point(3, 0.297)]
         assert find_saturation(points, epsilon=0.005) is points[0]
