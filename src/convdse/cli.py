@@ -29,7 +29,6 @@ def human_bytes(n: int) -> str:
         if value < 1024 or unit == "GB":
             return f"{value:.2f} {unit}" if unit != "B" else f"{int(value)} B"
         value /= 1024
-    return f"{value:.2f} GB"
 
 
 def human_count(n: int) -> str:
@@ -53,23 +52,12 @@ def _load_platform(path: Optional[str]) -> PlatformSpec:
     return PlatformSpec.load(path) if path else DEFAULT_PLATFORM
 
 
-def _metaparams_from_args(args) -> dict:
-    params = {}
-    if args.p is not None:
-        params["p"] = args.p
-    if args.pool_placement is not None:
-        params["pool_placement"] = args.pool_placement
-    if args.width_mult is not None:
-        params["width_mult"] = args.width_mult
-    return params
-
-
 def _graph_from_args(args) -> tuple[ArchGraph, dict]:
     if args.arch:
-        graph = descriptor.load(args.arch)
-        return graph, {}
+        return descriptor.load(args.arch), {}
     if args.family:
-        params = _metaparams_from_args(args)
+        params = {m.name: getattr(args, m.name) for family in explore.FAMILIES.values()
+                  for m in family.params if getattr(args, m.name) is not None}
         return explore.build_family(args.family, params), params
     raise SweepError("one of --arch or --family is required")
 
@@ -140,7 +128,6 @@ def cmd_sweep(args) -> int:
         grid = json.load(fh)
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise SweepError("grid file must map axis names to value lists")
-    axes = list(grid.keys())
     points = explore.sweep(args.family, grid, platform, batch=args.batch)
 
     unmatched: list[dict] = []
@@ -170,8 +157,7 @@ def cmd_sweep(args) -> int:
             saturation_idx = next(i for i, p in enumerate(points)
                                   if p is saturation_point)
 
-    csv_text = _sweep_csv(axes, points, pareto_idx,
-                          saturation_idx if args.saturation_axis else None)
+    csv_text = _sweep_csv(list(grid), points, pareto_idx, saturation_idx)
     doc = {
         "family": args.family,
         "grid": grid,
@@ -210,20 +196,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-class _RowPoint:
-    """Adapter letting pareto_front run over raw CSV rows."""
-
-    def __init__(self, row: dict[str, str]):
-        self.row = row
-
-    def value_of(self, metric: str) -> float:
-        value = self.row.get(metric)
-        if value in (None, ""):
-            raise SweepError(f"points file is missing metric {metric!r}")
-        try:
-            return float(value)
-        except ValueError as exc:
-            raise SweepError(f"metric {metric!r} has non-numeric value {value!r}") from exc
+def _row_value(row: dict[str, str], metric: str) -> float:
+    """Metric getter letting pareto_front run over raw CSV rows."""
+    value = row.get(metric)
+    if value in (None, ""):
+        raise SweepError(f"points file is missing metric {metric!r}")
+    try:
+        return float(value)
+    except ValueError as exc:
+        raise SweepError(f"metric {metric!r} has non-numeric value {value!r}") from exc
 
 
 def _parse_objectives(spec: str) -> list[tuple[str, str]]:
@@ -249,13 +230,12 @@ def cmd_pareto(args) -> int:
             raise SweepError("points file has no header row")
         fieldnames = list(reader.fieldnames)
         rows = list(reader)
-    front = explore.pareto_front([_RowPoint(r) for r in rows], objectives)
+    front = explore.pareto_front(rows, objectives, _row_value)
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8", newline="")
     try:
         writer = csv_mod.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()
-        for point in front:
-            writer.writerow(point.row)
+        writer.writerows(front)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -286,9 +266,11 @@ def cmd_compress(args) -> int:
     tensors = weights.load_sdnw(args.weights)
     model = compress_mod.compress_model(tensors, args.sparsity, args.bits,
                                         rel_index_bits=args.gap_bits)
-    compress_mod.save_sdnc(model, args.out)
+    container = compress_mod.write_sdnc(model)
+    with open(args.out, "wb") as fh:
+        fh.write(container)
     dense = sum(4 * t.size for t in tensors)
-    rep = compress_mod.compression_report(dense, model)
+    rep = compress_mod.compression_report(dense, model, container)
     if args.json:
         doc = {
             "dense_bytes": rep.dense_bytes,
@@ -341,10 +323,12 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--arch", help="architecture descriptor (JSON)")
     parser.add_argument("--family", choices=sorted(explore.FAMILIES),
                         help="generate a reference family instead of reading --arch")
-    parser.add_argument("--p", type=float, help="3x3 expand fraction (squeezenet)")
-    parser.add_argument("--pool-placement", choices=["early", "even", "late"],
-                        help="downsampling placement (squeezenet)")
-    parser.add_argument("--width-mult", type=float, help="width multiplier (mobilenet)")
+    for name, family in explore.FAMILIES.items():
+        for m in family.params:
+            kind = {"choices": m.kind} if isinstance(m.kind, tuple) else {"type": m.kind}
+            default = "" if m.default is None else f", default {m.default}"
+            parser.add_argument(f"--{m.name.replace('_', '-')}", **kind,
+                                help=f"{m.help} ({name}{default})")
     parser.add_argument("--platform", help="platform config (JSON)")
     parser.add_argument("--batch", type=int, default=1,
                         help="batch size for weight-fetch amortization (default 1)")

@@ -16,6 +16,7 @@ of the body. Any corruption is detected, never silently decoded.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -59,10 +60,7 @@ class QuantizedTensor:
     assignments: np.ndarray  # int64 codebook index per nonzero
 
     def element_count(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n
+        return math.prod(self.shape)
 
     def dequantize(self) -> WeightTensor:
         values = np.zeros(self.element_count(), dtype=np.float32)
@@ -76,8 +74,9 @@ def kmeans_quantize(tensor: WeightTensor, bits: int, max_iters: int = 50,
     """Lloyd's k-means over the nonzero values only, k = 2**bits centroids
     initialized evenly over [min, max]. Deterministic: fixed init, ties to
     the lower centroid index, empty clusters hold their position; unused
-    centroids are dropped afterwards. All-zero tensors yield an empty
-    codebook."""
+    centroids are dropped afterwards. Members of a centroid that is 0.0 in
+    float32 become pruned, so zero is never a codebook entry. All-zero
+    tensors yield an empty codebook."""
     if not 1 <= bits <= 8:
         raise ValueError(f"bits must be in [1, 8], got {bits!r}")
     if max_iters < 1:
@@ -110,6 +109,10 @@ def kmeans_quantize(tensor: WeightTensor, bits: int, max_iters: int = 50,
         if movement < tol:
             break
     labels = assign(centroids)
+    zero = centroids.astype(np.float32) == 0.0
+    if zero.any():
+        keep = ~zero[labels]
+        positions, labels = positions[keep], labels[keep]
     used = np.unique(labels)
     remap = np.full(k, -1, dtype=np.int64)
     remap[used] = np.arange(used.size)
@@ -142,16 +145,10 @@ class CompressedTensor:
     index_bits: int
     index_payload: bytes
 
-    def payload_bytes(self) -> int:
-        return len(self.gap_payload) + len(self.index_payload)
-
 
 @dataclass(frozen=True)
 class CompressedModel:
     records: tuple[CompressedTensor, ...]
-
-    def container_bytes(self) -> int:
-        return len(write_sdnc(self))
 
 
 def _gap_index_symbols(quantized: QuantizedTensor, rel_index_bits: int) -> tuple[list[int], list[int]]:
@@ -208,9 +205,7 @@ def decode_model(model: CompressedModel) -> list[WeightTensor]:
     """Reconstruct the pruned+quantized tensors exactly."""
     tensors = []
     for rec in model.records:
-        n = 1
-        for d in rec.shape:
-            n *= d
+        n = math.prod(rec.shape)
         values = np.zeros(n, dtype=np.float32)
         nonzeros = 0
         if rec.record_count:
@@ -345,6 +340,14 @@ def _parse_record(body: bytes) -> CompressedTensor:
     (cb_size,) = struct.unpack("<H", take(2))
     codebook = np.frombuffer(take(4 * cb_size), dtype="<f4").astype(np.float32)
     nonzero_count, record_count = struct.unpack("<QQ", take(16))
+    if 0 in shape:
+        raise CompressedFormatError(f"{name}: zero dimension in shape {shape}")
+    if record_count > math.prod(shape):
+        raise CompressedFormatError(f"{name}: record count {record_count} exceeds "
+                                    f"element count {math.prod(shape)}")
+    if nonzero_count > record_count:
+        raise CompressedFormatError(f"{name}: nonzero count {nonzero_count} exceeds "
+                                    f"record count {record_count}")
     if record_count:
         gap_lengths = _unpack_lengths(take(1 << rel_index_bits))
         index_lengths = _unpack_lengths(take(cb_size + 1))
@@ -366,9 +369,14 @@ def _parse_record(body: bytes) -> CompressedTensor:
 def compress_model(tensors: Sequence[WeightTensor], target_sparsity: float, bits: int,
                    rel_index_bits: int = 4, max_iters: int = 50,
                    tol: float = 1e-8) -> CompressedModel:
-    """Full pipeline: prune each tensor, quantize the survivors, encode."""
+    """Full pipeline: prune each tensor, quantize the survivors, encode.
+    NaN or infinite weights are refused."""
     quantized = []
     for t in tensors:
+        # a float64 sum of float32 values cannot overflow, so it is finite
+        # exactly when every value is; unlike isfinite it allocates no mask
+        if not math.isfinite(t.values.sum(dtype=np.float64)):
+            raise ValueError(f"{t.name}: weights contain NaN or infinity")
         pruned, _ = prune_magnitude(t, target_sparsity)
         quantized.append(kmeans_quantize(pruned, bits, max_iters, tol))
     return encode(quantized, rel_index_bits)
@@ -401,23 +409,19 @@ class CompressionReport:
         return self.dense_bytes / self.compressed_bytes
 
 
-def compression_report(dense_bytes: int, model: CompressedModel) -> CompressionReport:
-    container = write_sdnc(model)
-    per_record_overhead = 8  # body length + crc
+def compression_report(dense_bytes: int, model: CompressedModel,
+                       container: Optional[bytes] = None) -> CompressionReport:
+    """Sizes read off ``container``, the model's SDNC bytes (serialized
+    here when not given): a record's size is its body plus length and CRC."""
+    container = write_sdnc(model) if container is None else container
     rows = []
+    pos = 12  # magic, version, record count
     for rec in model.records:
-        n = 1
-        for d in rec.shape:
-            n *= d
-        rows.append(TensorReportRow(rec.name, 4 * n,
-                                    len(_record_body(rec)) + per_record_overhead,
+        (body_len,) = struct.unpack_from("<I", container, pos)
+        rows.append(TensorReportRow(rec.name, 4 * math.prod(rec.shape), body_len + 8,
                                     rec.nonzero_count, int(rec.codebook.size)))
+        pos += body_len + 8
     return CompressionReport(dense_bytes, len(container), tuple(rows))
-
-
-def save_sdnc(model: CompressedModel, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_sdnc(model))
 
 
 def load_sdnc(path) -> CompressedModel:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
@@ -38,14 +38,13 @@ class PlatformSpec:
     word_bytes: int = 4
 
     def __post_init__(self):
-        for name in ("on_chip_bytes", "e_mac", "macs_per_second", "offchip_ratio", "word_bytes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"PlatformSpec.{name} must be strictly positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"PlatformSpec.{f.name} must be strictly positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlatformSpec":
-        known = {"on_chip_bytes", "e_mac", "macs_per_second", "offchip_ratio", "word_bytes"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"platform config: unknown key(s) {sorted(unknown)}")
         return cls(**d)

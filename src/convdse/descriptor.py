@@ -180,8 +180,3 @@ def parse(text: str) -> ArchGraph:
 def load(path) -> ArchGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def save(graph: ArchGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(graph))

@@ -13,12 +13,12 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 from .costs import MetricsReport, PlatformSpec, report
 from .graph import ArchGraph
-from .zoo import PoolPlacement, alexnet, mobilenet_like, squeezenet, vgg19
+from .zoo import POOL_STRATEGIES, PoolPlacement, alexnet, mobilenet_like, squeezenet, vgg19
 
 
 class SweepError(ValueError):
@@ -57,17 +57,14 @@ class ConstraintSet:
     max_energy_per_frame: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("max_onchip_bytes", "max_top5_error", "min_fps_required",
-                     "min_fps_desired", "max_energy_per_frame"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if v is not None and v <= 0:
-                raise ValueError(f"ConstraintSet.{name} must be positive when set")
+                raise ValueError(f"ConstraintSet.{f.name} must be positive when set")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConstraintSet":
-        known = {"max_onchip_bytes", "max_top5_error", "min_fps_required",
-                 "min_fps_desired", "max_energy_per_frame"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"constraint config: unknown key(s) {sorted(unknown)}")
         return cls(**d)
@@ -78,51 +75,87 @@ class ConstraintSet:
             return cls.from_dict(json.load(fh))
 
 
-def _squeezenet_from_params(params: dict) -> ArchGraph:
-    p = params.get("p", 0.5)
-    placement = params.get("pool_placement")
-    count = params.get("pool_count")
-    if placement is None and count is None:
-        pooling = None  # canonical positions
-    else:
-        pooling = PoolPlacement(placement or "even", int(count) if count else 3)
-    return squeezenet(p, pooling)
+@dataclass(frozen=True)
+class Metaparam:
+    """One metaparameter of a family. ``kind`` is float, int, or a tuple of
+    the allowed choices; a float also takes an int, and a bool is never a
+    number. Ranges are the generator's to check."""
+
+    name: str
+    kind: type | tuple[str, ...]
+    default: object
+    help: str
+
+    def accepts(self, value) -> bool:
+        if isinstance(self.kind, tuple):
+            return value in self.kind
+        numbers = (int, float) if self.kind is float else (int,)
+        return isinstance(value, numbers) and not isinstance(value, bool)
 
 
-#: family name -> (builder over metaparams, allowed metaparam names)
-FAMILIES: dict[str, tuple[Callable[[dict], ArchGraph], frozenset[str]]] = {
-    "alexnet": (lambda params: alexnet(), frozenset()),
-    "vgg19": (lambda params: vgg19(), frozenset()),
-    "squeezenet": (_squeezenet_from_params,
-                   frozenset({"p", "pool_placement", "pool_count"})),
-    "mobilenet": (lambda params: mobilenet_like(params.get("width_mult", 1.0)),
-                  frozenset({"width_mult"})),
+@dataclass(frozen=True)
+class Family:
+    """A generator and the schema of its metaparameters; ``build`` gets
+    every metaparameter, defaults filled in, as a keyword argument."""
+
+    build: Callable[..., ArchGraph]
+    params: tuple[Metaparam, ...] = ()
+
+
+def _squeezenet(p: float, pool_placement: Optional[str], pool_count: Optional[int]) -> ArchGraph:
+    # canonical pools unless one is given; PoolPlacement defaults the other
+    pooling = {"strategy": pool_placement, "pool_count": pool_count}
+    pooling = {k: v for k, v in pooling.items() if v is not None}
+    return squeezenet(p, PoolPlacement(**pooling) if pooling else None)
+
+
+FAMILIES: dict[str, Family] = {
+    "alexnet": Family(alexnet),
+    "vgg19": Family(vgg19),
+    "squeezenet": Family(_squeezenet, (
+        Metaparam("p", float, 0.5, "3x3 expand fraction"),
+        Metaparam("pool_placement", POOL_STRATEGIES, None,
+                  "pool placement; canonical pools unless this or pool_count is set"),
+        Metaparam("pool_count", int, None,
+                  "number of pools; canonical pools unless this or pool_placement is set"),
+    )),
+    "mobilenet": Family(lambda width_mult: mobilenet_like(width_mult), (
+        Metaparam("width_mult", float, 1.0, "width multiplier"),
+    )),
 }
 
 
 def build_family(family: str, metaparams: dict) -> ArchGraph:
+    """The one place a family's metaparameters are checked: names and kinds
+    against its schema here, ranges by the generator. Any of these errors
+    is a SweepError naming the family and the metaparameter."""
     if family not in FAMILIES:
         raise SweepError(f"unknown family {family!r} (known: {sorted(FAMILIES)})")
-    builder, allowed = FAMILIES[family]
-    unknown = set(metaparams) - allowed
+    schema = FAMILIES[family].params
+    allowed = sorted(m.name for m in schema)
+    unknown = set(metaparams) - set(allowed)
     if unknown:
         raise SweepError(f"family {family!r} does not take metaparameter(s) "
-                         f"{sorted(unknown)} (allowed: {sorted(allowed) or 'none'})")
-    return builder(metaparams)
+                         f"{sorted(unknown)} (allowed: {allowed or 'none'})")
+    kwargs = {}
+    for m in schema:
+        value = metaparams.get(m.name, m.default)
+        if m.name in metaparams and not m.accepts(value):
+            kind = f"one of {list(m.kind)}" if isinstance(m.kind, tuple) else m.kind.__name__
+            raise SweepError(f"family {family!r}: metaparameter {m.name!r} must be {kind}, "
+                             f"got {value!r}")
+        kwargs[m.name] = value
+    try:
+        return FAMILIES[family].build(**kwargs)
+    except ValueError as exc:
+        raise SweepError(f"family {family!r}, metaparameters {metaparams}: {exc}") from exc
 
 
 def sweep(family: str, grid: dict[str, Sequence], platform: PlatformSpec,
           max_points: int = 4096, batch: int = 1) -> list[DesignPoint]:
     """One design point per grid cell, in lexicographic order over the grid
     axes as given. Deterministic: same grid and platform, same points."""
-    if family not in FAMILIES:
-        raise SweepError(f"unknown family {family!r} (known: {sorted(FAMILIES)})")
-    _, allowed = FAMILIES[family]
     axes = list(grid.keys())
-    unknown = set(axes) - allowed
-    if unknown:
-        raise SweepError(f"family {family!r} does not take metaparameter(s) "
-                         f"{sorted(unknown)} (allowed: {sorted(allowed) or 'none'})")
     for axis in axes:
         if not grid[axis]:
             raise SweepError(f"grid axis {axis!r} has no values")
@@ -141,8 +174,6 @@ def _norm(value) -> object:
     """Canonical join key: numbers as float, everything else as string."""
     if isinstance(value, bool):
         return str(value)
-    if isinstance(value, (int, float)):
-        return float(value)
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -235,57 +266,31 @@ def find_saturation(points: Sequence[DesignPoint], epsilon: float = 0.005,
         best_later = min(errors[i + 1:])
         if best_later >= errors[i] - epsilon:
             return points[i]
-    if n == 1:
-        return points[0]
-    # only the largest point is left: it saturates unless it is itself still
-    # a better-than-epsilon improvement on its predecessor
-    if errors[-1] < errors[-2] - epsilon:
-        return None
-    return points[-1]
+    # falling through means even the last point beat its predecessor
+    return points[0] if n == 1 else None
 
 
-def pareto_front(points: Sequence[DesignPoint],
-                 objectives: Sequence[tuple[str, str]]) -> list[DesignPoint]:
+def pareto_front(points: Sequence, objectives: Sequence[tuple[str, str]],
+                 value_of: Callable[[object, str], float] = DesignPoint.value_of) -> list:
     """Exactly the non-dominated points, sorted by the first objective
-    (ties kept in input order)."""
+    (ties kept in input order). ``value_of(point, metric)`` reads a metric."""
     if not objectives:
         raise SweepError("pareto_front needs at least one objective")
     for metric, sense in objectives:
         if sense not in ("min", "max"):
             raise SweepError(f"objective sense must be 'min' or 'max', got {sense!r}")
 
-    def key(point: DesignPoint) -> tuple[float, ...]:
-        # flip maximized metrics so domination reads uniformly as <=
-        return tuple(point.value_of(m) if s == "min" else -point.value_of(m)
-                     for m, s in objectives)
-
-    keys = [key(p) for p in points]
+    # flip maximized metrics so domination reads uniformly as <=
+    keys = [tuple(value_of(p, m) if s == "min" else -value_of(p, m) for m, s in objectives)
+            for p in points]
 
     def dominates(a: tuple, b: tuple) -> bool:
         return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
 
-    front = [p for i, p in enumerate(points)
+    front = [i for i in range(len(points))
              if not any(dominates(keys[j], keys[i]) for j in range(len(points)) if j != i)]
-    front.sort(key=lambda p: p.value_of(objectives[0][0])
-               * (1 if objectives[0][1] == "min" else -1))
-    return front
-
-
-def dominating_witness(points: Sequence[DesignPoint], point: DesignPoint,
-                       objectives: Sequence[tuple[str, str]]) -> Optional[DesignPoint]:
-    """A point that dominates ``point``, or None if it is non-dominated."""
-    def key(p: DesignPoint) -> tuple[float, ...]:
-        return tuple(p.value_of(m) if s == "min" else -p.value_of(m)
-                     for m, s in objectives)
-
-    target = key(point)
-    for other in points:
-        if other is point:
-            continue
-        k = key(other)
-        if all(x <= y for x, y in zip(k, target)) and any(x < y for x, y in zip(k, target)):
-            return other
-    return None
+    front.sort(key=lambda i: keys[i][0])
+    return [points[i] for i in front]
 
 
 @dataclass(frozen=True)
@@ -307,30 +312,18 @@ def check_constraints(point: DesignPoint, constraints: ConstraintSet) -> Constra
     """Evaluate every set budget. The on-chip check covers weights plus the
     peak activation footprint; the desired frame rate is advisory only."""
     m = point.metrics
-    checks: list[ConstraintCheck] = []
-    if constraints.max_onchip_bytes is not None:
-        working_set = m.storage_bytes + m.peak_activation_bytes
-        checks.append(ConstraintCheck("onchip_bytes", constraints.max_onchip_bytes,
-                                      working_set,
-                                      working_set <= constraints.max_onchip_bytes, True))
-    if constraints.max_top5_error is not None:
-        if point.top5_error is None:
-            raise SweepError("error budget set but the point has no recorded top5_error")
-        checks.append(ConstraintCheck("top5_error", constraints.max_top5_error,
-                                      point.top5_error,
-                                      point.top5_error <= constraints.max_top5_error, True))
-    if constraints.min_fps_required is not None:
-        checks.append(ConstraintCheck("fps_required", constraints.min_fps_required,
-                                      m.fps_proxy,
-                                      m.fps_proxy >= constraints.min_fps_required, True))
-    if constraints.min_fps_desired is not None:
-        checks.append(ConstraintCheck("fps_desired", constraints.min_fps_desired,
-                                      m.fps_proxy,
-                                      m.fps_proxy >= constraints.min_fps_desired, False))
-    if constraints.max_energy_per_frame is not None:
-        checks.append(ConstraintCheck("energy_per_frame", constraints.max_energy_per_frame,
-                                      m.energy_per_frame,
-                                      m.energy_per_frame <= constraints.max_energy_per_frame,
-                                      True))
-    passed = all(c.passed for c in checks if c.hard)
-    return ConstraintReport(tuple(checks), passed)
+    if constraints.max_top5_error is not None and point.top5_error is None:
+        raise SweepError("error budget set but the point has no recorded top5_error")
+    # (name, limit, measured, limit is an upper bound, hard)
+    budgets = (
+        ("onchip_bytes", constraints.max_onchip_bytes,
+         m.storage_bytes + m.peak_activation_bytes, True, True),
+        ("top5_error", constraints.max_top5_error, point.top5_error, True, True),
+        ("fps_required", constraints.min_fps_required, m.fps_proxy, False, True),
+        ("fps_desired", constraints.min_fps_desired, m.fps_proxy, False, False),
+        ("energy_per_frame", constraints.max_energy_per_frame, m.energy_per_frame, True, True),
+    )
+    checks = tuple(ConstraintCheck(name, limit, measured,
+                                   measured <= limit if upper else measured >= limit, hard)
+                   for name, limit, measured, upper, hard in budgets if limit is not None)
+    return ConstraintReport(checks, all(c.passed for c in checks if c.hard))

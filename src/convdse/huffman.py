@@ -80,10 +80,6 @@ class BitReader:
         self._pos += 1
         return b
 
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= self._bits.size
-
 
 def encode(symbols: Sequence[int], lengths: dict[int, int]) -> tuple[bytes, int]:
     """Encode symbols with the canonical codes implied by ``lengths``;

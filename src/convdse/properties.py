@@ -277,22 +277,32 @@ def check_scalar_oracle(seed: int = 5, tol: float = 1e-6) -> PropertyResult:
 
 
 def check_codec_roundtrip(seed: int = 6, trials: int = 25) -> PropertyResult:
+    """Bit-exact round trip, no zero codebook entry, and a header nonzero
+    count equal to the decoded nonzeros. The first tensor is fixed: with
+    one bit its lower centroid lands on 0.0."""
     rng = np.random.default_rng(seed)
+    cases = [(WeightTensor("zero_centroid", (4,), np.array([-0.1, 0.1, 5.0, 10.0])), 0.0, 1, 4)]
     for i in range(trials):
         n = int(rng.integers(1, 400))
         values = (rng.standard_normal(n) * rng.uniform(0.1, 3.0)).astype(np.float32)
-        t = WeightTensor(f"t{i}", (n,), values)
-        sparsity = float(rng.uniform(0.0, 0.95))
-        bits = int(rng.integers(1, 7))
+        cases.append((WeightTensor(f"t{i}", (n,), values), float(rng.uniform(0.0, 0.95)),
+                      int(rng.integers(1, 7)), int(rng.integers(1, 9))))
+    for t, sparsity, bits, rel_index_bits in cases:
         pruned, _ = compress.prune_magnitude(t, sparsity)
         qt = compress.kmeans_quantize(pruned, bits)
-        model = compress.encode([qt], rel_index_bits=int(rng.integers(1, 9)))
+        model = compress.encode([qt], rel_index_bits)
         restored = compress.read_sdnc(compress.write_sdnc(model))
+        rec = restored.records[0]
         decoded = compress.decode_model(restored)[0]
         if not np.array_equal(decoded.values, qt.dequantize().values):
-            return PropertyResult("codec_roundtrip", False, f"tensor {i} not bit-exact")
+            return PropertyResult("codec_roundtrip", False, f"tensor {t.name} not bit-exact")
+        nonzeros = np.count_nonzero(decoded.values)
+        if np.any(rec.codebook == 0.0) or nonzeros != rec.nonzero_count:
+            return PropertyResult("codec_roundtrip", False,
+                                  f"tensor {t.name}: zero codebook entry or header declares "
+                                  f"{rec.nonzero_count} nonzeros, decoded {nonzeros}")
     return PropertyResult("codec_roundtrip", True,
-                          f"bit-exact round trip on {trials} random tensors")
+                          f"bit-exact round trip on {len(cases)} tensors")
 
 
 def check_huffman_bound(seed: int = 7, trials: int = 30) -> PropertyResult:

@@ -7,6 +7,7 @@ dims u32 each, dtype code u8 (0 = float32), raw payload.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -95,10 +96,7 @@ def read_sdnw(data: bytes) -> list[WeightTensor]:
         (dtype,) = r.unpack("B")
         if dtype != _DTYPE_F32:
             raise WeightFormatError(f"SDNW: tensor {name!r} has unknown dtype code {dtype}")
-        n = 1
-        for d in dims:
-            n *= d
-        payload = r.take(4 * n)
+        payload = r.take(4 * math.prod(dims))
         values = np.frombuffer(payload, dtype="<f4").astype(np.float32)
         tensors.append(WeightTensor(name, dims, values))
     if r.pos != len(data):

@@ -36,18 +36,23 @@ class FireSpec:
         return self.expand_3x3 / (self.expand_1x1 + self.expand_3x3)
 
 
+#: Pool placement strategies, as place_downsampling implements them.
+POOL_STRATEGIES = ("early", "even", "late")
+
+
 @dataclass(frozen=True)
 class PoolPlacement:
     """Where downsampling layers go along the body of a network."""
 
-    strategy: str  # "early" | "even" | "late"
+    strategy: str = "even"  # one of POOL_STRATEGIES
     pool_count: int = 3
 
     def __post_init__(self):
-        if self.strategy not in ("early", "even", "late"):
-            raise ValueError(f"strategy must be early/even/late, got {self.strategy!r}")
+        if self.strategy not in POOL_STRATEGIES:
+            raise ValueError(f"strategy must be {'/'.join(POOL_STRATEGIES)}, "
+                             f"got {self.strategy!r}")
         if self.pool_count < 1:
-            raise ValueError("pool_count must be >= 1")
+            raise ValueError(f"pool_count must be >= 1, got {self.pool_count!r}")
 
 
 def _round_half_up(x: float) -> int:

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from convdse import refexec, weights, zoo
+from convdse import compress, refexec, weights, zoo
 from convdse.cli import main
 from convdse.descriptor import serialize
 
@@ -75,6 +76,28 @@ class TestDescribe:
     def test_missing_source_exits_2(self):
         assert run_cli("describe") == 2
 
+    def test_schema_flags_reproduce_a_swept_cell(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"pool_placement": ["late"], "pool_count": [2]}))
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", str(grid),
+                       "--out", str(tmp_path / "cell")) == 0
+        swept = json.loads((tmp_path / "cell.json").read_text())["points"][0]["metrics"]
+        capsys.readouterr()
+        assert run_cli("describe", "--family", "squeezenet", "--pool-placement", "late",
+                       "--pool-count", "2", "--json") == 0
+        assert json.loads(capsys.readouterr().out) == swept
+
+    def test_schema_flags_are_typed(self):
+        for flag, value in (("--pool-count", "2.5"), ("--pool-placement", "middle"),
+                            ("--p", "half")):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("describe", "--family", "squeezenet", flag, value)
+            assert exc.value.code == 2
+
+    def test_out_of_range_flag_exits_2_naming_it(self, capsys):
+        assert run_cli("describe", "--family", "squeezenet", "--pool-count", "0") == 2
+        assert "pool_count" in capsys.readouterr().err
+
 
 class TestSweep:
     def write_grid(self, tmp_path, grid):
@@ -134,6 +157,22 @@ class TestSweep:
         grid = self.write_grid(tmp_path, {"width_mult": [1.0]})
         assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
                        "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("family, grid, name", [
+        ("squeezenet", {"p": ["0.5"]}, "'p'"),
+        ("squeezenet", {"p": [None]}, "'p'"),
+        ("squeezenet", {"pool_count": [0]}, "'pool_count'"),
+        ("squeezenet", {"pool_count": [2.7]}, "'pool_count'"),
+        ("mobilenet", {"width_mult": [True]}, "'width_mult'"),
+    ], ids=["p_string", "p_null", "pool_count_zero", "pool_count_fraction",
+            "width_mult_bool"])
+    def test_bad_grid_value_exits_2_naming_it(self, tmp_path, capsys, family, grid, name):
+        path = self.write_grid(tmp_path, grid)
+        assert run_cli("sweep", "--family", family, "--grid", path,
+                       "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "metaparameter" in err and name in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestPareto:
@@ -199,6 +238,47 @@ class TestCompressionCommands:
         capsys.readouterr()
         assert run_cli("verify") == 0
         assert "8/8 checks passed" in capsys.readouterr().out
+
+    def test_compress_serializes_each_record_once(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(2)
+        tensors = [weights.WeightTensor(f"t{i}", (50,), rng.standard_normal(50))
+                   for i in range(3)]
+        sdnw = tmp_path / "w.sdnw"
+        weights.save_sdnw(tensors, sdnw)
+        bodies = []
+        record_body = compress._record_body
+        monkeypatch.setattr(compress, "_record_body",
+                            lambda rec: bodies.append(rec.name) or record_body(rec))
+        assert run_cli("compress", "--weights", str(sdnw), "--out",
+                       str(tmp_path / "w.sdnc"), "--json") == 0
+        assert bodies == ["t0", "t1", "t2"]
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["compressed_bytes"] == (tmp_path / "w.sdnc").stat().st_size
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_exits_2_naming_the_tensor(self, tmp_path, capsys, bad):
+        values = np.ones(10, dtype=np.float32)
+        values[3] = bad
+        sdnw = tmp_path / "w.sdnw"
+        weights.save_sdnw([weights.WeightTensor("conv1.weight", (10,), values)], sdnw)
+        sdnc = tmp_path / "w.sdnc"
+        assert run_cli("compress", "--weights", str(sdnw), "--out", str(sdnc)) == 2
+        assert "conv1.weight: weights contain NaN or infinity" in capsys.readouterr().err
+        assert not sdnc.exists()
+
+    @pytest.mark.parametrize("values, change, message", [
+        (np.zeros(20), {"shape": (0, 5)}, "zero dimension"),
+        (np.arange(20) % 3, {"record_count": 21}, "record count 21 exceeds element count 20"),
+        (np.arange(20) % 3, {"nonzero_count": 14}, "nonzero count 14 exceeds record count"),
+    ], ids=["zero_dimension", "records_past_elements", "nonzeros_past_records"])
+    def test_impossible_record_header_exits_3(self, tmp_path, capsys, values, change, message):
+        qt = compress.kmeans_quantize(weights.WeightTensor("t", (4, 5), values), bits=2)
+        record = compress.encode([qt]).records[0]
+        sdnc = tmp_path / "w.sdnc"
+        sdnc.write_bytes(compress.write_sdnc(compress.CompressedModel(
+            (replace(record, **change),))))
+        assert run_cli("decompress", "--in", str(sdnc), "--out", str(tmp_path / "x.sdnw")) == 3
+        assert message in capsys.readouterr().err
 
     def test_corrupt_container_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

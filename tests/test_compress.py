@@ -78,6 +78,15 @@ class TestKmeans:
         assert 0.0 not in qt.codebook.tolist()
         assert qt.dequantize().values.tolist() == [0.0, 5.0, 0.0, -3.0]
 
+    def test_zero_centroid_members_are_pruned(self):
+        # with one bit the lower centroid is the mean of -0.1 and 0.1
+        qt = kmeans_quantize(wt([-0.1, 0.1, 5.0, 10.0]), bits=1)
+        assert qt.codebook.tolist() == [7.5]
+        assert qt.positions.tolist() == [2, 3]
+        model = encode([qt])
+        decoded = decode_model(read_sdnc(write_sdnc(model)))[0]
+        assert model.records[0].nonzero_count == np.count_nonzero(decoded.values) == 2
+
     def test_all_zero_tensor(self):
         qt = kmeans_quantize(wt([0.0, 0.0, 0.0]), bits=3)
         assert qt.codebook.size == 0 and qt.positions.size == 0
@@ -206,6 +215,16 @@ class TestIntegrity:
 
 
 class TestReport:
+    def test_sizes_read_off_the_given_container(self):
+        rng = np.random.default_rng(8)
+        model = compress_model([wt(rng.standard_normal(300)), wt(rng.standard_normal(50))],
+                               0.6, 5)
+        container = write_sdnc(model)
+        report = compression_report(1400, model, container)
+        assert report == compression_report(1400, model)
+        assert report.compressed_bytes == len(container)
+        assert sum(r.compressed_bytes for r in report.rows) == len(container) - 12
+
     def test_empty_model_ratio_is_undefined(self):
         report = compression_report(0, encode([]))
         assert report.ratio is None

@@ -3,9 +3,9 @@ import pytest
 
 from convdse.costs import MetricsReport, PlatformSpec, report
 from convdse.explore import (ConstraintSet, DesignPoint, SweepError, attach_accuracy,
-                             check_constraints, dominating_witness, find_saturation,
+                             build_family, check_constraints, find_saturation,
                              load_accuracy_table, pareto_front, sweep)
-from convdse.zoo import squeezenet
+from convdse.zoo import PoolPlacement, squeezenet
 
 PLATFORM = PlatformSpec(on_chip_bytes=8 << 20, e_mac=1e-12, macs_per_second=1e10)
 PAPER_P_VALUES = [0.5, 0.675, 0.75, 0.825, 1.0]
@@ -18,6 +18,53 @@ def point(params=1.0, err=None, macs=1.0, **metaparams):
                             peak_activation_bytes=0, energy_per_frame=0.0,
                             fps_proxy=1.0, ota_bytes=4 * int(params))
     return DesignPoint(dict(metaparams), metrics, top5_error=err)
+
+
+def dominating_witness(points, point, objectives):
+    """A point that dominates ``point``, or None if it is non-dominated."""
+    def key(p):
+        return tuple(p.value_of(m) if s == "min" else -p.value_of(m) for m, s in objectives)
+
+    target = key(point)
+    for other in points:
+        k = key(other)
+        if other is not point and all(x <= y for x, y in zip(k, target)) \
+                and any(x < y for x, y in zip(k, target)):
+            return other
+    return None
+
+
+class TestBuildFamily:
+    def test_pooling_default_rule(self):
+        # either pooling metaparameter replaces the canonical positions
+        assert (build_family("squeezenet", {"pool_count": 2}).nodes
+                == squeezenet(0.5, PoolPlacement("even", 2)).nodes)
+        assert (build_family("squeezenet", {"pool_placement": "late"}).nodes
+                == squeezenet(0.5, PoolPlacement("late", 3)).nodes)
+
+    def test_int_passes_as_float_and_is_kept_as_given(self):
+        assert build_family("squeezenet", {"p": 1}).nodes == squeezenet(1.0).nodes
+        [only] = sweep("squeezenet", {"p": [1]}, PLATFORM)
+        assert type(only.metaparams["p"]) is int
+
+    @pytest.mark.parametrize("family, name, value", [
+        ("squeezenet", "p", "0.5"), ("squeezenet", "p", None), ("squeezenet", "p", True),
+        ("squeezenet", "pool_count", 2.7), ("squeezenet", "pool_count", 3.0),
+        ("squeezenet", "pool_count", False), ("squeezenet", "pool_placement", "middle"),
+        ("squeezenet", "pool_placement", 1), ("mobilenet", "width_mult", True),
+    ])
+    def test_wrong_kind_is_refused(self, family, name, value):
+        with pytest.raises(SweepError, match=f"metaparameter '{name}' must be"):
+            build_family(family, {name: value})
+
+    @pytest.mark.parametrize("family, params", [
+        ("squeezenet", {"p": 1.5}), ("squeezenet", {"pool_count": 0}),
+        ("squeezenet", {"pool_count": 9}), ("mobilenet", {"width_mult": 0}),
+    ])
+    def test_generator_range_error_names_family_and_value(self, family, params):
+        [(name, value)] = params.items()
+        with pytest.raises(SweepError, match=f"family '{family}'.*'{name}': {value}"):
+            build_family(family, params)
 
 
 class TestSweep:
