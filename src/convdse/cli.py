@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import compress as compress_mod
-from . import descriptor, explore, properties, weights
+from . import descriptor, explore, weights
 from .costs import DEFAULT_PLATFORM, PlatformSpec, report
 from .descriptor import DescriptorError
 from .explore import ConstraintSet, DesignPoint, SweepError
@@ -306,6 +306,9 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the oracle suite is imported only here, so no other command compiles it
+    from . import properties
+
     results = properties.run_all_checks()
     failed = [r for r in results if not r.passed]
     if args.json:

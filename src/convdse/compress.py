@@ -151,27 +151,23 @@ class CompressedModel:
     records: tuple[CompressedTensor, ...]
 
 
-def _gap_index_symbols(quantized: QuantizedTensor, rel_index_bits: int) -> tuple[list[int], list[int]]:
-    """Flatten positions/assignments into aligned gap and index symbol
-    streams. A gap of at least 2**b positions is bridged by filler records
-    (gap 2**b - 1 plus one zero-valued padding slot each); the filler index
-    symbol is one past the last codebook slot."""
-    span = 1 << rel_index_bits
-    filler = int(quantized.codebook.size)
-    gaps: list[int] = []
-    indices: list[int] = []
-    cursor = 0
-    for pos, idx in zip(quantized.positions.tolist(), quantized.assignments.tolist()):
-        gap = pos - cursor
-        while gap >= span:
-            gaps.append(span - 1)
-            indices.append(filler)
-            cursor += span
-            gap -= span
-        gaps.append(gap)
-        indices.append(int(idx))
-        cursor = pos + 1
-    return gaps, indices
+def _gap_index_symbols(quantized: QuantizedTensor,
+                       rel_index_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten positions/assignments into aligned uint16 gap and index
+    symbol streams. A gap of at least 2**b positions is bridged by filler
+    records (gap 2**b - 1 plus one zero-valued padding slot each, so a gap g
+    takes g >> b of them); the filler index symbol is one past the last
+    codebook slot."""
+    gaps = np.diff(quantized.positions, prepend=-1) - 1
+    fillers = gaps >> rel_index_bits
+    # each nonzero's record follows its own fillers and all earlier records
+    slots = np.arange(gaps.size) + np.cumsum(fillers)
+    records = gaps.size + int(fillers.sum())
+    gap_symbols = np.full(records, (1 << rel_index_bits) - 1, dtype=np.uint16)
+    index_symbols = np.full(records, quantized.codebook.size, dtype=np.uint16)
+    gap_symbols[slots] = gaps & ((1 << rel_index_bits) - 1)
+    index_symbols[slots] = quantized.assignments
+    return gap_symbols, index_symbols
 
 
 def encode(quantized: Sequence[QuantizedTensor], rel_index_bits: int = 4) -> CompressedModel:
@@ -201,6 +197,15 @@ def encode(quantized: Sequence[QuantizedTensor], rel_index_bits: int = 4) -> Com
     return CompressedModel(tuple(records))
 
 
+def _decode_stream(rec: CompressedTensor, stream: str) -> np.ndarray:
+    data, bits, lengths = ((rec.gap_payload, rec.gap_bits, rec.gap_lengths) if stream == "gap"
+                           else (rec.index_payload, rec.index_bits, rec.index_lengths))
+    try:
+        return huffman.decode(data, bits, lengths, rec.record_count)
+    except ValueError as exc:
+        raise CompressedFormatError(f"{rec.name}: {stream} stream: {exc}") from None
+
+
 def decode_model(model: CompressedModel) -> list[WeightTensor]:
     """Reconstruct the pruned+quantized tensors exactly."""
     tensors = []
@@ -209,25 +214,26 @@ def decode_model(model: CompressedModel) -> list[WeightTensor]:
         values = np.zeros(n, dtype=np.float32)
         nonzeros = 0
         if rec.record_count:
-            gaps = huffman.decode(rec.gap_payload, rec.gap_bits, rec.gap_lengths,
-                                  rec.record_count)
-            indices = huffman.decode(rec.index_payload, rec.index_bits, rec.index_lengths,
-                                     rec.record_count)
+            gaps = _decode_stream(rec, "gap")
+            indices = _decode_stream(rec, "index")
             filler = int(rec.codebook.size)
-            cursor = 0
-            for gap, idx in zip(gaps, indices):
-                cursor += gap
-                if cursor >= n:
-                    raise CompressedFormatError(f"{rec.name}: decoded position {cursor} "
-                                                f"exceeds element count {n}")
-                if idx == filler:
-                    cursor += 1  # padding slot stays zero
-                    continue
-                if idx > filler:
-                    raise CompressedFormatError(f"{rec.name}: index symbol {idx} out of range")
-                values[cursor] = rec.codebook[idx]
-                cursor += 1
-                nonzeros += 1
+            if indices.max() > filler:
+                raise CompressedFormatError(f"{rec.name}: index symbol "
+                                            f"{int(indices.max())} out of range")
+            # every record, filler or not, takes the slot after its gap; a
+            # gap is below 2**b, so int32 holds every sum when this fits
+            wide = rec.record_count << rec.rel_index_bits >= 2**31
+            slots = gaps.astype(np.int64 if wide else np.int32)
+            slots += 1
+            np.cumsum(slots, out=slots)
+            slots -= 1
+            if slots[-1] >= n:
+                raise CompressedFormatError(f"{rec.name}: decoded position "
+                                            f"{int(slots[np.argmax(slots >= n)])} "
+                                            f"exceeds element count {n}")
+            # a filler writes zero into its padding slot
+            values[slots] = np.append(rec.codebook, np.float32(0.0))[indices]
+            nonzeros = rec.record_count - int(np.count_nonzero(indices == filler))
         if nonzeros != rec.nonzero_count:
             raise CompressedFormatError(f"{rec.name}: decoded {nonzeros} nonzeros, "
                                         f"header declares {rec.nonzero_count}")
@@ -355,6 +361,11 @@ def _parse_record(body: bytes) -> CompressedTensor:
         gap_payload = take((gap_bits + 7) // 8)
         (index_bits,) = struct.unpack("<Q", take(8))
         index_payload = take((index_bits + 7) // 8)
+        for stream, lengths in (("gap", gap_lengths), ("index", index_lengths)):
+            try:
+                huffman.check_lengths(lengths)
+            except ValueError as exc:
+                raise CompressedFormatError(f"{name}: {stream} code table: {exc}") from None
     else:
         gap_lengths, index_lengths = {}, {}
         gap_bits, gap_payload = 0, b""

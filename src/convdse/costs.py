@@ -39,7 +39,10 @@ class PlatformSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"PlatformSpec.{f.name} must be a number, got {v!r}")
+            if not v > 0:
                 raise ValueError(f"PlatformSpec.{f.name} must be strictly positive")
 
     @classmethod

@@ -59,7 +59,11 @@ class ConstraintSet:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is not None and v <= 0:
+            if v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"ConstraintSet.{f.name} must be a number, got {v!r}")
+            if not v > 0:
                 raise ValueError(f"ConstraintSet.{f.name} must be positive when set")
 
     @classmethod

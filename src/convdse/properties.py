@@ -3,9 +3,10 @@
 Every check here pits one implementation against an independently written
 second route: the instrumented executor against the analytical MAC count,
 grouped convolution against a block-diagonal dense construction, the
-executor against a scalar triple-loop kernel, the codec against identity.
-The scalar kernel below is deliberately loop-by-loop and shares no code
-with the executor.
+executor against a scalar triple-loop kernel, the codec against identity,
+the table Huffman decoder against a per-bit one. The scalar kernel and the
+per-bit decoder below are deliberately loop-by-loop and share no code with
+the implementations they check.
 """
 
 from __future__ import annotations
@@ -327,6 +328,106 @@ def check_huffman_bound(seed: int = 7, trials: int = 30) -> PropertyResult:
                           f"coded length within fixed-width bound on {trials} streams")
 
 
+def huffman_decode_reference(data: bytes, bit_count: int, lengths: dict[int, int],
+                             count: int) -> list[int]:
+    """Second Huffman decoder: one bit at a time, with a dict probe of the
+    (code, length) read so far after every bit. It shares only
+    ``canonical_codes`` with ``huffman.decode``."""
+    if count == 0:
+        return []
+    if not lengths:
+        raise ValueError("cannot decode with an empty code table")
+    by_code = {v: sym for sym, v in huffman.canonical_codes(lengths).items()}
+    max_len = max(lengths.values())
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    if bits.size < bit_count:
+        raise ValueError(f"bit stream too short: {bits.size} < {bit_count}")
+    bits = bits[:bit_count].tolist()
+    pos = 0
+    out: list[int] = []
+    for _ in range(count):
+        code = length = 0
+        while True:
+            if pos >= bit_count:
+                raise ValueError("bit stream exhausted")
+            code = (code << 1) | bits[pos]
+            pos += 1
+            length += 1
+            sym = by_code.get((code, length))
+            if sym is not None:
+                out.append(sym)
+                break
+            if length >= max_len:
+                raise ValueError("invalid code word in bit stream")
+    return out
+
+
+def random_code_lengths(rng: np.random.Generator) -> dict[int, int]:
+    """Length table of a random prefix code over a random alphabet: one
+    symbol, or the leaves of a binary tree grown by splitting leaves (any
+    leaf, the deepest leaf, or a mix, so codes of 30+ bits occur), with a
+    random share of the leaves dropped half the time (an incomplete code)."""
+    alphabet = int(rng.integers(1, 400))
+    if rng.random() < 0.15:
+        return {int(rng.integers(alphabet)): int(rng.integers(1, 4))}
+    depths = [1, 1]
+    mode = int(rng.integers(3))
+    for _ in range(int(rng.integers(0, 56)) if mode != 1 else int(rng.integers(29, 56))):
+        if len(depths) >= alphabet:
+            break
+        deepest = mode == 1 or (mode == 2 and rng.random() < 0.5)
+        j = int(np.argmax(depths)) if deepest else int(rng.integers(len(depths)))
+        if depths[j] >= huffman.MAX_CODE_LENGTH:
+            break
+        depth = depths.pop(j)
+        depths += [depth + 1, depth + 1]
+    if rng.random() < 0.5:
+        depths = [d for d in depths if rng.random() < 0.7] or depths[:1]
+    symbols = rng.choice(max(alphabet, len(depths)), size=len(depths), replace=False)
+    return dict(zip(symbols.tolist(), depths))
+
+
+def _decode_outcome(decoder, data: bytes, bit_count: int, lengths: dict[int, int],
+                    count: int):
+    try:
+        return [int(s) for s in decoder(data, bit_count, lengths, count)]
+    except ValueError:
+        return "ValueError"
+
+
+def check_huffman_decode(seed: int = 8, trials: int = 40) -> PropertyResult:
+    """The table decoder against the per-bit reference on random prefix
+    codes: an encoded stream decodes to its symbols under both, and the
+    same stream cut short, or random bytes, give both the same symbols or
+    both a ValueError."""
+    rng = np.random.default_rng(seed)
+    long_codes = single = 0
+    for i in range(trials):
+        lengths = random_code_lengths(rng)
+        long_codes += max(lengths.values()) >= 30
+        single += len(lengths) == 1
+        symbols = rng.choice(list(lengths), size=int(rng.integers(0, 300))).tolist()
+        payload, bits = huffman.encode(symbols, lengths)
+        cut = min(bits, int(rng.integers(1, max(lengths.values()) + 1)))
+        noise = rng.integers(0, 256, size=int(rng.integers(0, 40)), dtype=np.uint8).tobytes()
+        cases = [(payload, bits, len(symbols), symbols),
+                 (payload, bits - cut, len(symbols), None),
+                 (noise, int(rng.integers(0, 8 * len(noise) + 1)), int(rng.integers(0, 60)),
+                  None)]
+        for data, bit_count, count, expected in cases:
+            want = _decode_outcome(huffman_decode_reference, data, bit_count, lengths, count)
+            got = _decode_outcome(huffman.decode, data, bit_count, lengths, count)
+            if got != want or (expected is not None and got != expected):
+                return PropertyResult("huffman_decode", False,
+                                      f"seed {seed}, table {i} ({len(lengths)} symbols, "
+                                      f"longest code {max(lengths.values())} bits), "
+                                      f"{bit_count} bits, {count} symbols: table decoder "
+                                      f"gave {got}, per-bit reference {want}")
+    return PropertyResult("huffman_decode", True,
+                          f"table decoder == per-bit reference on {trials} random codes "
+                          f"({long_codes} with 30+ bit codes, {single} with one symbol)")
+
+
 ALL_CHECKS: tuple[Callable[[], PropertyResult], ...] = (
     check_mac_counts,
     check_run_shapes,
@@ -336,6 +437,7 @@ ALL_CHECKS: tuple[Callable[[], PropertyResult], ...] = (
     check_scalar_oracle,
     check_codec_roundtrip,
     check_huffman_bound,
+    check_huffman_decode,
 )
 
 

@@ -93,6 +93,9 @@ def read_sdnw(data: bytes) -> list[WeightTensor]:
         name = r.take(name_len).decode("utf-8")
         (rank,) = r.unpack("B")
         dims = r.unpack(f"{rank}I") if rank else ()
+        if 0 in dims:
+            raise WeightFormatError(f"SDNW: tensor {name!r} has a zero dimension in "
+                                    f"shape {dims}")
         (dtype,) = r.unpack("B")
         if dtype != _DTYPE_F32:
             raise WeightFormatError(f"SDNW: tensor {name!r} has unknown dtype code {dtype}")

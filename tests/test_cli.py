@@ -1,4 +1,5 @@
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +211,23 @@ class TestCheck:
         assert "PASS" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("value", ["8M", True], ids=["string", "bool"])
+    def test_non_numeric_platform_value_exits_2_naming_it(self, tmp_path, capsys, value):
+        platform = tmp_path / "platform.json"
+        platform.write_text(json.dumps({"on_chip_bytes": value, "e_mac": 1e-12,
+                                        "macs_per_second": 1e10}))
+        assert run_cli("describe", "--family", "alexnet", "--platform", str(platform)) == 2
+        assert "PlatformSpec.on_chip_bytes must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0.2", False], ids=["string", "bool"])
+    def test_non_numeric_constraint_exits_2_naming_it(self, tmp_path, capsys, value):
+        constraints = tmp_path / "constraints.json"
+        constraints.write_text(json.dumps({"max_top5_error": value}))
+        assert run_cli("check", "--family", "squeezenet", "--constraints",
+                       str(constraints)) == 2
+        assert "ConstraintSet.max_top5_error must be a number" in capsys.readouterr().err
+
+
 class TestCompressionCommands:
     def test_compress_decompress_verify_chain(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -237,7 +255,7 @@ class TestCompressionCommands:
                        "--sparsity", "0.0", "--bits", "8") == 0
         capsys.readouterr()
         assert run_cli("verify") == 0
-        assert "8/8 checks passed" in capsys.readouterr().out
+        assert "9/9 checks passed" in capsys.readouterr().out
 
     def test_compress_serializes_each_record_once(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(2)
@@ -279,6 +297,42 @@ class TestCompressionCommands:
             (replace(record, **change),))))
         assert run_cli("decompress", "--in", str(sdnc), "--out", str(tmp_path / "x.sdnw")) == 3
         assert message in capsys.readouterr().err
+
+    @staticmethod
+    def _record():
+        values = np.arange(20) % 3
+        qt = compress.kmeans_quantize(weights.WeightTensor("t", (4, 5), values), bits=2)
+        return compress.encode([qt]).records[0]
+
+    @staticmethod
+    def _decompress(tmp_path, record):
+        sdnc = tmp_path / "w.sdnc"
+        sdnc.write_bytes(compress.write_sdnc(compress.CompressedModel((record,))))
+        return run_cli("decompress", "--in", str(sdnc), "--out", str(tmp_path / "x.sdnw"))
+
+    def test_stream_shorter_than_record_count_exits_3(self, tmp_path, capsys):
+        rec = self._record()
+        assert self._decompress(tmp_path, replace(rec, record_count=rec.record_count + 1)) == 3
+        assert "t: gap stream: bit stream exhausted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stream, lengths, message", [
+        ("gap", {0: 1, 1: 1, 2: 1}, "code lengths over-subscribe the Kraft sum"),
+        ("index", {0: 1, 1: 58}, "code lengths must be in 1..57"),
+    ], ids=["over_subscribed", "past_decoder_window"])
+    def test_undecodable_length_table_exits_3(self, tmp_path, capsys, stream, lengths,
+                                              message):
+        rec = replace(self._record(), **{f"{stream}_lengths": lengths})
+        assert self._decompress(tmp_path, rec) == 3
+        assert f"t: {stream} code table: {message}" in capsys.readouterr().err
+
+    def test_sdnw_zero_dimension_exits_3_naming_the_tensor(self, tmp_path, capsys):
+        name = b"conv1.weight"
+        sdnw = tmp_path / "w.sdnw"
+        sdnw.write_bytes(b"SDNW" + struct.pack("<IIH", 1, 1, len(name)) + name
+                         + struct.pack("<B2IB", 2, 0, 3, 0))
+        assert run_cli("compress", "--weights", str(sdnw),
+                       "--out", str(tmp_path / "w.sdnc")) == 3
+        assert "tensor 'conv1.weight' has a zero dimension" in capsys.readouterr().err
 
     def test_corrupt_container_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

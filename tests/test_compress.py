@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convdse import huffman
+from convdse import huffman, properties
 from convdse.compress import (CompressedFormatError, compress_model, compression_report,
                               decode_model, encode, kmeans_quantize, prune_magnitude,
                               quantization_mse, read_sdnc, write_sdnc)
@@ -287,7 +287,7 @@ class TestHuffman:
         symbols = rng.integers(0, 17, size=500).tolist()
         lengths = huffman.code_lengths(symbols)
         payload, bits = huffman.encode(symbols, lengths)
-        assert huffman.decode(payload, bits, lengths, len(symbols)) == symbols
+        assert huffman.decode(payload, bits, lengths, len(symbols)).tolist() == symbols
 
     def test_single_symbol_alphabet(self):
         symbols = [5] * 20
@@ -295,7 +295,43 @@ class TestHuffman:
         assert lengths == {5: 1}
         payload, bits = huffman.encode(symbols, lengths)
         assert bits == 20
-        assert huffman.decode(payload, bits, lengths, 20) == symbols
+        assert huffman.decode(payload, bits, lengths, 20).tolist() == symbols
+
+    def test_complete_table_with_40_bit_codes_round_trips(self):
+        # lengths 1..39 plus two 40-bit codes: the Kraft sum is exactly 1
+        lengths = {sym: sym + 1 for sym in range(39)} | {39: 40, 40: 40}
+        symbols = np.random.default_rng(12).integers(0, 41, size=5000).tolist()
+        payload, bits = huffman.encode(symbols, lengths)
+        assert bits > 3 * 32768  # codes straddle several decode chunks
+        assert huffman.decode(payload, bits, lengths, len(symbols)).tolist() == symbols
+
+    def test_long_skewed_stream_round_trips_across_chunks(self):
+        rng = np.random.default_rng(13)
+        symbols = np.minimum(rng.geometric(0.3, size=200_000), 40).astype(np.uint16)
+        lengths = huffman.code_lengths(symbols)
+        payload, bits = huffman.encode(symbols, lengths)
+        assert bits == huffman.encoded_bits(symbols.tolist(), lengths)
+        assert np.array_equal(huffman.decode(payload, bits, lengths, symbols.size), symbols)
+
+    @pytest.mark.parametrize("lengths, message", [
+        ({0: 1, 1: 1, 2: 1}, "over-subscribe the Kraft sum"),
+        ({0: 1, 1: 58}, "code lengths must be in 1..57"),
+        ({0: 0, 1: 1}, "code lengths must be in 1..57"),
+    ], ids=["over_subscribed", "past_window", "zero_length"])
+    def test_undecodable_length_table_is_refused(self, lengths, message):
+        with pytest.raises(ValueError, match=message):
+            huffman.decode(b"\x00" * 8, 64, lengths, 3)
+        with pytest.raises(ValueError, match=message):
+            huffman.encode([0, 1], lengths)
+
+    def test_decode_matches_the_per_bit_reference_on_bad_streams(self):
+        lengths = {0: 1, 1: 3, 2: 3}  # incomplete: prefix 11 is no code word
+        for data, bits, count in [(b"\x20", 3, 3), (b"\xc0", 8, 1), (b"\x00", 8, 9),
+                                  (b"\x40", 3, 2), (b"", 0, 1)]:
+            with pytest.raises(ValueError):
+                properties.huffman_decode_reference(data, bits, lengths, count)
+            with pytest.raises(ValueError):
+                huffman.decode(data, bits, lengths, count)
 
 
 class TestSdnw:
