@@ -8,10 +8,11 @@ perfectly. Zero never enters a codebook: sparsity lives entirely in the
 gap stream, where an escape symbol in the index alphabet marks pure
 zero-padding records for gaps too wide for the gap field.
 
-Container (``SDNC``, little-endian): magic, version u32, tensor count u32;
-per tensor a u32 body length, the body (name, dims, gap width, codebook,
-record count, two code-length tables, two padded bit streams), and a CRC32
-of the body. Any corruption is detected, never silently decoded.
+Container (``SDNC``): the magic, version, count and tensor header of
+``weights``; per tensor a frame of u32 body length, the body (tensor header,
+gap width, codebook, nonzero and record counts, two code-length tables, two
+padded bit streams), and a CRC32 of the body. Any corruption is detected,
+never silently decoded.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import huffman
-from .weights import WeightTensor
+from .weights import (Cursor, WeightTensor, pack_container_head, pack_tensor_header,
+                      read_container)
 
 SDNC_MAGIC = b"SDNC"
 SDNC_VERSION = 1
@@ -211,7 +213,10 @@ def decode_model(model: CompressedModel) -> list[WeightTensor]:
     tensors = []
     for rec in model.records:
         n = math.prod(rec.shape)
-        values = np.zeros(n, dtype=np.float32)
+        try:
+            values = np.zeros(n, dtype=np.float32)
+        except MemoryError:
+            raise CompressedFormatError(f"{rec.name}: cannot allocate {n} elements") from None
         nonzeros = 0
         if rec.record_count:
             gaps = _decode_stream(rec, "gap")
@@ -252,126 +257,83 @@ def _pack_lengths(lengths: dict[int, int], alphabet_size: int, what: str) -> byt
     return bytes(table)
 
 
-def _unpack_lengths(table: bytes) -> dict[int, int]:
+def _unpack_lengths(table: memoryview) -> dict[int, int]:
     return {sym: length for sym, length in enumerate(table) if length > 0}
 
 
 def _record_body(rec: CompressedTensor) -> bytes:
-    body = bytearray()
-    name = rec.name.encode("utf-8")
-    body += struct.pack("<H", len(name)) + name
-    body += struct.pack("<B", len(rec.shape))
-    body += struct.pack(f"<{len(rec.shape)}I", *rec.shape)
-    body += struct.pack("<B", rec.rel_index_bits)
-    body += struct.pack("<H", rec.codebook.size)
-    body += rec.codebook.astype("<f4").tobytes()
-    body += struct.pack("<QQ", rec.nonzero_count, rec.record_count)
+    parts = [pack_tensor_header(rec.name, rec.shape),
+             struct.pack("<BH", rec.rel_index_bits, rec.codebook.size),
+             rec.codebook.astype("<f4", copy=False),
+             struct.pack("<QQ", rec.nonzero_count, rec.record_count)]
     if rec.record_count:
-        body += _pack_lengths(rec.gap_lengths, 1 << rec.rel_index_bits, rec.name)
-        body += _pack_lengths(rec.index_lengths, rec.codebook.size + 1, rec.name)
-        body += struct.pack("<Q", rec.gap_bits) + rec.gap_payload
-        body += struct.pack("<Q", rec.index_bits) + rec.index_payload
-    return bytes(body)
+        parts += (_pack_lengths(rec.gap_lengths, 1 << rec.rel_index_bits, rec.name),
+                  _pack_lengths(rec.index_lengths, rec.codebook.size + 1, rec.name),
+                  struct.pack("<Q", rec.gap_bits), rec.gap_payload,
+                  struct.pack("<Q", rec.index_bits), rec.index_payload)
+    return b"".join(parts)
 
 
 def write_sdnc(model: CompressedModel) -> bytes:
-    out = bytearray()
-    out += SDNC_MAGIC
-    out += struct.pack("<II", SDNC_VERSION, len(model.records))
+    parts = [pack_container_head(SDNC_MAGIC, SDNC_VERSION, len(model.records))]
     for rec in model.records:
         body = _record_body(rec)
-        out += struct.pack("<I", len(body))
-        out += body
-        out += struct.pack("<I", zlib.crc32(body))
-    return bytes(out)
+        parts += (struct.pack("<I", len(body)), body, struct.pack("<I", zlib.crc32(body)))
+    return b"".join(parts)
+
+
+def _frame(r: Cursor) -> tuple[Cursor, int]:
+    """Read one frame (u32 body length, body, CRC32 of the body) and check
+    its CRC; returns a cursor over the body and the frame's size in bytes."""
+    start = r.pos
+    (body_len,) = r.unpack("I")
+    actual_crc = zlib.crc32(r.take(body_len))
+    (stored_crc,) = r.unpack("I")
+    if stored_crc != actual_crc:
+        r.fail(f"checksum mismatch (stored {stored_crc:#010x}, "
+               f"computed {actual_crc:#010x})", start + 4)
+    return Cursor(r.data, r.what, r.error, start + 4, start + 4 + body_len), r.pos - start
+
+
+def _frames(data: bytes) -> list[tuple[Cursor, int]]:
+    return read_container(data, SDNC_MAGIC, SDNC_VERSION, CompressedFormatError, _frame)
 
 
 def read_sdnc(data: bytes) -> CompressedModel:
-    def fail(offset: int, msg: str):
-        raise CompressedFormatError(f"SDNC: {msg} at offset {offset}")
-
-    if len(data) < 12:
-        fail(0, "container shorter than header")
-    if data[:4] != SDNC_MAGIC:
-        fail(0, f"bad magic {data[:4]!r}")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != SDNC_VERSION:
-        fail(4, f"unsupported version {version}")
-    pos = 12
-    records = []
-    for _ in range(count):
-        if pos + 4 > len(data):
-            fail(pos, "truncated record header")
-        (body_len,) = struct.unpack_from("<I", data, pos)
-        body_start = pos + 4
-        body_end = body_start + body_len
-        if body_end + 4 > len(data):
-            fail(pos, "truncated record body")
-        body = data[body_start:body_end]
-        (stored_crc,) = struct.unpack_from("<I", data, body_end)
-        actual_crc = zlib.crc32(body)
-        if stored_crc != actual_crc:
-            fail(body_start, f"checksum mismatch (stored {stored_crc:#010x}, "
-                             f"computed {actual_crc:#010x})")
-        try:
-            records.append(_parse_record(body))
-        except (struct.error, ValueError) as exc:
-            if isinstance(exc, CompressedFormatError):
-                raise
-            fail(body_start, str(exc))
-        pos = body_end + 4
-    if pos != len(data):
-        fail(pos, f"{len(data) - pos} trailing bytes")
-    return CompressedModel(tuple(records))
+    return CompressedModel(tuple(_parse_record(body) for body, _ in _frames(data)))
 
 
-def _parse_record(body: bytes) -> CompressedTensor:
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(body):
-            raise CompressedFormatError(f"record truncated at body offset {pos}")
-        chunk = body[pos:pos + n]
-        pos += n
-        return chunk
-
-    (name_len,) = struct.unpack("<H", take(2))
-    name = take(name_len).decode("utf-8")
-    (rank,) = struct.unpack("<B", take(1))
-    shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-    (rel_index_bits,) = struct.unpack("<B", take(1))
+def _parse_record(r: Cursor) -> CompressedTensor:
+    name, shape = r.tensor_header()
+    rel_index_bits, cb_size = r.unpack("BH")
     if not 1 <= rel_index_bits <= 16:
-        raise CompressedFormatError(f"{name}: invalid gap width {rel_index_bits}")
-    (cb_size,) = struct.unpack("<H", take(2))
-    codebook = np.frombuffer(take(4 * cb_size), dtype="<f4").astype(np.float32)
-    nonzero_count, record_count = struct.unpack("<QQ", take(16))
-    if 0 in shape:
-        raise CompressedFormatError(f"{name}: zero dimension in shape {shape}")
+        r.fail(f"{name}: invalid gap width {rel_index_bits}", r.pos - 3)
+    codebook = np.frombuffer(r.take(4 * cb_size), dtype="<f4").astype(np.float32)
+    nonzero_count, record_count = r.unpack("QQ")
     if record_count > math.prod(shape):
-        raise CompressedFormatError(f"{name}: record count {record_count} exceeds "
-                                    f"element count {math.prod(shape)}")
+        r.fail(f"{name}: record count {record_count} exceeds "
+               f"element count {math.prod(shape)}", r.pos - 8)
     if nonzero_count > record_count:
-        raise CompressedFormatError(f"{name}: nonzero count {nonzero_count} exceeds "
-                                    f"record count {record_count}")
+        r.fail(f"{name}: nonzero count {nonzero_count} exceeds "
+               f"record count {record_count}", r.pos - 16)
     if record_count:
-        gap_lengths = _unpack_lengths(take(1 << rel_index_bits))
-        index_lengths = _unpack_lengths(take(cb_size + 1))
-        (gap_bits,) = struct.unpack("<Q", take(8))
-        gap_payload = take((gap_bits + 7) // 8)
-        (index_bits,) = struct.unpack("<Q", take(8))
-        index_payload = take((index_bits + 7) // 8)
+        tables = r.pos
+        gap_lengths = _unpack_lengths(r.take(1 << rel_index_bits))
+        index_lengths = _unpack_lengths(r.take(cb_size + 1))
+        (gap_bits,) = r.unpack("Q")
+        gap_payload = bytes(r.take((gap_bits + 7) // 8))
+        (index_bits,) = r.unpack("Q")
+        index_payload = bytes(r.take((index_bits + 7) // 8))
         for stream, lengths in (("gap", gap_lengths), ("index", index_lengths)):
             try:
                 huffman.check_lengths(lengths)
             except ValueError as exc:
-                raise CompressedFormatError(f"{name}: {stream} code table: {exc}") from None
+                r.fail(f"{name}: {stream} code table: {exc}", tables)
     else:
         gap_lengths, index_lengths = {}, {}
         gap_bits, gap_payload = 0, b""
         index_bits, index_payload = 0, b""
-    if pos != len(body):
-        raise CompressedFormatError(f"{name}: {len(body) - pos} unread bytes in record")
+    r.finish()
     return CompressedTensor(name, shape, rel_index_bits, codebook, nonzero_count,
                             record_count, gap_lengths, index_lengths, gap_bits, gap_payload,
                             index_bits, index_payload)
@@ -422,17 +384,12 @@ class CompressionReport:
 
 def compression_report(dense_bytes: int, model: CompressedModel,
                        container: Optional[bytes] = None) -> CompressionReport:
-    """Sizes read off ``container``, the model's SDNC bytes (serialized
-    here when not given): a record's size is its body plus length and CRC."""
+    """Sizes read off the frames of the model's SDNC ``container`` (serialized if None)."""
     container = write_sdnc(model) if container is None else container
-    rows = []
-    pos = 12  # magic, version, record count
-    for rec in model.records:
-        (body_len,) = struct.unpack_from("<I", container, pos)
-        rows.append(TensorReportRow(rec.name, 4 * math.prod(rec.shape), body_len + 8,
-                                    rec.nonzero_count, int(rec.codebook.size)))
-        pos += body_len + 8
-    return CompressionReport(dense_bytes, len(container), tuple(rows))
+    rows = tuple(TensorReportRow(rec.name, 4 * math.prod(rec.shape), size,
+                                 rec.nonzero_count, int(rec.codebook.size))
+                 for rec, (_, size) in zip(model.records, _frames(container)))
+    return CompressionReport(dense_bytes, len(container), rows)
 
 
 def load_sdnc(path) -> CompressedModel:

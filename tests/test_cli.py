@@ -325,6 +325,12 @@ class TestCompressionCommands:
         assert self._decompress(tmp_path, rec) == 3
         assert f"t: {stream} code table: {message}" in capsys.readouterr().err
 
+    def test_unallocatable_shape_exits_3_naming_the_tensor(self, tmp_path, capsys):
+        # the header is consistent (13 records <= 2**50 elements), but the
+        # dense tensor would need 4 PiB
+        assert self._decompress(tmp_path, replace(self._record(), shape=(2**25, 2**25))) == 3
+        assert f"t: cannot allocate {2**50} elements" in capsys.readouterr().err
+
     def test_sdnw_zero_dimension_exits_3_naming_the_tensor(self, tmp_path, capsys):
         name = b"conv1.weight"
         sdnw = tmp_path / "w.sdnw"

@@ -1,3 +1,7 @@
+import re
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -360,3 +364,63 @@ class TestSdnw:
         data = write_sdnw([WeightTensor("w", (4,), np.zeros(4, dtype=np.float32))])
         with pytest.raises(WeightFormatError, match="trailing"):
             read_sdnw(data + b"\x00")
+
+
+class TestContainerRobustness:
+    """Both containers share one layout reader, so each malformed input
+    raises the container's own error class naming the offset."""
+
+    FORMATS = {"SDNW": (read_sdnw, WeightFormatError), "SDNC": (read_sdnc, CompressedFormatError)}
+
+    @staticmethod
+    def two_tensor_container(fmt):
+        rng = np.random.default_rng(13)
+        tensors = [wt(rng.standard_normal(6), "t0", (2, 3)), wt(rng.standard_normal(4), "t1")]
+        if fmt == "SDNW":
+            return write_sdnw(tensors)
+        return write_sdnc(compress_model(tensors, 0.0, 2))
+
+    @staticmethod
+    def patch_first_header(data, fmt, offset, new):
+        """Overwrite bytes at ``offset`` into the first tensor header; an
+        SDNC frame gets its CRC recomputed, so only the header is wrong."""
+        out = bytearray(data)
+        start = 12 if fmt == "SDNW" else 16  # SDNC: after the u32 body length
+        out[start + offset:start + offset + len(new)] = new
+        if fmt == "SDNC":
+            (body_len,) = struct.unpack_from("<I", out, 12)
+            struct.pack_into("<I", out, 16 + body_len, zlib.crc32(out[16:16 + body_len]))
+        return bytes(out)
+
+    def bad_inputs(self, fmt, kind):
+        data = self.two_tensor_container(fmt)
+        return {
+            "wrong_magic": [b"XXXX" + data[4:]],
+            "wrong_version": [data[:4] + struct.pack("<I", 2) + data[8:]],
+            "truncated": [data[:n] for n in range(len(data))],
+            "trailing_byte": [data + b"\x00"],
+            # name length u16, name "t0", rank u8, first dim u32
+            "non_utf8_name": [self.patch_first_header(data, fmt, 2, b"\xff\xfe")],
+            "zero_dimension": [self.patch_first_header(data, fmt, 5, bytes(4))],
+        }[kind]
+
+    MESSAGES = {
+        "wrong_magic": "bad magic b'XXXX' at offset 0",
+        "wrong_version": "unsupported version 2 at offset 4",
+        "truncated": "truncated",
+        "trailing_byte": "1 trailing bytes",
+        "non_utf8_name": "tensor name is not UTF-8",
+        "zero_dimension": "tensor 't0' has a zero dimension in shape (0, 3)",
+    }
+
+    @pytest.mark.parametrize("kind", list(MESSAGES))
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_malformed_container_raises_its_own_error(self, fmt, kind):
+        read, error = self.FORMATS[fmt]
+        for data in self.bad_inputs(fmt, kind):
+            with pytest.raises(error) as info:
+                read(data)
+            text = str(info.value)
+            assert type(info.value) is error
+            assert text.startswith(f"{fmt}: ") and self.MESSAGES[kind] in text, text
+            assert re.search(r"at offset \d+$", text), text
