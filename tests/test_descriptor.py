@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -86,3 +87,57 @@ def test_conv_kernel_accepts_scalar():
     spec = dict(g.nodes)["c"]
     assert (spec.kernel_h, spec.kernel_w) == (3, 3)
     assert spec.groups == 1 and spec.stride == 1 and spec.pad == 0 and spec.bias
+
+
+# every op that has fields: a valid params object, and which of its fields
+# are required, integers and booleans
+VALID = {
+    "input": {"height": 8, "width": 8, "channels": 4},
+    "conv": {"kernel": [3, 3], "filters": 8, "groups": 2, "stride": 1, "pad": 1, "bias": True},
+    "fc": {"filters": 10, "bias": False},
+    "pool": {"kind": "max", "kernel": 2, "stride": 2, "ceil_mode": False},
+    "shuffle": {"groups": 2},
+}
+REQUIRED = {"input": ("height", "width", "channels"), "conv": ("kernel", "filters"),
+            "fc": ("filters",), "pool": ("kind", "kernel", "stride"), "shuffle": ("groups",)}
+INTS = {"input": ("height", "width", "channels"),
+        "conv": ("kernel", "filters", "groups", "stride", "pad"),
+        "fc": ("filters",), "pool": ("kernel", "stride"), "shuffle": ("groups",)}
+BOOLS = {"conv": ("bias",), "fc": ("bias",), "pool": ("ceil_mode",)}
+
+
+def _one_op(op, params):
+    """A descriptor whose node under test is nodes[0] (in) for the input op
+    and nodes[1] (x) otherwise."""
+    nodes = [{"id": "in", "op": "input", "params": VALID["input"], "inputs": []}]
+    if op == "input":
+        nodes[0]["params"] = params
+    else:
+        nodes.append({"id": "x", "op": op, "params": params, "inputs": ["in"]})
+    return json.dumps({"name": "one", "nodes": nodes})
+
+
+def _without(params, field):
+    return {k: v for k, v in params.items() if k != field}
+
+
+REFUSALS = (
+    [(op, f, "missing", _without(VALID[op], f)) for op in REQUIRED for f in REQUIRED[op]]
+    + [(op, f, "bool_for_int", VALID[op] | {f: True}) for op in INTS for f in INTS[op]]
+    + [(op, f, "int_for_bool", VALID[op] | {f: 1}) for op in BOOLS for f in BOOLS[op]]
+    + [("pool", "kind", "number", VALID["pool"] | {"kind": 3})]
+    + [(op, "depth", "unknown_key", VALID[op] | {"depth": 7}) for op in VALID]
+)
+
+
+@pytest.mark.parametrize("op", sorted(VALID))
+def test_valid_params_parse(op):
+    parse(_one_op(op, VALID[op]))
+
+
+@pytest.mark.parametrize("op, field, params", [(op, f, p) for op, f, _, p in REFUSALS],
+                         ids=[f"{op}-{f}-{what}" for op, f, what, _ in REFUSALS])
+def test_bad_params_name_node_and_field(op, field, params):
+    where = "nodes[0] (in)" if op == "input" else "nodes[1] (x)"
+    with pytest.raises(DescriptorError, match=re.escape(where) + f".*'{field}'"):
+        parse(_one_op(op, params))

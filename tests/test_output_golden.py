@@ -1,0 +1,143 @@
+"""Golden text output: descriptors, CLI tables and JSON, config errors.
+
+Each output is pinned by the sha256 of its exact text, so any change to a
+key, its order, a number's formatting or a column shows here. The config
+error messages are pinned word for word.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from convdse import explore, weights
+from convdse.cli import main
+from convdse.descriptor import serialize
+from convdse.properties import random_graph
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _stdout(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+SERIALIZE = {
+    "alexnet": "a030c95f5ec508a6042730b592946d313d6d7a132bd7da5b94758a3a7c9d9ea9",
+    "mobilenet": "9ddfe07c8322362cbed86599ef2d0ff142877555304493e10ccb6e119091d511",
+    "squeezenet": "ae62276ef6284a3615951101a31abeaf8adbe084c7e06bb5d75c761a28ee9c09",
+    "vgg19": "6e9d0c3a277b241b373f03c76cf0f268a574349483b9aee77a358d30fee1bcd1",
+    "random1": "670d0eb5d8aeb8bb194dfce164399c5be931846122bcb0cec1b8272d30ee2321",
+    "random2": "40359a44e1d6fa78fdf3e7ea9c9eb1b255302c71b734efe3be6b67cca6c82239",
+    "random3": "c327b44a8fde7817fbd38678aea01a895fe1024bd7c68d829a1abd03ea1c76c1",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIALIZE))
+def test_serialize(case):
+    if case.startswith("random"):
+        graph = random_graph(np.random.default_rng(int(case[-1])))
+    else:
+        graph = explore.build_family(case, {})
+    assert _sha(serialize(graph)) == SERIALIZE[case]
+
+
+DESCRIBE = {
+    ("alexnet", "table"):
+        "a38f3dc48b28102aa311f288fff8ce5d2c048ef0a9f4fbaa7117dfc727687ebb",
+    ("alexnet", "json"):
+        "ca10463b933bd331e8eb6755ddcf7994be121cbe8de6890b478dc047ef10b61e",
+    ("mobilenet", "table"):
+        "4de449b2b68ce31e5ba8191a29e00c5e3ea902577bc6590d13dc86ce403b6cb3",
+    ("mobilenet", "json"):
+        "ab49545322fe32d4bb27f0be334c8960c7b3d474623426fbb0dfcd29c477f322",
+    ("squeezenet", "table"):
+        "a14f09afaece36c7e1fa07dc565191d7b462b5ac389d252966a4e0ce1c6d8ae5",
+    ("squeezenet", "json"):
+        "f34c282f6b86590fa172c5a40e48c4fcbf1b424c9f4e27ff57e0ccae801aa729",
+    ("vgg19", "table"):
+        "47eb8ab4aba0263d96c14cb18aea61be6dec36d5f42455178fd7126f70d88f25",
+    ("vgg19", "json"):
+        "ec00fa3b3e763241e73a1e384027b19d12698348366d57265bcddbc18efb0a49",
+}
+
+
+@pytest.mark.parametrize("family, form", sorted(DESCRIBE))
+def test_describe(capsys, family, form):
+    out = _stdout(capsys, "describe", "--family", family,
+                  *(["--json"] if form == "json" else []))
+    assert _sha(out) == DESCRIBE[family, form]
+
+
+def _small_model(path) -> None:
+    rng = np.random.default_rng(7)
+    weights.save_sdnw([
+        weights.WeightTensor("conv1.weight", (8, 3, 3, 3),
+                             rng.standard_normal(216).astype(np.float32)),
+        weights.WeightTensor("conv1.bias", (8,), rng.standard_normal(8).astype(np.float32)),
+        weights.WeightTensor("fc.weight", (10, 40),
+                             rng.standard_normal(400).astype(np.float32)),
+    ], path)
+
+
+COMPRESS = {
+    "table": "94ffa479b157a83a1b86592751bbdc714edf0316b2a22ac7a2734d3386b37353",
+    "json": "accb5bdd4baeb5f4ecb015c50b2e7bcfe7cf7e376ec3b357d39f684a45fc8996",
+}
+
+
+@pytest.mark.parametrize("form", sorted(COMPRESS))
+def test_compress(capsys, tmp_path, form):
+    _small_model(tmp_path / "w.sdnw")
+    out = _stdout(capsys, "compress", "--weights", str(tmp_path / "w.sdnw"),
+                  "--out", str(tmp_path / "w.sdnc"), *(["--json"] if form == "json" else []))
+    assert _sha(out) == COMPRESS[form]
+
+
+def test_verify_json(capsys):
+    assert _sha(_stdout(capsys, "verify", "--json")) == (
+        "cfda69c033d82b93c6e6a9d15bd5d9eec00e39154d60a65521ea96ddc2d36f11")
+
+
+_PLATFORM = {"on_chip_bytes": 8388608, "e_mac": 1e-12, "macs_per_second": 1e10}
+
+# (command, config option, config, exact stderr)
+CONFIG_ERRORS = {
+    "platform_unknown_key": (
+        "describe", "--platform", {**_PLATFORM, "sram": 1},
+        "error: platform config: unknown key(s) ['sram']\n"),
+    "platform_non_number": (
+        "describe", "--platform", {**_PLATFORM, "on_chip_bytes": "8M"},
+        "error: PlatformSpec.on_chip_bytes must be a number, got '8M'\n"),
+    "platform_bool": (
+        "describe", "--platform", {**_PLATFORM, "word_bytes": True},
+        "error: PlatformSpec.word_bytes must be a number, got True\n"),
+    "platform_non_positive": (
+        "describe", "--platform", {**_PLATFORM, "e_mac": 0},
+        "error: PlatformSpec.e_mac must be strictly positive\n"),
+    "constraint_unknown_key": (
+        "check", "--constraints", {"max_onchip_bytes": 1, "max_latency": 2},
+        "error: constraint config: unknown key(s) ['max_latency']\n"),
+    "constraint_non_number": (
+        "check", "--constraints", {"max_energy_per_frame": "1mJ"},
+        "error: ConstraintSet.max_energy_per_frame must be a number, got '1mJ'\n"),
+    "constraint_bool": (
+        "check", "--constraints", {"min_fps_required": False},
+        "error: ConstraintSet.min_fps_required must be a number, got False\n"),
+    "constraint_non_positive": (
+        "check", "--constraints", {"max_onchip_bytes": -1},
+        "error: ConstraintSet.max_onchip_bytes must be positive when set\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_text(capsys, tmp_path, case):
+    command, option, config, message = CONFIG_ERRORS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--family", "alexnet", option, str(path)]) == 2
+    assert capsys.readouterr().err == message
