@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 constraint or graph-validation failure, 2 usage
 error, 3 I/O or format error. Machine output is JSON with a fixed key
-order; the human tables are derived from the same dictionaries.
+order: each record's dataclass fields in declaration order. The human
+tables read the same records.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from . import compress as compress_mod
@@ -276,12 +278,7 @@ def cmd_compress(args) -> int:
             "dense_bytes": rep.dense_bytes,
             "compressed_bytes": rep.compressed_bytes,
             "ratio": rep.ratio,
-            "tensors": [
-                {"name": r.name, "dense_bytes": r.dense_bytes,
-                 "compressed_bytes": r.compressed_bytes, "nonzeros": r.nonzeros,
-                 "codebook_entries": r.codebook_entries, "ratio": r.ratio}
-                for r in rep.rows
-            ],
+            "tensors": [asdict(r) | {"ratio": r.ratio} for r in rep.rows],
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -312,9 +309,8 @@ def cmd_verify(args) -> int:
     results = properties.run_all_checks()
     failed = [r for r in results if not r.passed]
     if args.json:
-        print(json.dumps({"checks": [{"name": r.name, "passed": r.passed,
-                                      "detail": r.detail} for r in results],
-                          "passed": not failed}, indent=2))
+        print(json.dumps({"checks": [asdict(r) for r in results], "passed": not failed},
+                         indent=2))
     else:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")

@@ -71,8 +71,11 @@ class QuantizedTensor:
         return WeightTensor(self.name, self.shape, values)
 
 
-def kmeans_quantize(tensor: WeightTensor, bits: int, max_iters: int = 50,
-                    tol: float = 1e-8) -> QuantizedTensor:
+_KMEANS_ITERS = 50  # Lloyd steps at most
+_KMEANS_TOL = 1e-8  # stop once no centroid moves by this much
+
+
+def kmeans_quantize(tensor: WeightTensor, bits: int) -> QuantizedTensor:
     """Lloyd's k-means over the nonzero values only, k = 2**bits centroids
     initialized evenly over [min, max]. Deterministic: fixed init, ties to
     the lower centroid index, empty clusters hold their position; unused
@@ -81,8 +84,6 @@ def kmeans_quantize(tensor: WeightTensor, bits: int, max_iters: int = 50,
     tensors yield an empty codebook."""
     if not 1 <= bits <= 8:
         raise ValueError(f"bits must be in [1, 8], got {bits!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     positions = np.nonzero(tensor.values)[0].astype(np.int64)
     if positions.size == 0:
         return QuantizedTensor(tensor.name, tensor.shape,
@@ -99,7 +100,7 @@ def kmeans_quantize(tensor: WeightTensor, bits: int, max_iters: int = 50,
         # side="left": a value exactly on a midpoint goes to the lower centroid
         return np.searchsorted(mids, nz, side="left").astype(np.int64)
 
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_ITERS):
         labels = assign(centroids)
         new_centroids = centroids.copy()
         counts = np.bincount(labels, minlength=k)
@@ -108,7 +109,7 @@ def kmeans_quantize(tensor: WeightTensor, bits: int, max_iters: int = 50,
         new_centroids[occupied] = sums[occupied] / counts[occupied]
         movement = np.max(np.abs(new_centroids - centroids))
         centroids = new_centroids
-        if movement < tol:
+        if movement < _KMEANS_TOL:
             break
     labels = assign(centroids)
     zero = centroids.astype(np.float32) == 0.0
@@ -213,9 +214,10 @@ def decode_model(model: CompressedModel) -> list[WeightTensor]:
     tensors = []
     for rec in model.records:
         n = math.prod(rec.shape)
+        # numpy raises ValueError for more elements than it can index
         try:
             values = np.zeros(n, dtype=np.float32)
-        except MemoryError:
+        except (MemoryError, ValueError):
             raise CompressedFormatError(f"{rec.name}: cannot allocate {n} elements") from None
         nonzeros = 0
         if rec.record_count:
@@ -340,8 +342,7 @@ def _parse_record(r: Cursor) -> CompressedTensor:
 
 
 def compress_model(tensors: Sequence[WeightTensor], target_sparsity: float, bits: int,
-                   rel_index_bits: int = 4, max_iters: int = 50,
-                   tol: float = 1e-8) -> CompressedModel:
+                   rel_index_bits: int = 4) -> CompressedModel:
     """Full pipeline: prune each tensor, quantize the survivors, encode.
     NaN or infinite weights are refused."""
     quantized = []
@@ -351,7 +352,7 @@ def compress_model(tensors: Sequence[WeightTensor], target_sparsity: float, bits
         if not math.isfinite(t.values.sum(dtype=np.float64)):
             raise ValueError(f"{t.name}: weights contain NaN or infinity")
         pruned, _ = prune_magnitude(t, target_sparsity)
-        quantized.append(kmeans_quantize(pruned, bits, max_iters, tol))
+        quantized.append(kmeans_quantize(pruned, bits))
     return encode(quantized, rel_index_bits)
 
 

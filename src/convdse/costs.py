@@ -21,41 +21,53 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
                     Pool, ReLU, Shuffle, TensorShape, _spatial_size, infer_shapes)
 
 
+class NumericConfig:
+    """Base of a frozen dataclass of numbers read from a JSON object. Every
+    field must be a positive number; one whose default is None may be left
+    unset. ``label`` names the config in key errors."""
+
+    label: ClassVar[str]
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.default is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{type(self).__name__}.{f.name} must be a number, got {v!r}")
+            if not v > 0:
+                when = "positive when set" if f.default is None else "strictly positive"
+                raise ValueError(f"{type(self).__name__}.{f.name} must be {when}")
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"{cls.label}: unknown key(s) {sorted(unknown)}")
+        return cls(**d)
+
+    @classmethod
+    def load(cls, path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
+
+
 @dataclass(frozen=True)
-class PlatformSpec:
+class PlatformSpec(NumericConfig):
     """Target platform constants for the energy/FPS proxies."""
 
+    label: ClassVar[str] = "platform config"
     on_chip_bytes: int
     e_mac: float                 # joules per multiply-accumulate
     macs_per_second: float
     offchip_ratio: float = 100.0  # off-chip access energy in MAC-energies
     word_bytes: int = 4
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"PlatformSpec.{f.name} must be a number, got {v!r}")
-            if not v > 0:
-                raise ValueError(f"PlatformSpec.{f.name} must be strictly positive")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlatformSpec":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"platform config: unknown key(s) {sorted(unknown)}")
-        return cls(**d)
-
-    @classmethod
-    def load(cls, path) -> "PlatformSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 #: Placeholder embedded target: 8 MiB SRAM, 1 pJ/MAC, 10 GMAC/s, fp32 words.
@@ -80,19 +92,11 @@ class MetricsReport:
     recorded_training_latency: Optional[float] = None
 
     def to_dict(self) -> dict:
-        # fixed key order for stable machine output
-        return {
-            "name": self.name,
-            "total_params": self.total_params,
-            "storage_bytes": self.storage_bytes,
-            "total_macs": self.total_macs,
-            "peak_activation_bytes": self.peak_activation_bytes,
-            "energy_per_frame": self.energy_per_frame,
-            "fps_proxy": self.fps_proxy if math.isfinite(self.fps_proxy) else None,
-            "ota_bytes": self.ota_bytes,
-            "recorded_top5_error": self.recorded_top5_error,
-            "recorded_training_latency": self.recorded_training_latency,
-        }
+        """The fields in declaration order; an infinite fps_proxy is None."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if not math.isfinite(self.fps_proxy):
+            d["fps_proxy"] = None
+        return d
 
 
 def layer_params(spec: LayerSpec, in_shape: TensorShape) -> int:

@@ -2,14 +2,18 @@
 
 Layout: {"name": str, "nodes": [{"id": str, "op": str, "params": {...},
 "inputs": [str, ...]}, ...]}. Op tags: input, conv, fc, pool, gap, relu,
-shuffle, concat. Unknown keys are rejected so typos fail loudly.
+shuffle, concat. An op's params are the fields of its layer dataclass in
+``graph``, with their kinds and defaults, except that the input's are its
+shape's height, width and channels and the conv's kernel is one int or
+[kh, kw]. Unknown keys are rejected so typos fail loudly.
 parse(serialize(g)) reproduces g exactly.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from dataclasses import MISSING, fields
+from typing import Any, get_type_hints
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
                     Pool, ReLU, Shuffle, TensorShape)
@@ -19,37 +23,38 @@ class DescriptorError(ValueError):
     """Malformed descriptor text or structure."""
 
 
-_OP_TAGS = ("input", "conv", "fc", "pool", "gap", "relu", "shuffle", "concat")
+#: op tag -> layer class; an op's params are its layer's dataclass fields
+_LAYERS = {"input": Input, "conv": Conv, "fc": FullyConnected, "pool": Pool,
+           "gap": GlobalAvgPool, "relu": ReLU, "shuffle": Shuffle, "concat": Concat}
+_KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
-def _params_of(spec: LayerSpec) -> tuple[str, dict[str, Any]]:
-    if isinstance(spec, Input):
-        s = spec.shape
-        return "input", {"height": s.height, "width": s.width, "channels": s.channels}
-    if isinstance(spec, Conv):
-        return "conv", {"kernel": [spec.kernel_h, spec.kernel_w], "filters": spec.filters,
-                        "groups": spec.groups, "stride": spec.stride, "pad": spec.pad,
-                        "bias": spec.bias}
-    if isinstance(spec, FullyConnected):
-        return "fc", {"filters": spec.filters, "bias": spec.bias}
-    if isinstance(spec, Pool):
-        return "pool", {"kind": spec.kind, "kernel": spec.kernel, "stride": spec.stride,
-                        "ceil_mode": spec.ceil_mode}
-    if isinstance(spec, GlobalAvgPool):
-        return "gap", {}
-    if isinstance(spec, ReLU):
-        return "relu", {}
-    if isinstance(spec, Shuffle):
-        return "shuffle", {"groups": spec.groups}
-    if isinstance(spec, Concat):
-        return "concat", {}
-    raise DescriptorError(f"cannot serialize layer type {type(spec).__name__}")
+def _op(cls) -> tuple[type, tuple[tuple[str, type, Any], ...], frozenset[str]]:
+    """The layer class, the (key, kind, default) of each param read by kind,
+    and every allowed key. The input's params are its shape's fields; the
+    conv's kernel_h and kernel_w are one ``kernel``, read by hand. A
+    required field's default is MISSING."""
+    record = TensorShape if cls is Input else cls
+    kinds = get_type_hints(record)
+    by_kind = tuple((f.name, kinds[f.name], f.default) for f in fields(record)
+                    if f.name not in ("kernel_h", "kernel_w"))
+    keys = [key for key, _, _ in by_kind] + (["kernel"] if cls is Conv else [])
+    return cls, by_kind, frozenset(keys)
+
+
+_OPS = {tag: _op(cls) for tag, cls in _LAYERS.items()}
+_TAGS = {cls: tag for tag, cls in _LAYERS.items()}
 
 
 def serialize(graph: ArchGraph) -> str:
     nodes = []
     for nid, spec in graph.nodes:
-        op, params = _params_of(spec)
+        op = _TAGS.get(type(spec))
+        if op is None:
+            raise DescriptorError(f"cannot serialize layer type {type(spec).__name__}")
+        params = {"kernel": [spec.kernel_h, spec.kernel_w]} if op == "conv" else {}
+        values = spec.shape if op == "input" else spec
+        params.update((key, getattr(values, key)) for key, _, _ in _OPS[op][1])
         nodes.append({"id": nid, "op": op, "params": params,
                       "inputs": list(graph.preds.get(nid, ()))})
     return json.dumps({"name": graph.name, "nodes": nodes}, indent=2) + "\n"
@@ -61,71 +66,35 @@ def _expect_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise DescriptorError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _get(params: dict, key: str, kind, where: str, default=None):
-    if key not in params:
-        if default is not None:
-            return default
-        raise DescriptorError(f"{where}: missing field {key!r}")
-    v = params[key]
-    if kind is int and (isinstance(v, bool) or not isinstance(v, int)):
-        raise DescriptorError(f"{where}: field {key!r} must be an integer, got {v!r}")
-    if kind is bool and not isinstance(v, bool):
-        raise DescriptorError(f"{where}: field {key!r} must be a boolean, got {v!r}")
-    if kind is str and not isinstance(v, str):
-        raise DescriptorError(f"{where}: field {key!r} must be a string, got {v!r}")
-    return v
-
-
 def _parse_layer(op: str, params: dict, where: str) -> LayerSpec:
+    if op not in _OPS:
+        raise DescriptorError(f"{where}: unknown op tag {op!r} "
+                              f"(expected one of {tuple(_OPS)})")
+    cls, kinds, allowed = _OPS[op]
+    _expect_keys(params, allowed, where)
+    values = []
+    if cls is Conv:
+        kernel = params.get("kernel")
+        if type(kernel) is int:
+            values = [kernel, kernel]
+        elif type(kernel) is list and len(kernel) == 2 and all(type(k) is int for k in kernel):
+            values = list(kernel)
+        else:
+            raise DescriptorError(f"{where}: field 'kernel' must be an int or [kh, kw], "
+                                  f"got {kernel!r}")
+    for key, kind, default in kinds:
+        # JSON yields exact types, so a bool is never taken for an int
+        value = params.get(key, default)
+        if type(value) is not kind:
+            if value is MISSING:
+                raise DescriptorError(f"{where}: missing field {key!r}")
+            raise DescriptorError(f"{where}: field {key!r} must be {_KIND_NAMES[kind]}, "
+                                  f"got {value!r}")
+        values.append(value)
     try:
-        if op == "input":
-            _expect_keys(params, {"height", "width", "channels"}, where)
-            return Input(TensorShape(_get(params, "height", int, where),
-                                     _get(params, "width", int, where),
-                                     _get(params, "channels", int, where)))
-        if op == "conv":
-            _expect_keys(params, {"kernel", "filters", "groups", "stride", "pad", "bias"}, where)
-            kernel = params.get("kernel")
-            if isinstance(kernel, int) and not isinstance(kernel, bool):
-                kh = kw = kernel
-            elif (isinstance(kernel, list) and len(kernel) == 2
-                  and all(isinstance(k, int) and not isinstance(k, bool) for k in kernel)):
-                kh, kw = kernel
-            else:
-                raise DescriptorError(f"{where}: field 'kernel' must be an int or [kh, kw], "
-                                      f"got {kernel!r}")
-            return Conv(kh, kw, _get(params, "filters", int, where),
-                        _get(params, "groups", int, where, 1),
-                        _get(params, "stride", int, where, 1),
-                        _get(params, "pad", int, where, 0),
-                        _get(params, "bias", bool, where, True))
-        if op == "fc":
-            _expect_keys(params, {"filters", "bias"}, where)
-            return FullyConnected(_get(params, "filters", int, where),
-                                  _get(params, "bias", bool, where, True))
-        if op == "pool":
-            _expect_keys(params, {"kind", "kernel", "stride", "ceil_mode"}, where)
-            return Pool(_get(params, "kind", str, where),
-                        _get(params, "kernel", int, where),
-                        _get(params, "stride", int, where),
-                        _get(params, "ceil_mode", bool, where, False))
-        if op == "gap":
-            _expect_keys(params, set(), where)
-            return GlobalAvgPool()
-        if op == "relu":
-            _expect_keys(params, set(), where)
-            return ReLU()
-        if op == "shuffle":
-            _expect_keys(params, {"groups"}, where)
-            return Shuffle(_get(params, "groups", int, where))
-        if op == "concat":
-            _expect_keys(params, set(), where)
-            return Concat()
+        return Input(TensorShape(*values)) if cls is Input else cls(*values)
     except ValueError as exc:
-        if isinstance(exc, DescriptorError):
-            raise
         raise DescriptorError(f"{where}: {exc}") from exc
-    raise DescriptorError(f"{where}: unknown op tag {op!r} (expected one of {_OP_TAGS})")
 
 
 def parse(text: str) -> ArchGraph:

@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, Optional, Sequence
 
-from .costs import MetricsReport, PlatformSpec, report
+from .costs import MetricsReport, NumericConfig, PlatformSpec, report
 from .graph import ArchGraph
 from .zoo import POOL_STRATEGIES, PoolPlacement, alexnet, mobilenet_like, squeezenet, vgg19
 
@@ -46,37 +45,16 @@ class DesignPoint:
 
 
 @dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(NumericConfig):
     """Deployment budgets; None leaves a constraint unset. The desired
     frame rate is advisory and never fails a point."""
 
+    label: ClassVar[str] = "constraint config"
     max_onchip_bytes: Optional[int] = None
     max_top5_error: Optional[float] = None
     min_fps_required: Optional[float] = None
     min_fps_desired: Optional[float] = None
     max_energy_per_frame: Optional[float] = None
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"ConstraintSet.{f.name} must be a number, got {v!r}")
-            if not v > 0:
-                raise ValueError(f"ConstraintSet.{f.name} must be positive when set")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstraintSet":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"constraint config: unknown key(s) {sorted(unknown)}")
-        return cls(**d)
-
-    @classmethod
-    def load(cls, path) -> "ConstraintSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 from dataclasses import replace
 
@@ -325,11 +326,13 @@ class TestCompressionCommands:
         assert self._decompress(tmp_path, rec) == 3
         assert f"t: {stream} code table: {message}" in capsys.readouterr().err
 
-    def test_unallocatable_shape_exits_3_naming_the_tensor(self, tmp_path, capsys):
-        # the header is consistent (13 records <= 2**50 elements), but the
-        # dense tensor would need 4 PiB
-        assert self._decompress(tmp_path, replace(self._record(), shape=(2**25, 2**25))) == 3
-        assert f"t: cannot allocate {2**50} elements" in capsys.readouterr().err
+    # each header is consistent (13 records <= the element count), but the
+    # dense tensor needs 4 PiB, or more elements than numpy can index
+    @pytest.mark.parametrize("shape", [(2**25, 2**25), (2**32 - 1,) * 3, (2**31, 2**31, 4)],
+                             ids=["4_pib", "u32_max_cubed", "2_pow_64"])
+    def test_unallocatable_shape_exits_3_naming_the_tensor(self, tmp_path, capsys, shape):
+        assert self._decompress(tmp_path, replace(self._record(), shape=shape)) == 3
+        assert f"t: cannot allocate {math.prod(shape)} elements" in capsys.readouterr().err
 
     def test_sdnw_zero_dimension_exits_3_naming_the_tensor(self, tmp_path, capsys):
         name = b"conv1.weight"
