@@ -47,6 +47,8 @@ class NumericConfig:
 
     @classmethod
     def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls.label}: top level must be an object")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"{cls.label}: unknown key(s) {sorted(unknown)}")

@@ -60,10 +60,9 @@ def serialize(graph: ArchGraph) -> str:
     return json.dumps({"name": graph.name, "nodes": nodes}, indent=2) + "\n"
 
 
-def _expect_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise DescriptorError(f"{where}: unknown key(s) {sorted(unknown)}")
+def _expect_keys(obj: dict, allowed: set[str] | frozenset[str], where: str) -> None:
+    if not allowed.issuperset(obj):
+        raise DescriptorError(f"{where}: unknown key(s) {sorted(set(obj) - allowed)}")
 
 
 def _parse_layer(op: str, params: dict, where: str) -> LayerSpec:

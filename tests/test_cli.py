@@ -228,6 +228,19 @@ class TestCheck:
                        str(constraints)) == 2
         assert "ConstraintSet.max_top5_error must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, option, label", [
+        ("describe", "--platform", "platform config"),
+        ("check", "--constraints", "constraint config"),
+    ], ids=["platform", "constraints"])
+    @pytest.mark.parametrize("text", ["5", "[]", "null", '"abc"'],
+                             ids=["number", "list", "null", "string"])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, command, option,
+                                                   label, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert run_cli(command, "--family", "alexnet", option, str(config)) == 2
+        assert f"error: {label}: top level must be an object" in capsys.readouterr().err
+
 
 class TestCompressionCommands:
     def test_compress_decompress_verify_chain(self, tmp_path, capsys):
