@@ -69,7 +69,7 @@ def _parse_layer(op: str, params: dict, where: str) -> LayerSpec:
     if op not in _OPS:
         raise DescriptorError(f"{where}: unknown op tag {op!r} "
                               f"(expected one of {tuple(_OPS)})")
-    cls, kinds, allowed = _OPS[op]
+    cls, by_kind, allowed = _OPS[op]
     _expect_keys(params, allowed, where)
     values = []
     if cls is Conv:
@@ -81,7 +81,7 @@ def _parse_layer(op: str, params: dict, where: str) -> LayerSpec:
         else:
             raise DescriptorError(f"{where}: field 'kernel' must be an int or [kh, kw], "
                                   f"got {kernel!r}")
-    for key, kind, default in kinds:
+    for key, kind, default in by_kind:
         # JSON yields exact types, so a bool is never taken for an int
         value = params.get(key, default)
         if type(value) is not kind:
