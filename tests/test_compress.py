@@ -17,6 +17,113 @@ def wt(values, name="t", shape=None):
     return WeightTensor(name, shape or (values.size,), values)
 
 
+def prune_reference(tensor, target_sparsity):
+    """Stable-argsort pruning: the floor(s * N) smallest magnitudes go,
+    ties lowest flat index first."""
+    values = tensor.values.copy()
+    n_prune = int(np.floor(target_sparsity * values.size))
+    values[np.argsort(np.abs(values), kind="stable")[:n_prune]] = 0.0
+    return values
+
+
+def kmeans_reference(tensor, bits):
+    """Lloyd's k-means over the unsorted nonzeros, one O(n) assignment and
+    two bincounts per step; returns (codebook, positions, assignments)."""
+    positions = np.nonzero(tensor.values)[0].astype(np.int64)
+    if positions.size == 0:
+        return np.zeros(0, dtype=np.float32), positions, np.zeros(0, dtype=np.int64)
+    nz = tensor.values[positions].astype(np.float64)
+    k = 1 << bits
+    centroids = np.linspace(nz.min(), nz.max(), k)
+
+    def assign(cents):
+        if cents.size == 1:
+            return np.zeros(nz.size, dtype=np.int64)
+        return np.searchsorted((cents[:-1] + cents[1:]) / 2.0, nz, side="left").astype(np.int64)
+
+    for _ in range(50):
+        labels = assign(centroids)
+        new_centroids = centroids.copy()
+        counts = np.bincount(labels, minlength=k)
+        sums = np.bincount(labels, weights=nz, minlength=k)
+        occupied = counts > 0
+        new_centroids[occupied] = sums[occupied] / counts[occupied]
+        movement = np.max(np.abs(new_centroids - centroids))
+        centroids = new_centroids
+        if movement < 1e-8:
+            break
+    labels = assign(centroids)
+    keep = ~(centroids.astype(np.float32) == 0.0)[labels]
+    positions, labels = positions[keep], labels[keep]
+    used = np.unique(labels)
+    remap = np.full(k, -1, dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    return centroids[used].astype(np.float32), positions, remap[labels]
+
+
+def equivalence_cases():
+    """(name, values, sparsity, bits): seeded tensors plus the edge cases of
+    pruning ties and k-means midpoints."""
+    rng = np.random.default_rng(40)
+    normal = rng.standard_normal(5000)
+    halves = rng.integers(-6, 7, size=3000) / 2.0  # many ties at every magnitude
+    zeros_run = normal.copy()
+    zeros_run[:2000] = 0.0  # the 30% cut lies inside this run of zeros
+    return [
+        ("normal_s0", normal, 0.0, 6),
+        ("normal_b1", normal, 0.7, 1),
+        ("normal_b8", normal, 0.7, 8),
+        ("normal_scaled_b8", normal * 0.01, 0.5, 8),
+        ("halves_b1", halves, 0.3, 1),
+        ("halves_b3", halves, 0.55, 3),
+        ("halves_b8", halves, 0.9, 8),
+        ("cut_in_zero_run", zeros_run, 0.3, 4),
+        ("threshold_repeats", [3.0, -1.0, 1.0, 2.0, -1.0, 1.0, 0.5, 1.0], 0.5, 2),
+        ("all_equal", np.full(64, -0.75), 0.5, 4),
+        ("single_nonzero", [0.0, 0.0, 2.5, 0.0], 0.25, 8),
+        ("on_midpoint_pair_b1", [-1.0, 1.0], 0.0, 1),
+        ("on_midpoint_pair_b8", [-1.0, 1.0], 0.0, 8),
+        ("on_midpoint_triple_b1", [-1.0, 0.5, 2.0], 0.0, 1),  # 0.5 is the midpoint
+        ("on_midpoint_triple_b2", [-1.0, 0.5, 2.0], 0.0, 2),  # mids -0.5, 0.5, 1.5
+        ("zero_centroid", [-0.1, 0.1, 5.0, 10.0], 0.0, 1),
+        ("all_zero", np.zeros(10), 0.4, 3),
+    ]
+
+
+@pytest.mark.parametrize("name, values, sparsity, bits", equivalence_cases(),
+                         ids=[case[0] for case in equivalence_cases()])
+def test_prune_and_quantize_match_the_reference(name, values, sparsity, bits):
+    t = wt(values)
+    pruned, _ = prune_magnitude(t, sparsity)
+    expected = prune_reference(t, sparsity)
+    assert np.array_equal(pruned.values, expected)
+    assert pruned.values.dtype == expected.dtype
+    qt = kmeans_quantize(pruned, bits)
+    codebook, positions, assignments = kmeans_reference(pruned, bits)
+    assert np.array_equal(qt.codebook, codebook) and qt.codebook.dtype == codebook.dtype
+    assert np.array_equal(qt.positions, positions)
+    assert np.array_equal(qt.assignments, assignments)
+
+
+def test_prune_and_quantize_match_the_reference_on_random_tensors():
+    rng = np.random.default_rng(41)
+    for i in range(40):
+        n = int(rng.integers(1, 3000))
+        values = rng.standard_normal(n) * rng.uniform(0.01, 3)
+        if i % 2:
+            values = np.round(values * 4) / 4  # coarse grid: ties everywhere
+        t = wt(values)
+        sparsity = float(rng.choice([0.0, rng.uniform(0, 0.95)]))
+        bits = i % 8 + 1
+        pruned, _ = prune_magnitude(t, sparsity)
+        assert np.array_equal(pruned.values, prune_reference(t, sparsity)), i
+        qt = kmeans_quantize(pruned, bits)
+        codebook, positions, assignments = kmeans_reference(pruned, bits)
+        assert np.array_equal(qt.codebook, codebook), i
+        assert np.array_equal(qt.positions, positions), i
+        assert np.array_equal(qt.assignments, assignments), i
+
+
 class TestPrune:
     def test_four_value_example(self):
         pruned, mask = prune_magnitude(wt([0.1, -0.5, 0.3, 0.0]), 0.5)
