@@ -37,18 +37,23 @@ class CompressedFormatError(ValueError):
     """Corrupt or truncated compressed container; message carries the offset."""
 
 
-def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> tuple[WeightTensor, np.ndarray]:
-    """Zero the floor(sparsity * N) smallest-magnitude entries (ties pruned
-    lowest flat index first); returns the pruned tensor and its keep-mask."""
+def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTensor:
+    """Zero the floor(sparsity * N) smallest-magnitude entries, ties pruned
+    lowest flat index first. The cut magnitude comes from one O(N)
+    ``np.partition``: every entry below it is zeroed, then as many of the
+    entries equal to it as the count still needs, in flat order."""
     if not 0.0 <= target_sparsity < 1.0:
         raise ValueError(f"target_sparsity must be in [0, 1), got {target_sparsity!r}")
     values = tensor.values.copy()
     n_prune = int(np.floor(target_sparsity * values.size))
-    # stable sort on magnitude keeps flat-index order within ties
-    order = np.argsort(np.abs(values), kind="stable")
-    values[order[:n_prune]] = 0.0
-    mask = values != 0.0
-    return WeightTensor(tensor.name, tensor.shape, values), mask
+    if n_prune:
+        magnitude = np.abs(values)
+        threshold = np.partition(magnitude, n_prune - 1)[n_prune - 1]
+        below = magnitude < threshold
+        values[below] = 0.0
+        extra = n_prune - int(np.count_nonzero(below))
+        values[np.flatnonzero(magnitude == threshold)[:extra]] = 0.0
+    return WeightTensor(tensor.name, tensor.shape, values)
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,13 @@ def kmeans_quantize(tensor: WeightTensor, bits: int) -> QuantizedTensor:
     the lower centroid index, empty clusters hold their position; unused
     centroids are dropped afterwards. Members of a centroid that is 0.0 in
     float32 become pruned, so zero is never a codebook entry. All-zero
-    tensors yield an empty codebook."""
+    tensors yield an empty codebook.
+
+    In one dimension every cluster is a run of the sorted values, so the
+    nonzeros are sorted once and each Lloyd step finds the run bounds with
+    one ``searchsorted`` of the k - 1 midpoints, O(k log n), and the run
+    sums with ``np.add.reduceat``. Only the final assignment visits every
+    value, in position order."""
     if not 1 <= bits <= 8:
         raise ValueError(f"bits must be in [1, 8], got {bits!r}")
     positions = np.nonzero(tensor.values)[0].astype(np.int64)
@@ -90,28 +101,27 @@ def kmeans_quantize(tensor: WeightTensor, bits: int) -> QuantizedTensor:
                                np.zeros(0, dtype=np.float32),
                                positions, np.zeros(0, dtype=np.int64))
     nz = tensor.values[positions].astype(np.float64)
+    ordered = np.sort(nz)
     k = 1 << bits
-    centroids = np.linspace(nz.min(), nz.max(), k)
-
-    def assign(cents: np.ndarray) -> np.ndarray:
-        if cents.size == 1:
-            return np.zeros(nz.size, dtype=np.int64)
-        mids = (cents[:-1] + cents[1:]) / 2.0
-        # side="left": a value exactly on a midpoint goes to the lower centroid
-        return np.searchsorted(mids, nz, side="left").astype(np.int64)
-
+    centroids = np.linspace(ordered[0], ordered[-1], k)
+    bounds = np.empty(k + 1, dtype=np.int64)
+    bounds[0], bounds[k] = 0, ordered.size
     for _ in range(_KMEANS_ITERS):
-        labels = assign(centroids)
-        new_centroids = centroids.copy()
-        counts = np.bincount(labels, minlength=k)
-        sums = np.bincount(labels, weights=nz, minlength=k)
+        # side="right": a value exactly on a midpoint stays in the lower run
+        bounds[1:k] = np.searchsorted(ordered, (centroids[:-1] + centroids[1:]) / 2.0,
+                                      side="right")
+        counts = np.diff(bounds)
         occupied = counts > 0
-        new_centroids[occupied] = sums[occupied] / counts[occupied]
+        new_centroids = centroids.copy()
+        new_centroids[occupied] = (np.add.reduceat(ordered, bounds[:-1][occupied])
+                                   / counts[occupied])
         movement = np.max(np.abs(new_centroids - centroids))
         centroids = new_centroids
         if movement < _KMEANS_TOL:
             break
-    labels = assign(centroids)
+    # side="left" is the same tie rule, seen from the value
+    labels = np.searchsorted((centroids[:-1] + centroids[1:]) / 2.0, nz,
+                             side="left").astype(np.int64, copy=False)
     zero = centroids.astype(np.float32) == 0.0
     if zero.any():
         keep = ~zero[labels]
@@ -351,8 +361,7 @@ def compress_model(tensors: Sequence[WeightTensor], target_sparsity: float, bits
         # exactly when every value is; unlike isfinite it allocates no mask
         if not math.isfinite(t.values.sum(dtype=np.float64)):
             raise ValueError(f"{t.name}: weights contain NaN or infinity")
-        pruned, _ = prune_magnitude(t, target_sparsity)
-        quantized.append(kmeans_quantize(pruned, bits))
+        quantized.append(kmeans_quantize(prune_magnitude(t, target_sparsity), bits))
     return encode(quantized, rel_index_bits)
 
 

@@ -289,8 +289,7 @@ def check_codec_roundtrip(seed: int = 6, trials: int = 25) -> PropertyResult:
         cases.append((WeightTensor(f"t{i}", (n,), values), float(rng.uniform(0.0, 0.95)),
                       int(rng.integers(1, 7)), int(rng.integers(1, 9))))
     for t, sparsity, bits, rel_index_bits in cases:
-        pruned, _ = compress.prune_magnitude(t, sparsity)
-        qt = compress.kmeans_quantize(pruned, bits)
+        qt = compress.kmeans_quantize(compress.prune_magnitude(t, sparsity), bits)
         model = compress.encode([qt], rel_index_bits)
         restored = compress.read_sdnc(compress.write_sdnc(model))
         rec = restored.records[0]

@@ -114,7 +114,7 @@ def test_criterion_10_compressor():
         n = int(rng.integers(1, 600))
         t = WeightTensor(f"t{i}", (n,),
                          (rng.standard_normal(n) * rng.uniform(0.01, 5)).astype(np.float32))
-        pruned, _ = compress.prune_magnitude(t, float(rng.uniform(0, 0.95)))
+        pruned = compress.prune_magnitude(t, float(rng.uniform(0, 0.95)))
         qt = compress.kmeans_quantize(pruned, int(rng.integers(1, 9)))
         model = compress.read_sdnc(compress.write_sdnc(
             compress.encode([qt], rel_index_bits=int(rng.integers(1, 9)))))
