@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Optional
+from typing import ClassVar, Optional, get_args, get_type_hints
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
                     Pool, ReLU, Shuffle, TensorShape, _spatial_size, infer_shapes)
@@ -29,18 +29,22 @@ from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Inpu
 
 class NumericConfig:
     """Base of a frozen dataclass of numbers read from a JSON object. Every
-    field must be a positive number; one whose default is None may be left
+    field must be a positive number, and an integer where it is annotated
+    ``int`` or ``Optional[int]``; one whose default is None may be left
     unset. ``label`` names the config in key errors."""
 
     label: ClassVar[str]
 
     def __post_init__(self):
+        hints = get_type_hints(type(self))
         for f in fields(self):
             v = getattr(self, f.name)
             if v is None and f.default is None:
                 continue
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"{type(self).__name__}.{f.name} must be a number, got {v!r}")
+            if not isinstance(v, int) and int in (hints[f.name], *get_args(hints[f.name])):
+                raise ValueError(f"{type(self).__name__}.{f.name} must be an integer, got {v!r}")
             if not v > 0:
                 when = "positive when set" if f.default is None else "strictly positive"
                 raise ValueError(f"{type(self).__name__}.{f.name} must be {when}")

@@ -228,6 +228,24 @@ class TestCheck:
                        str(constraints)) == 2
         assert "ConstraintSet.max_top5_error must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, option, config, message", [
+        ("describe", "--platform", {"word_bytes": 2.5},
+         "PlatformSpec.word_bytes must be an integer, got 2.5"),
+        ("describe", "--platform", {"on_chip_bytes": 8388608.0},
+         "PlatformSpec.on_chip_bytes must be an integer, got 8388608.0"),
+        ("check", "--constraints", {"max_onchip_bytes": 1e6},
+         "ConstraintSet.max_onchip_bytes must be an integer, got 1000000.0"),
+    ], ids=["word_bytes", "on_chip_bytes", "max_onchip_bytes"])
+    def test_float_in_integer_field_exits_2_naming_it(self, tmp_path, capsys, command, option,
+                                                       config, message):
+        if option == "--platform":
+            config = {"on_chip_bytes": 8388608, "e_mac": 1e-12, "macs_per_second": 1e10,
+                      **config}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(command, "--family", "squeezenet", option, str(path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command, option, label", [
         ("describe", "--platform", "platform config"),
         ("check", "--constraints", "constraint config"),
