@@ -11,11 +11,13 @@ from convdse.cli import main
 from convdse.descriptor import serialize
 
 
+PLATFORM = {"on_chip_bytes": 8 * 1024 * 1024, "e_mac": 1e-12, "macs_per_second": 1e10}
+
+
 @pytest.fixture
 def platform_file(tmp_path):
     path = tmp_path / "platform.json"
-    path.write_text(json.dumps({"on_chip_bytes": 8 * 1024 * 1024, "e_mac": 1e-12,
-                                "macs_per_second": 1e10}))
+    path.write_text(json.dumps(PLATFORM))
     return str(path)
 
 
@@ -229,18 +231,15 @@ class TestCheck:
         assert "ConstraintSet.max_top5_error must be a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, option, config, message", [
-        ("describe", "--platform", {"word_bytes": 2.5},
+        ("describe", "--platform", {**PLATFORM, "word_bytes": 2.5},
          "PlatformSpec.word_bytes must be an integer, got 2.5"),
-        ("describe", "--platform", {"on_chip_bytes": 8388608.0},
+        ("describe", "--platform", {**PLATFORM, "on_chip_bytes": 8388608.0},
          "PlatformSpec.on_chip_bytes must be an integer, got 8388608.0"),
         ("check", "--constraints", {"max_onchip_bytes": 1e6},
          "ConstraintSet.max_onchip_bytes must be an integer, got 1000000.0"),
     ], ids=["word_bytes", "on_chip_bytes", "max_onchip_bytes"])
     def test_float_in_integer_field_exits_2_naming_it(self, tmp_path, capsys, command, option,
                                                        config, message):
-        if option == "--platform":
-            config = {"on_chip_bytes": 8388608, "e_mac": 1e-12, "macs_per_second": 1e10,
-                      **config}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert run_cli(command, "--family", "squeezenet", option, str(path)) == 2

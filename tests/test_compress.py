@@ -61,48 +61,50 @@ def kmeans_reference(tensor, bits):
     return centroids[used].astype(np.float32), positions, remap[labels]
 
 
+def assert_matches_reference(t, sparsity, bits):
+    pruned = prune_magnitude(t, sparsity)
+    expected = prune_reference(t, sparsity)
+    assert np.array_equal(pruned.values, expected) and pruned.values.dtype == expected.dtype
+    qt = kmeans_quantize(pruned, bits)
+    codebook, positions, assignments = kmeans_reference(pruned, bits)
+    assert np.array_equal(qt.codebook, codebook) and qt.codebook.dtype == codebook.dtype
+    assert np.array_equal(qt.positions, positions)
+    assert np.array_equal(qt.assignments, assignments)
+
+
 def equivalence_cases():
-    """(name, values, sparsity, bits): seeded tensors plus the edge cases of
+    """(values, sparsity, bits): seeded tensors plus the edge cases of
     pruning ties and k-means midpoints."""
     rng = np.random.default_rng(40)
     normal = rng.standard_normal(5000)
     halves = rng.integers(-6, 7, size=3000) / 2.0  # many ties at every magnitude
     zeros_run = normal.copy()
     zeros_run[:2000] = 0.0  # the 30% cut lies inside this run of zeros
-    return [
-        ("normal_s0", normal, 0.0, 6),
-        ("normal_b1", normal, 0.7, 1),
-        ("normal_b8", normal, 0.7, 8),
-        ("normal_scaled_b8", normal * 0.01, 0.5, 8),
-        ("halves_b1", halves, 0.3, 1),
-        ("halves_b3", halves, 0.55, 3),
-        ("halves_b8", halves, 0.9, 8),
-        ("cut_in_zero_run", zeros_run, 0.3, 4),
-        ("threshold_repeats", [3.0, -1.0, 1.0, 2.0, -1.0, 1.0, 0.5, 1.0], 0.5, 2),
-        ("all_equal", np.full(64, -0.75), 0.5, 4),
-        ("single_nonzero", [0.0, 0.0, 2.5, 0.0], 0.25, 8),
-        ("on_midpoint_pair_b1", [-1.0, 1.0], 0.0, 1),
-        ("on_midpoint_pair_b8", [-1.0, 1.0], 0.0, 8),
-        ("on_midpoint_triple_b1", [-1.0, 0.5, 2.0], 0.0, 1),  # 0.5 is the midpoint
-        ("on_midpoint_triple_b2", [-1.0, 0.5, 2.0], 0.0, 2),  # mids -0.5, 0.5, 1.5
-        ("zero_centroid", [-0.1, 0.1, 5.0, 10.0], 0.0, 1),
-        ("all_zero", np.zeros(10), 0.4, 3),
-    ]
+    cases = {
+        "normal_s0": (normal, 0.0, 6),
+        "normal_b1": (normal, 0.7, 1),
+        "normal_b8": (normal, 0.7, 8),
+        "normal_scaled_b8": (normal * 0.01, 0.5, 8),
+        "halves_b1": (halves, 0.3, 1),
+        "halves_b3": (halves, 0.55, 3),
+        "halves_b8": (halves, 0.9, 8),
+        "cut_in_zero_run": (zeros_run, 0.3, 4),
+        "threshold_repeats": ([3.0, -1.0, 1.0, 2.0, -1.0, 1.0, 0.5, 1.0], 0.5, 2),
+        "all_equal": (np.full(64, -0.75), 0.5, 4),
+        "single_nonzero": ([0.0, 0.0, 2.5, 0.0], 0.25, 8),
+        "on_midpoint_pair_b1": ([-1.0, 1.0], 0.0, 1),
+        "on_midpoint_pair_b8": ([-1.0, 1.0], 0.0, 8),
+        "on_midpoint_triple_b1": ([-1.0, 0.5, 2.0], 0.0, 1),  # 0.5 is the midpoint
+        "on_midpoint_triple_b2": ([-1.0, 0.5, 2.0], 0.0, 2),  # mids -0.5, 0.5, 1.5
+        "zero_centroid": ([-0.1, 0.1, 5.0, 10.0], 0.0, 1),
+        "all_zero": (np.zeros(10), 0.4, 3),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
 
 
-@pytest.mark.parametrize("name, values, sparsity, bits", equivalence_cases(),
-                         ids=[case[0] for case in equivalence_cases()])
-def test_prune_and_quantize_match_the_reference(name, values, sparsity, bits):
-    t = wt(values)
-    pruned = prune_magnitude(t, sparsity)
-    expected = prune_reference(t, sparsity)
-    assert np.array_equal(pruned.values, expected)
-    assert pruned.values.dtype == expected.dtype
-    qt = kmeans_quantize(pruned, bits)
-    codebook, positions, assignments = kmeans_reference(pruned, bits)
-    assert np.array_equal(qt.codebook, codebook) and qt.codebook.dtype == codebook.dtype
-    assert np.array_equal(qt.positions, positions)
-    assert np.array_equal(qt.assignments, assignments)
+@pytest.mark.parametrize("values, sparsity, bits", equivalence_cases())
+def test_prune_and_quantize_match_the_reference(values, sparsity, bits):
+    assert_matches_reference(wt(values), sparsity, bits)
 
 
 def test_prune_and_quantize_match_the_reference_on_random_tensors():
@@ -112,16 +114,8 @@ def test_prune_and_quantize_match_the_reference_on_random_tensors():
         values = rng.standard_normal(n) * rng.uniform(0.01, 3)
         if i % 2:
             values = np.round(values * 4) / 4  # coarse grid: ties everywhere
-        t = wt(values)
         sparsity = float(rng.choice([0.0, rng.uniform(0, 0.95)]))
-        bits = i % 8 + 1
-        pruned = prune_magnitude(t, sparsity)
-        assert np.array_equal(pruned.values, prune_reference(t, sparsity)), i
-        qt = kmeans_quantize(pruned, bits)
-        codebook, positions, assignments = kmeans_reference(pruned, bits)
-        assert np.array_equal(qt.codebook, codebook), i
-        assert np.array_equal(qt.positions, positions), i
-        assert np.array_equal(qt.assignments, assignments), i
+        assert_matches_reference(wt(values), sparsity, bits=i % 8 + 1)
 
 
 class TestPrune:
