@@ -1,4 +1,5 @@
-"""Golden text output: descriptors, CLI tables and JSON, config errors.
+"""Golden text output: descriptors, CLI tables and JSON, check reports,
+sweep files, config errors.
 
 Each output is pinned by the sha256 of its exact text, so any change to a
 key, its order, a number's formatting or a column shows here. The config
@@ -141,3 +142,42 @@ def test_config_error_text(capsys, tmp_path, case):
     path.write_text(json.dumps(config))
     assert main([command, "--family", "alexnet", option, str(path)]) == 2
     assert capsys.readouterr().err == message
+
+
+# (constraint set, exit code); the passing set checks every budget but the error
+CHECK = {
+    "pass": ({"max_onchip_bytes": 16777216, "min_fps_required": 10,
+              "min_fps_desired": 1000, "max_energy_per_frame": 1e-2}, 0,
+             "49c19951fc9828c919b4a817247e22eb298720634ab136f430332dff5254227f"),
+    "fail": ({"max_onchip_bytes": 8388608, "max_top5_error": 0.2, "min_fps_required": 100,
+              "min_fps_desired": 30, "max_energy_per_frame": 1e-5}, 1,
+             "5eddea89316eab0b541042510a1ccca50dcbe29a76025381855c0a6a05b5be03"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK))
+def test_check(capsys, tmp_path, case):
+    constraints, code, digest = CHECK[case]
+    path = tmp_path / "constraints.json"
+    path.write_text(json.dumps(constraints))
+    extra = ["--top5-error", "0.25"] if "max_top5_error" in constraints else []
+    assert main(["check", "--family", "squeezenet", "--constraints", str(path), *extra]) == code
+    assert _sha(capsys.readouterr().out) == digest
+
+
+SWEEP = {
+    "csv": "a5b96277cdb72cad1ab2fd4ce14a3bb3983dd271e547e1a45dcc8151a5997e0f",
+    "json": "34d15d9a825f77447b3888969e9c97959038f0280c0387d18c267f3ef9a81f37",
+}
+
+
+def test_sweep_files(capsys, tmp_path):
+    (tmp_path / "grid.json").write_text(json.dumps({"p": [0.25, 0.5, 0.75]}))
+    (tmp_path / "acc.csv").write_text("p,top5_error\n0.25,0.31\n0.5,0.262\n0.75,0.26\n")
+    assert main(["sweep", "--family", "squeezenet", "--grid", str(tmp_path / "grid.json"),
+                 "--accuracy", str(tmp_path / "acc.csv"), "--saturation-axis", "total_macs",
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    for form in sorted(SWEEP):
+        text = (tmp_path / f"out.{form}").read_text(encoding="utf-8")
+        assert _sha(text) == SWEEP[form], form
