@@ -7,9 +7,8 @@ compression codec, and a naive reference executor as the semantic oracle.
 from .compress import (CompressedModel, CompressionReport, QuantizedTensor, compress_model,
                        compression_report, decode_model, encode, kmeans_quantize,
                        prune_magnitude)
-from .costs import (DEFAULT_PLATFORM, MetricsReport, PlatformSpec, energy_estimate,
-                    layer_macs, layer_params, model_macs, model_params,
-                    peak_activation_bytes, report, storage_bytes)
+from .costs import (DEFAULT_PLATFORM, MetricsReport, PlatformSpec, layer_macs, layer_params,
+                    model_macs, model_params, peak_activation_bytes, report)
 from .descriptor import DescriptorError, parse, serialize
 from .explore import (ConstraintSet, DesignPoint, SweepError, attach_accuracy,
                       check_constraints, find_saturation, pareto_front, sweep)

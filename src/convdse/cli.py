@@ -12,12 +12,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
 from . import compress as compress_mod
 from . import descriptor, explore, weights
-from .costs import DEFAULT_PLATFORM, PlatformSpec, report
+from .costs import DEFAULT_PLATFORM, MetricsReport, PlatformSpec, report
 from .descriptor import DescriptorError
 from .explore import ConstraintSet, DesignPoint, SweepError
 from .graph import ArchGraph, GraphError
@@ -64,22 +64,19 @@ def _graph_from_args(args) -> tuple[ArchGraph, dict]:
     raise SweepError("one of --arch or --family is required")
 
 
-def _report_rows(m) -> list[tuple[str, str]]:
-    fps = "inf" if math.isinf(m.fps_proxy) else f"{m.fps_proxy:.2f} FPS (proxy)"
-    rows = [
-        ("architecture", m.name),
-        ("parameters", f"{m.total_params:,} params ({human_count(m.total_params)})"),
-        ("storage", f"{m.storage_bytes:,} B ({human_bytes(m.storage_bytes)})"),
-        ("compute", f"{m.total_macs:,} MACs ({human_count(m.total_macs)})"),
-        ("peak activations", f"{m.peak_activation_bytes:,} B "
-                             f"({human_bytes(m.peak_activation_bytes)})"),
-        ("energy/frame", f"{m.energy_per_frame:.6e} J"),
-        ("throughput", fps),
-        ("OTA update", f"{m.ota_bytes:,} B ({human_bytes(m.ota_bytes)})"),
-    ]
-    if m.recorded_top5_error is not None:
-        rows.append(("recorded top-5 error", f"{m.recorded_top5_error:.4f}"))
-    return rows
+def _format_metric(value, unit: str) -> str:
+    if unit == "J":
+        return f"{value:.6e} J"
+    if unit == "FPS (proxy)":
+        return "inf" if math.isinf(value) else f"{value:.2f} {unit}"
+    human = human_bytes(value) if unit == "B" else human_count(value)
+    return f"{value:,} {unit} ({human})"
+
+
+def _report_rows(m: MetricsReport) -> list[tuple[str, str]]:
+    return [("architecture", m.name)] + [
+        (f.metadata["label"], _format_metric(getattr(m, f.name), f.metadata["unit"]))
+        for f in fields(m) if f.metadata]
 
 
 def cmd_describe(args) -> int:
@@ -91,10 +88,6 @@ def cmd_describe(args) -> int:
     else:
         _print_table(_report_rows(m))
     return 0
-
-
-_CSV_METRICS = ("total_params", "storage_bytes", "total_macs", "peak_activation_bytes",
-                "energy_per_frame", "fps_proxy", "ota_bytes")
 
 
 def _format_cell(value) -> str:
@@ -109,13 +102,14 @@ def _format_cell(value) -> str:
 
 def _sweep_csv(axes: list[str], points: list[DesignPoint], pareto_idx: set[int],
                saturation_idx: Optional[int]) -> str:
-    header = list(axes) + list(_CSV_METRICS) + ["top5_error", "pareto"]
+    metrics = [f.name for f in fields(MetricsReport) if f.metadata]
+    header = list(axes) + metrics + ["top5_error", "pareto"]
     if saturation_idx is not None:
         header.append("saturation")
     lines = [",".join(header)]
     for i, point in enumerate(points):
         cells = [_format_cell(point.metaparams.get(a)) for a in axes]
-        cells += [_format_cell(getattr(point.metrics, m)) for m in _CSV_METRICS]
+        cells += [_format_cell(getattr(point.metrics, m)) for m in metrics]
         cells.append(_format_cell(point.top5_error))
         cells.append("1" if i in pareto_idx else "0")
         if saturation_idx is not None:

@@ -20,18 +20,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Optional, get_args, get_type_hints
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
-                    Pool, ReLU, Shuffle, TensorShape, _spatial_size, infer_shapes)
+                    Pool, ReLU, Shuffle, TensorShape, _node_output_shape, infer_shapes)
 
 
 class NumericConfig:
     """Base of a frozen dataclass of numbers read from a JSON object. Every
-    field must be a positive number, and an integer where it is annotated
-    ``int`` or ``Optional[int]``; one whose default is None may be left
-    unset. ``label`` names the config in key errors."""
+    field must be a finite positive number, and an integer where it is
+    annotated ``int`` or ``Optional[int]``; one whose default is None may be
+    left unset. ``label`` names the config in key errors."""
 
     label: ClassVar[str]
 
@@ -43,6 +43,8 @@ class NumericConfig:
                 continue
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"{type(self).__name__}.{f.name} must be a number, got {v!r}")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{type(self).__name__}.{f.name} must be finite, got {v!r}")
             if not isinstance(v, int) and int in (hints[f.name], *get_args(hints[f.name])):
                 raise ValueError(f"{type(self).__name__}.{f.name} must be an integer, got {v!r}")
             if not v > 0:
@@ -81,19 +83,25 @@ DEFAULT_PLATFORM = PlatformSpec(on_chip_bytes=8 * 1024 * 1024, e_mac=1e-12,
                                 macs_per_second=1e10)
 
 
+def _metric(label: str, unit: str):
+    return field(metadata={"label": label, "unit": unit})
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """The metric vector for one architecture on one platform. Accuracy and
-    training latency are recorded externally, never computed here."""
+    training latency are recorded externally, never computed here. Each
+    computed metric carries its human label and unit as field metadata,
+    which the ``describe`` table, the sweep CSV and ``value_of`` read."""
 
     name: str
-    total_params: int
-    storage_bytes: int
-    total_macs: int
-    peak_activation_bytes: int
-    energy_per_frame: float
-    fps_proxy: float
-    ota_bytes: int
+    total_params: int = _metric("parameters", "params")
+    storage_bytes: int = _metric("storage", "B")
+    total_macs: int = _metric("compute", "MACs")
+    peak_activation_bytes: int = _metric("peak activations", "B")
+    energy_per_frame: float = _metric("energy/frame", "J")
+    fps_proxy: float = _metric("throughput", "FPS (proxy)")
+    ota_bytes: int = _metric("OTA update", "B")
     recorded_top5_error: Optional[float] = None
     recorded_training_latency: Optional[float] = None
 
@@ -105,51 +113,57 @@ class MetricsReport:
         return d
 
 
-def layer_params(spec: LayerSpec, in_shape: TensorShape) -> int:
-    """Learnable parameter count of one layer bound to its input shape."""
+def _weight_shapes(spec: LayerSpec, in_shape: TensorShape) -> dict[str, tuple[int, ...]]:
+    """The learnable tensors of one layer bound to its input shape: 'weight'
+    as (F, C/g, kh, kw) for a convolution and (F, C, H, W) for a
+    fully-connected layer, plus 'bias' as (F,) when the layer has one."""
     if isinstance(spec, Conv):
         c_in = in_shape.channels
         if c_in % spec.groups != 0:
             raise ValueError(f"groups must divide input channels (g={spec.groups}, C_in={c_in})")
-        weights = spec.kernel_h * spec.kernel_w * (c_in // spec.groups) * spec.filters
-        return weights + (spec.filters if spec.bias else 0)
-    if isinstance(spec, FullyConnected):
+        weight = (spec.filters, c_in // spec.groups, spec.kernel_h, spec.kernel_w)
+    elif isinstance(spec, FullyConnected):
         # a fully-connected layer is a convolution spanning the full input extent
-        weights = in_shape.height * in_shape.width * in_shape.channels * spec.filters
-        return weights + (spec.filters if spec.bias else 0)
-    if isinstance(spec, (Input, Pool, GlobalAvgPool, ReLU, Shuffle, Concat)):
-        return 0
-    raise ValueError(f"unknown layer type {type(spec).__name__}")
+        weight = (spec.filters, in_shape.channels, in_shape.height, in_shape.width)
+    elif isinstance(spec, (Input, Pool, GlobalAvgPool, ReLU, Shuffle, Concat)):
+        return {}
+    else:
+        raise ValueError(f"unknown layer type {type(spec).__name__}")
+    return {"weight": weight, "bias": (spec.filters,)} if spec.bias else {"weight": weight}
+
+
+def _params(weights: dict[str, tuple[int, ...]]) -> int:
+    return sum(map(math.prod, weights.values()))
+
+
+def _macs(weights: dict[str, tuple[int, ...]], out: TensorShape) -> int:
+    return math.prod(weights["weight"]) * out.height * out.width if weights else 0
+
+
+def layer_params(spec: LayerSpec, in_shape: TensorShape) -> int:
+    """Learnable parameter count of one layer bound to its input shape."""
+    return _params(_weight_shapes(spec, in_shape))
 
 
 def layer_macs(spec: LayerSpec, in_shape: TensorShape) -> int:
     """Multiply-accumulate count of one layer bound to its input shape."""
-    if isinstance(spec, Conv):
-        c_in = in_shape.channels
-        if c_in % spec.groups != 0:
-            raise ValueError(f"groups must divide input channels (g={spec.groups}, C_in={c_in})")
-        h_out = _spatial_size(in_shape.height, spec.kernel_h, spec.stride, spec.pad, False)
-        w_out = _spatial_size(in_shape.width, spec.kernel_w, spec.stride, spec.pad, False)
-        if h_out < 1 or w_out < 1:
-            raise ValueError(f"convolution output {h_out}x{w_out} is not positive")
-        return spec.kernel_h * spec.kernel_w * (c_in // spec.groups) * spec.filters * h_out * w_out
-    if isinstance(spec, FullyConnected):
-        return in_shape.height * in_shape.width * in_shape.channels * spec.filters
-    if isinstance(spec, (Input, Pool, GlobalAvgPool, ReLU, Shuffle, Concat)):
-        return 0
-    raise ValueError(f"unknown layer type {type(spec).__name__}")
+    weights = _weight_shapes(spec, in_shape)
+    return _macs(weights, _node_output_shape(spec, [in_shape], type(spec).__name__))
 
 
 @dataclass(frozen=True)
 class LayerCost:
-    """One row of the per-layer cost table. ``live_words`` counts every
-    activation live while the layer runs: its inputs, its own output, and
-    earlier outputs that a later layer still reads."""
+    """One row of the per-layer cost table. ``weights`` holds the shapes of
+    the layer's 'weight' and 'bias' tensors; ``params`` counts them, and
+    ``macs`` is one MAC per weight per output position. ``live_words``
+    counts every activation live while the layer runs: its inputs, its own
+    output, and earlier outputs that a later layer still reads."""
 
     node_id: str
     spec: LayerSpec
     in_shapes: tuple[TensorShape, ...]
     out_shape: TensorShape
+    weights: dict[str, tuple[int, ...]]
     params: int
     macs: int
     live_words: int
@@ -174,10 +188,9 @@ def layer_costs(graph: ArchGraph) -> list[LayerCost]:
     for i, (nid, out) in enumerate(shapes.items()):
         spec = specs[nid]
         in_shapes = tuple(shapes[p] for p in graph.preds.get(nid, ()))
+        w = _weight_shapes(spec, in_shapes[0]) if in_shapes else {}
         live += out.elements
-        rows.append(LayerCost(nid, spec, in_shapes, out,
-                              layer_params(spec, in_shapes[0]) if in_shapes else 0,
-                              layer_macs(spec, in_shapes[0]) if in_shapes else 0, live))
+        rows.append(LayerCost(nid, spec, in_shapes, out, w, _params(w), _macs(w, out), live))
         live -= freed[i]
     return rows
 
@@ -193,12 +206,6 @@ def model_params(graph: ArchGraph) -> int:
 
 def model_macs(graph: ArchGraph) -> int:
     return sum(row.macs for row in layer_costs(graph))
-
-
-def storage_bytes(graph: ArchGraph, bits_per_param: int = 32) -> int:
-    if bits_per_param < 1:
-        raise ValueError("bits_per_param must be positive")
-    return math.ceil(model_params(graph) * bits_per_param / 8)
 
 
 def peak_activation_bytes(graph: ArchGraph, word_bytes: int = 4) -> int:
@@ -231,10 +238,6 @@ def energy_from_counts(total_macs: int, total_params: int, activation_words: int
                  if storage + peak_activation_bytes_ > platform.on_chip_bytes else 0)
     offchip = param_spill / batch + act_spill
     return total_macs * platform.e_mac + offchip * platform.offchip_ratio * platform.e_mac
-
-
-def energy_estimate(graph: ArchGraph, platform: PlatformSpec, batch: int = 1) -> float:
-    return report(graph, platform, batch).energy_per_frame
 
 
 def report(graph: ArchGraph, platform: PlatformSpec = DEFAULT_PLATFORM,

@@ -12,7 +12,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Optional, Sequence
 
 from .costs import MetricsReport, NumericConfig, PlatformSpec, report
@@ -24,6 +24,9 @@ class SweepError(ValueError):
     """Bad family, metaparameter, grid, or accuracy table."""
 
 
+_REPORT_METRICS = frozenset(f.name for f in fields(MetricsReport) if f.metadata)
+
+
 @dataclass(frozen=True)
 class DesignPoint:
     metaparams: dict[str, object]
@@ -31,9 +34,9 @@ class DesignPoint:
     top5_error: Optional[float] = None
 
     def value_of(self, metric: str) -> float:
-        """Look a metric up by name: report fields first, then the recorded
-        error, then metaparameters."""
-        if metric in type(self.metrics).__dataclass_fields__ and metric != "name":
+        """Look a metric up by name: computed report metrics first, then the
+        recorded error, then metaparameters."""
+        if metric in _REPORT_METRICS:
             return getattr(self.metrics, metric)
         if metric == "top5_error":
             if self.top5_error is None:

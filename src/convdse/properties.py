@@ -130,6 +130,12 @@ def check_mac_counts(seed: int = 0, trials: int = 20) -> PropertyResult:
             return PropertyResult("mac_counts", False,
                                   f"graph {i} ({graph.name}): analytic {analytic} != "
                                   f"instrumented {instrumented}")
+        shapes = {f"{row.node_id}.{k}": shape
+                  for row in costs.layer_costs(graph) for k, shape in row.weights.items()}
+        expected = refexec.expected_weight_shapes(graph)
+        if shapes != expected:
+            return PropertyResult("mac_counts", False, f"graph {i} ({graph.name}): weight shapes "
+                                  f"{shapes} in the cost table, {expected} in the executor")
     return PropertyResult("mac_counts", True,
                           f"analytic == instrumented on {trials} random graphs")
 

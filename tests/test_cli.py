@@ -178,6 +178,17 @@ class TestSweep:
         assert "metaparameter" in err and name in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("axis", ["recorded_top5_error", "recorded_training_latency"])
+    def test_unreported_saturation_axis_exits_2_naming_it(self, tmp_path, capsys, axis):
+        # report() never sets the recorded fields, so they are no metric to order by
+        grid = self.write_grid(tmp_path, {"p": [0.5, 0.75]})
+        acc = tmp_path / "acc.csv"
+        acc.write_text("p,top5_error\n0.5,0.2\n0.75,0.19\n")
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
+                       "--accuracy", str(acc), "--saturation-axis", axis,
+                       "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"error: unknown metric {axis!r}\n"
+
 
 class TestPareto:
     def test_three_point_example(self, tmp_path, capsys):
@@ -242,6 +253,22 @@ class TestCheck:
                                                        config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
+        assert run_cli(command, "--family", "squeezenet", option, str(path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, option, text, message", [
+        ("describe", "--platform",
+         '{"on_chip_bytes": 8388608, "e_mac": Infinity, "macs_per_second": 1e10}',
+         "PlatformSpec.e_mac must be finite, got inf"),
+        ("check", "--constraints", '{"min_fps_required": 1e400}',
+         "ConstraintSet.min_fps_required must be finite, got inf"),
+        ("check", "--constraints", '{"max_energy_per_frame": NaN}',
+         "ConstraintSet.max_energy_per_frame must be finite, got nan"),
+    ], ids=["e_mac_infinity", "min_fps_required_overflow", "max_energy_per_frame_nan"])
+    def test_non_finite_value_exits_2_naming_it(self, tmp_path, capsys, command, option,
+                                                text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
         assert run_cli(command, "--family", "squeezenet", option, str(path)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 

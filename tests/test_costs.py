@@ -5,9 +5,8 @@ import pytest
 
 from convdse import graph, zoo
 from convdse.costs import (DEFAULT_PLATFORM, PlatformSpec, activation_traffic_words,
-                           energy_estimate, energy_from_counts, layer_costs, layer_macs,
-                           layer_params, model_macs, model_params, peak_activation_bytes,
-                           report, storage_bytes)
+                           energy_from_counts, layer_costs, layer_macs, layer_params,
+                           model_macs, model_params, peak_activation_bytes, report)
 from convdse.graph import (Conv, FullyConnected, GraphBuilder, Pool, ReLU, TensorShape)
 
 
@@ -72,12 +71,11 @@ class TestModelTotals:
         g = b.build()
         assert model_params(g) == 0
         assert model_macs(g) == 0
-        assert storage_bytes(g) == 0
+        assert report(g).storage_bytes == 0
 
     def test_storage_is_params_times_word(self):
         g = zoo.squeezenet(0.5)
-        assert storage_bytes(g, 32) == 4 * model_params(g)
-        assert storage_bytes(g, 8) == model_params(g)
+        assert report(g).storage_bytes == 4 * model_params(g)
 
     def test_fc7_dwarfs_squeezenet(self):
         ratio = (layer_params(FullyConnected(4096), TensorShape(1, 1, 4096))
@@ -143,6 +141,13 @@ class TestLayerCosts:
         assert [r.live_words for r in rows] == [32, 160, 192, 256, 256]
         assert rows[-1].in_shapes == (TensorShape(4, 4, 4), TensorShape(4, 4, 4))
         assert [r.params for r in rows] == [0, 24, 292, 36, 0]
+        assert [r.weights for r in rows] == [
+            {},
+            {"weight": (8, 2, 1, 1), "bias": (8,)},
+            {"weight": (4, 8, 3, 3), "bias": (4,)},
+            {"weight": (4, 8, 1, 1), "bias": (4,)},
+            {},
+        ]
         assert sum(r.macs for r in rows) == model_macs(g)
 
     def test_report_sorts_the_graph_once(self, monkeypatch):
@@ -187,8 +192,8 @@ class TestEnergy:
         g = zoo.squeezenet(0.5)
         tight = PlatformSpec(on_chip_bytes=1024, e_mac=1e-12, macs_per_second=1e9)
         roomy = PlatformSpec(on_chip_bytes=1 << 30, e_mac=1e-12, macs_per_second=1e9)
-        spilled = energy_estimate(g, tight)
-        resident = energy_estimate(g, roomy)
+        spilled = report(g, tight).energy_per_frame
+        resident = report(g, roomy).energy_per_frame
         macs_only = model_macs(g) * 1e-12
         assert resident == pytest.approx(macs_only, rel=1e-9)
         words = model_params(g) + activation_traffic_words(g)

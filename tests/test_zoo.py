@@ -95,7 +95,7 @@ class TestAlexnet:
         assert costs.layer_params(FullyConnected(4096, bias=False), fc7_in) == 4096 ** 2
 
     def test_storage_near_published(self):
-        storage = costs.storage_bytes(alexnet(), 32)
+        storage = costs.report(alexnet()).storage_bytes
         assert abs(storage - 240e6) / 240e6 <= 0.05
 
 
@@ -107,7 +107,7 @@ class TestVgg19:
         assert (convs, fcs) == (16, 3)
 
     def test_storage_range(self):
-        storage = costs.storage_bytes(vgg19(), 32)
+        storage = costs.report(vgg19()).storage_bytes
         assert 563e6 <= storage <= 587e6
 
     def test_ratio_vs_squeezenet(self):
@@ -121,7 +121,7 @@ class TestMobilenetLike:
         assert 3_500_000 <= params <= 4_500_000
 
     def test_storage_range(self):
-        storage = costs.storage_bytes(mobilenet_like(1.0), 32)
+        storage = costs.report(mobilenet_like(1.0)).storage_bytes
         assert 10e6 <= storage <= 18e6
 
     def test_compute_ratio_vs_vgg19(self):
