@@ -154,10 +154,10 @@ def layer_macs(spec: LayerSpec, in_shape: TensorShape) -> int:
 @dataclass(frozen=True)
 class LayerCost:
     """One row of the per-layer cost table. ``weights`` holds the shapes of
-    the layer's 'weight' and 'bias' tensors; ``params`` counts them, and
-    ``macs`` is one MAC per weight per output position. ``live_words``
-    counts every activation live while the layer runs: its inputs, its own
-    output, and earlier outputs that a later layer still reads."""
+    the 'weight' and 'bias' tensors; ``params`` counts their elements and
+    ``macs`` is one MAC per 'weight' element per output position.
+    ``live_words`` counts every activation live while the layer runs: its
+    inputs, its own output, and earlier outputs a later layer still reads."""
 
     node_id: str
     spec: LayerSpec
