@@ -119,6 +119,8 @@ def _sweep_csv(axes: list[str], points: list[DesignPoint], pareto_idx: set[int],
 
 
 def cmd_sweep(args) -> int:
+    if not 0.0 <= args.epsilon < math.inf:
+        raise SweepError(f"--epsilon must be finite and non-negative, got {args.epsilon}")
     platform = _load_platform(args.platform)
     with open(args.grid, "r", encoding="utf-8") as fh:
         grid = json.load(fh)
@@ -241,6 +243,9 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # the range explore.load_accuracy_table takes for a recorded error
+    if args.top5_error is not None and not 0.0 <= args.top5_error <= 1.0:
+        raise SweepError(f"--top5-error must be in [0, 1], got {args.top5_error}")
     graph, metaparams = _graph_from_args(args)
     platform = _load_platform(args.platform)
     constraints = ConstraintSet.load(args.constraints)

@@ -5,11 +5,14 @@ codes first, ties by symbol value), so encoder and decoder agree from the
 length table alone. A single-symbol alphabet gets one 1-bit code.
 
 Both directions are array code over bounded chunks. Encoding spreads each
-symbol's code into one bit array and packs it once. Decoding peeks the
-``max_len``-bit window at every bit position of a chunk and finds its code
-word by a search over the left-justified canonical interval ends (Moffat &
-Turpin, IEEE Trans. Commun. 1997); only the walk from one code word to the
-next is a Python loop, one step per symbol.
+symbol's code into one bit array and packs it once. Decoding gives every
+bit position of a chunk the code word that would start there: a table over
+the first (at most 12) bits of its window, and for the prefixes of longer
+codes a search over the left-justified canonical interval ends (Moffat &
+Turpin, IEEE Trans. Commun. 1997). Each position's successor (the start of
+the next code word) is composed with itself three times, so the only Python
+loop walks the chunk 8 code words per step; the composed successors then
+fill in the 7 starts between its steps.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import numpy as np
 MAX_CODE_LENGTH = 57
 
 _CHUNK_SYMBOLS = 1 << 16  # encode: symbols spread into bits per step
-_CHUNK_BITS = 1 << 13     # decode: windows peeked per step
+_CHUNK_BITS = 1 << 14     # decode: bits whose successor is found per step
+_TABLE_BITS = 12          # decode: window bits looked up in one table
 
 
 def code_lengths(symbols: Sequence[int]) -> dict[int, int]:
@@ -129,44 +133,81 @@ def decode(data: bytes, bit_count: int, lengths: dict[int, int], count: int) -> 
     out = np.empty(count, dtype=np.min_scalar_type(max(lengths)))
     codes = canonical_codes(lengths)
     width = max(lengths.values())
-    syms = np.array(list(codes), dtype=out.dtype)
-    # code length per canonical slot; 0 for a window past every interval
-    steps = np.array([n for _, n in codes.values()] + [0], dtype=np.uint8)
+    short = min(width, _TABLE_BITS)
     interval_ends = np.array([(c + 1) << (width - n) for c, n in codes.values()],
                              dtype=np.uint64)
+    # code length per canonical slot; 0 for a window past every interval
+    slot_lengths = np.array([n for _, n in codes.values()] + [0], dtype=np.intp)
+    syms = np.array(list(codes) + [0], dtype=out.dtype)
+    # slot of every ``short``-bit prefix. A prefix of a longer code is the
+    # first such code's slot, and its length is -1: search it at full width.
+    slot = np.searchsorted(interval_ends, np.arange(1 << short, dtype=np.uint64)
+                           << np.uint64(width - short), side="right")
+    prefix_lengths = slot_lengths[slot]
+    prefix_lengths[prefix_lengths > short] = -1
+    # symbol by window index: a ``short``-bit prefix, then a long code's
+    # slot + (1 << short)
+    sym_of = np.concatenate((syms[slot], syms))
     padded = bytes(data[:(bit_count + 7) // 8]) + bytes(8)
-    drop = np.uint64(64 - width)
-    bit_offsets = np.arange(8, dtype=np.uint8)
+    # big-endian 4 and 8 bytes from every byte of the stream, without a copy
+    quads = np.ndarray((len(padded) - 7,), dtype=">u4", buffer=padded, strides=(1,))
+    octets = np.ndarray((len(padded) - 7,), dtype=">u8", buffer=padded, strides=(1,))
+    # brings the ``short`` bits from bit offset k of a quad down, k = 0..7
+    shifts = np.tile(np.arange(32 - short, 24 - short, -1, dtype=np.uint32), _CHUNK_BITS // 8)
+    base = np.arange(_CHUNK_BITS, dtype=np.intp)
     done = pos = 0
     while done < count and pos < bit_count:
         first = pos & ~7
         span = min(_CHUNK_BITS, bit_count - first)
-        # the 8 bytes from every byte of the chunk, each a big-endian uint64
-        words = np.ndarray(((span + 7) // 8,), dtype=">u8", buffer=padded,
-                           offset=first // 8, strides=(1,)).astype(np.uint64)
-        windows = ((words[:, None] << bit_offsets) >> drop).reshape(-1)[:span]
-        which = np.searchsorted(interval_ends, windows, side="right")
-        step = steps[which].tolist()
+        # the ``short``-bit window at every bit of the chunk, and its length
+        window = quads[first // 8:(first + span + 7) // 8].astype(np.uint32).repeat(8)[:span]
+        np.right_shift(window, shifts[:span], out=window)
+        window &= np.uint32((1 << short) - 1)
+        step = prefix_lengths.take(window)
+        longs = np.flatnonzero(step == -1)
+        bits = first + longs
+        full = (octets[bits >> 3].astype(np.uint64) << (bits & 7).astype(np.uint64)
+                ) >> np.uint64(64 - width)
+        which = np.searchsorted(interval_ends, full, side="right")
+        step[longs] = slot_lengths[which]
+        window[longs] = which + (1 << short)
+        # successor of every bit: the start of the next code word, or the
+        # bit itself at an invalid code word and at one leaving the chunk
+        hop = step + base[:span]
+        tail = hop[-width:]
+        leaves = tail >= span
+        tail[leaves] = base[span - tail.size:span][leaves]
+        hop2 = hop.take(hop)
+        hop4 = hop2.take(hop2)
+        hop8 = hop4.take(hop4)
+        # the Python walk takes 8 code words per step; it stops where the
+        # successor is the bit itself
+        jumps = memoryview(hop8)
         at = pos - first
-        starts = []
-        while at < span:
-            n = step[at]
-            if not n:
-                break
-            starts.append(at)
-            at += n
-        del starts[count - done:]
-        if starts:
-            last = starts[-1]
-            if first + last + step[last] > bit_count:
-                raise ValueError("bit stream exhausted")
-            out[done:done + len(starts)] = syms[which[starts]]
-            done += len(starts)
-        if done < count and at < span:
+        walk = [at]
+        while jumps[at] != at:
+            at = jumps[at]
+            walk.append(at)
+        # the kept hops fill in the 7 starts after each step of the walk;
+        # past the walk's last start ``at`` they all repeat it
+        starts = np.empty((len(walk), 8), dtype=np.intp)
+        starts[:, 0] = walk
+        starts[:, 4] = hop4.take(starts[:, 0])
+        starts[:, 2::4] = hop2.take(starts[:, 0::4])
+        starts[:, 1::2] = hop.take(starts[:, 0::2])
+        starts = starts.reshape(-1)
+        n = int(step[at])
+        found = int(np.searchsorted(starts, at)) + (n > 0)
+        keep = min(found, count - done)
+        out[done:done + keep] = sym_of.take(window.take(starts[:keep]))
+        done += keep
+        if keep == found and first + at + n > bit_count:
+            raise ValueError("bit stream exhausted")
+        if done < count and not n:
             if first + at + width > bit_count:
                 raise ValueError("bit stream exhausted")
             raise ValueError(f"invalid code word at bit {first + at}")
-        pos = first + at
+        pos = first + at + n
     if done < count:
         raise ValueError("bit stream exhausted")
     return out

@@ -404,9 +404,11 @@ def check_huffman_decode(seed: int = 8, trials: int = 40) -> PropertyResult:
     """The table decoder against the per-bit reference on random prefix
     codes: an encoded stream decodes to its symbols under both, and the
     same stream cut short, or random bytes, give both the same symbols or
-    both a ValueError."""
+    both a ValueError. One table's stream is long enough to cross decode
+    chunks."""
     rng = np.random.default_rng(seed)
     long_codes = single = 0
+    crossed = False
     for i in range(trials):
         lengths = random_code_lengths(rng)
         long_codes += max(lengths.values()) >= 30
@@ -419,6 +421,18 @@ def check_huffman_decode(seed: int = 8, trials: int = 40) -> PropertyResult:
                  (payload, bits - cut, len(symbols), None),
                  (noise, int(rng.integers(0, 8 * len(noise) + 1)), int(rng.integers(0, 60)),
                   None)]
+        if not crossed and (long_codes or i == trials - 1):
+            # the first table with 30+ bit codes also decodes its symbols
+            # repeated past two decode chunks, and that stream with one
+            # byte flipped in its second chunk
+            crossed = True
+            unit = symbols or list(lengths)
+            repeats = 2 * huffman._CHUNK_BITS // huffman.encoded_bits(unit, lengths) + 1
+            long_payload, long_bits = huffman.encode(unit * repeats, lengths)
+            flipped = bytearray(long_payload)
+            flipped[huffman._CHUNK_BITS * 3 // 16] ^= 0xFF
+            cases += [(long_payload, long_bits, len(unit) * repeats, unit * repeats),
+                      (bytes(flipped), long_bits, len(unit) * repeats, None)]
         for data, bit_count, count, expected in cases:
             want = _decode_outcome(huffman_decode_reference, data, bit_count, lengths, count)
             got = _decode_outcome(huffman.decode, data, bit_count, lengths, count)

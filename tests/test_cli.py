@@ -189,6 +189,19 @@ class TestSweep:
                        "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == f"error: unknown metric {axis!r}\n"
 
+    @pytest.mark.parametrize("epsilon", ["nan", "-1", "inf"])
+    def test_bad_epsilon_exits_2_naming_it(self, tmp_path, capsys, epsilon):
+        # with the default --epsilon 0.005 this grid saturates at p = 0.75
+        grid = self.write_grid(tmp_path, {"p": [0.5, 0.75, 1.0]})
+        acc = tmp_path / "acc.csv"
+        acc.write_text("p,top5_error\n0.5,0.31\n0.75,0.262\n1.0,0.26\n")
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
+                       "--accuracy", str(acc), "--saturation-axis", "total_macs",
+                       "--epsilon", epsilon, "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == (
+            f"error: --epsilon must be finite and non-negative, got {float(epsilon)}\n")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestPareto:
     def test_three_point_example(self, tmp_path, capsys):
@@ -224,6 +237,15 @@ class TestCheck:
                        "--constraints", str(constraints)) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("error", ["-1", "1.5", "nan"])
+    def test_top5_error_outside_unit_interval_exits_2(self, tmp_path, capsys, error):
+        constraints = tmp_path / "constraints.json"
+        constraints.write_text(json.dumps({"max_top5_error": 0.2}))
+        assert run_cli("check", "--family", "squeezenet", "--constraints", str(constraints),
+                       "--top5-error", error) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --top5-error must be in [0, 1], got {float(error)}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["8M", True], ids=["string", "bool"])
     def test_non_numeric_platform_value_exits_2_naming_it(self, tmp_path, capsys, value):

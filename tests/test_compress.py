@@ -428,6 +428,68 @@ class TestHuffman:
         with pytest.raises(ValueError, match=message):
             huffman.encode([0, 1], lengths)
 
+    @staticmethod
+    def pack(bits: str) -> bytes:
+        return np.packbits(np.array([int(b) for b in bits], dtype=np.uint8)).tobytes()
+
+    def test_multi_chunk_streams_match_the_per_bit_reference(self, monkeypatch):
+        monkeypatch.setattr(huffman, "_CHUNK_BITS", 64)
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            lengths = properties.random_code_lengths(rng)
+            symbols = rng.choice(list(lengths), size=int(rng.integers(20, 200))).tolist()
+            payload, bits = huffman.encode(symbols, lengths)
+            flipped = bytearray(payload)
+            flipped[int(rng.integers(len(payload)))] ^= int(rng.integers(1, 256))
+            for data, bit_count, count in [(payload, bits, len(symbols)),
+                                           (payload, bits, len(symbols) // 2),
+                                           (payload, bits - 1, len(symbols)),
+                                           (bytes(flipped), bits, len(symbols))]:
+                try:
+                    want = properties.huffman_decode_reference(data, bit_count, lengths, count)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        huffman.decode(data, bit_count, lengths, count)
+                else:
+                    assert huffman.decode(data, bit_count, lengths, count).tolist() == want
+
+    # {0: 1, 1: 3, 2: 3} is 0, 100, 101: a word starting 11 is invalid. 45
+    # symbols (0, 1, 2) * 15 take 105 bits: 28 in the first 64-bit chunk,
+    # then 17 (not a multiple of 8) in the second
+    SHORT_CODE = {0: 1, 1: 3, 2: 3}
+    SHORT_STREAM = "0100101" * 15
+
+    def test_invalid_code_word_inside_a_hop_past_the_first_chunk(self, monkeypatch):
+        monkeypatch.setattr(huffman, "_CHUNK_BITS", 64)
+        data = self.pack(self.SHORT_STREAM + "110")
+        with pytest.raises(ValueError, match=r"^invalid code word at bit 105$"):
+            huffman.decode(data, 108, self.SHORT_CODE, 46)
+        # the last window reaches past the bit count: exhausted, not invalid
+        with pytest.raises(ValueError, match=r"^bit stream exhausted$"):
+            huffman.decode(data, 107, self.SHORT_CODE, 46)
+        # the count is reached just before the invalid code word
+        assert huffman.decode(data, 108, self.SHORT_CODE, 45).tolist() == [0, 1, 2] * 15
+
+    def test_last_code_past_the_bit_count_is_exhausted(self, monkeypatch):
+        monkeypatch.setattr(huffman, "_CHUNK_BITS", 64)
+        data = self.pack(self.SHORT_STREAM)
+        with pytest.raises(ValueError, match=r"^bit stream exhausted$"):
+            huffman.decode(data, 104, self.SHORT_CODE, 45)
+        assert huffman.decode(data, 104, self.SHORT_CODE, 44).tolist() == [0, 1, 2] * 14 + [0, 1]
+
+    def test_codes_longer_than_the_table(self, monkeypatch):
+        # lengths 1..39 and one 40-bit code (1 x 39, 0): the all-ones 40-bit
+        # word is invalid
+        monkeypatch.setattr(huffman, "_CHUNK_BITS", 64)
+        lengths = {sym: sym + 1 for sym in range(39)} | {39: 40}
+        stream = "1" * 13 + "0" + "1" * 39 + "0" + "0" * 20 + "1" * 40 + "0"
+        data = self.pack(stream)
+        with pytest.raises(ValueError, match=r"^invalid code word at bit 74$"):
+            huffman.decode(data, len(stream), lengths, 23)
+        assert huffman.decode(data, len(stream), lengths, 22).tolist() == [13, 39] + [0] * 20
+        with pytest.raises(ValueError, match=r"^bit stream exhausted$"):
+            huffman.decode(data, 52, lengths, 2)
+
     def test_decode_matches_the_per_bit_reference_on_bad_streams(self):
         lengths = {0: 1, 1: 3, 2: 3}  # incomplete: prefix 11 is no code word
         for data, bits, count in [(b"\x20", 3, 3), (b"\xc0", 8, 1), (b"\x00", 8, 9),
