@@ -202,6 +202,74 @@ class TestSweep:
             f"error: --epsilon must be finite and non-negative, got {float(epsilon)}\n")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_saturating_run_stdout_and_marks(self, tmp_path, capsys):
+        # p = 0.75 is dominated by p = 0.5; nothing after p = 0.5 beats it by 0.005
+        grid = self.write_grid(tmp_path, {"p": [0.25, 0.5, 0.75, 1.0]})
+        acc = tmp_path / "acc.csv"
+        acc.write_text("p,top5_error\n0.25,0.31\n0.5,0.262\n0.75,0.27\n1.0,0.26\n")
+        out = tmp_path / "sat"
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
+                       "--accuracy", str(acc), "--saturation-axis", "total_macs",
+                       "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (f"4 design points -> {out}.csv, {out}.json\n"
+                                "pareto front: 3 point(s)\n"
+                                "saturation: {'p': 0.5}\n")
+        assert captured.err == ""
+        rows = [line.split(",") for line in (tmp_path / "sat.csv").read_text().splitlines()]
+        assert rows[0][-3:] == ["top5_error", "pareto", "saturation"]
+        assert [(row[0], row[-2], row[-1]) for row in rows[1:]] == [
+            ("0.25", "1", "0"), ("0.5", "1", "1"), ("0.75", "0", "0"), ("1.0", "1", "0")]
+        points = json.loads((tmp_path / "sat.json").read_text())["points"]
+        assert [(p["pareto"], p["saturation"]) for p in points] == [
+            (True, False), (True, True), (False, False), (True, False)]
+
+    def test_unsaturated_run_has_no_saturation_column(self, tmp_path, capsys):
+        # every point improves on the one before by more than 0.005, and
+        # the p = 0.9 row names no grid cell
+        grid = self.write_grid(tmp_path, {"p": [0.25, 0.5, 0.75]})
+        acc = tmp_path / "acc.csv"
+        acc.write_text("p,top5_error\n0.25,0.31\n0.5,0.25\n0.75,0.2\n0.9,0.19\n")
+        out = tmp_path / "open"
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
+                       "--accuracy", str(acc), "--saturation-axis", "total_macs",
+                       "--out", str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (f"3 design points -> {out}.csv, {out}.json\n"
+                                "pareto front: 3 point(s)\n"
+                                "saturation: none (still improving at the largest point)\n")
+        assert captured.err == ("warning: accuracy row matched no design point: "
+                                "{'p': 0.9, 'top5_error': 0.19}\n")
+        assert (tmp_path / "open.csv").read_text() == (
+            "p,total_params,storage_bytes,total_macs,peak_activation_bytes,"
+            "energy_per_frame,fps_proxy,ota_bytes,top5_error,pareto\n"
+            "0.25,1002664,4010656,633782560,9462528,0.0031434719599999997,"
+            "15.778282065697738,4010656,0.31,1\n"
+            "0.5,1248424,4993696,832667936,9462528,0.003342357336,"
+            "12.009589378496255,4993696,0.25,1\n"
+            "0.75,1494184,5976736,1031553312,9462528,0.0035412427119999998,"
+            "9.69411845579921,5976736,0.2,1\n")
+        doc = json.loads((tmp_path / "open.json").read_text())
+        assert doc["saturation"] is None
+        assert doc["unmatched_accuracy_rows"] == [{"p": 0.9, "top5_error": 0.19}]
+        assert [p["saturation"] for p in doc["points"]] == [False, False, False]
+
+    @pytest.mark.parametrize("grid", [[0.5], {"p": 0.5}, None], ids=["list", "scalar", "null"])
+    def test_grid_that_is_not_axis_lists_exits_2(self, tmp_path, capsys, grid):
+        path = self.write_grid(tmp_path, grid)
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", path,
+                       "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == "error: grid file must map axis names to value lists\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_saturation_axis_without_accuracy_exits_2(self, tmp_path, capsys):
+        grid = self.write_grid(tmp_path, {"p": [0.5, 0.75]})
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
+                       "--saturation-axis", "total_macs", "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == (
+            "error: --saturation-axis needs an accuracy table covering every point\n")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestPareto:
     def test_three_point_example(self, tmp_path, capsys):
@@ -218,6 +286,30 @@ class TestPareto:
         points.write_text("total_params\n1\n")
         assert run_cli("pareto", "--points", str(points),
                        "--objectives", "top5_error:min") == 2
+
+    @pytest.mark.parametrize("text, objectives, message", [
+        ("", "total_params:min", "points file has no header row"),
+        ("total_params\n1\n", ",", "no objectives given"),
+        ("total_params,top5_error\n1,0.2\nabc,0.1\n", "total_params",
+         "metric 'total_params' has non-numeric value 'abc'"),
+    ], ids=["no_header", "no_objectives", "non_numeric_cell"])
+    def test_refusal_exits_2_naming_it(self, tmp_path, capsys, text, objectives, message):
+        points = tmp_path / "points.csv"
+        points.write_text(text)
+        assert run_cli("pareto", "--points", str(points), "--objectives", objectives) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_out_file_gets_the_front_and_stdout_the_count(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text("name,total_params,top5_error\na,1,0.2\nb,2,0.1\nc,3,0.1\n")
+        out = tmp_path / "front.csv"
+        assert run_cli("pareto", "--points", str(points),
+                       "--objectives", " total_params , top5_error:min ,",
+                       "--out", str(out)) == 0
+        assert capsys.readouterr().out == f"2 of 3 points -> {out}\n"
+        assert out.read_bytes() == b"name,total_params,top5_error\r\na,1,0.2\r\nb,2,0.1\r\n"
 
 
 class TestCheck:
