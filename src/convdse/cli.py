@@ -9,6 +9,8 @@ tables read the same records.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import math
 import sys
@@ -100,20 +102,22 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _sweep_csv(axes: list[str], points: list[DesignPoint], pareto_idx: set[int],
-               saturation_idx: Optional[int]) -> str:
+def _sweep_csv(axes: list[str], points: list[DesignPoint],
+               marks: list[tuple[bool, bool]]) -> str:
     metrics = [f.name for f in fields(MetricsReport) if f.metadata]
+    # a saturation column only when some point is the saturation point
+    saturated = any(is_saturation for _, is_saturation in marks)
     header = list(axes) + metrics + ["top5_error", "pareto"]
-    if saturation_idx is not None:
+    if saturated:
         header.append("saturation")
     lines = [",".join(header)]
-    for i, point in enumerate(points):
+    for point, (on_front, is_saturation) in zip(points, marks):
         cells = [_format_cell(point.metaparams.get(a)) for a in axes]
         cells += [_format_cell(getattr(point.metrics, m)) for m in metrics]
         cells.append(_format_cell(point.top5_error))
-        cells.append("1" if i in pareto_idx else "0")
-        if saturation_idx is not None:
-            cells.append("1" if i == saturation_idx else "0")
+        cells.append("1" if on_front else "0")
+        if saturated:
+            cells.append("1" if is_saturation else "0")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -139,11 +143,6 @@ def cmd_sweep(args) -> int:
     have_error = all(p.top5_error is not None for p in points)
     objectives = ([("total_params", "min"), ("top5_error", "min")] if have_error
                   else [("total_params", "min"), ("total_macs", "min")])
-    front = explore.pareto_front(points, objectives)
-    front_ids = {id(p) for p in front}
-    pareto_idx = {i for i, p in enumerate(points) if id(p) in front_ids}
-
-    saturation_idx: Optional[int] = None
     saturation_point = None
     if args.saturation_axis:
         if not have_error:
@@ -151,11 +150,9 @@ def cmd_sweep(args) -> int:
         ordered = sorted(points, key=lambda p: p.value_of(args.saturation_axis))
         saturation_point = explore.find_saturation(ordered, args.epsilon,
                                                    args.saturation_axis)
-        if saturation_point is not None:
-            saturation_idx = next(i for i, p in enumerate(points)
-                                  if p is saturation_point)
+    front_ids = {id(p) for p in explore.pareto_front(points, objectives)}
+    marks = [(id(p) in front_ids, p is saturation_point) for p in points]
 
-    csv_text = _sweep_csv(list(grid), points, pareto_idx, saturation_idx)
     doc = {
         "family": args.family,
         "grid": grid,
@@ -165,10 +162,10 @@ def cmd_sweep(args) -> int:
                 "metaparams": p.metaparams,
                 "metrics": p.metrics.to_dict(),
                 "top5_error": p.top5_error,
-                "pareto": i in pareto_idx,
-                "saturation": saturation_idx is not None and i == saturation_idx,
+                "pareto": on_front,
+                "saturation": is_saturation,
             }
-            for i, p in enumerate(points)
+            for p, (on_front, is_saturation) in zip(points, marks)
         ],
         "unmatched_accuracy_rows": unmatched,
         "saturation": None if saturation_point is None else {
@@ -180,12 +177,12 @@ def cmd_sweep(args) -> int:
     csv_path = f"{args.out}.csv"
     json_path = f"{args.out}.json"
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
+        fh.write(_sweep_csv(list(grid), points, marks))
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     print(f"{len(points)} design points -> {csv_path}, {json_path}")
-    print(f"pareto front: {len(pareto_idx)} point(s)")
+    print(f"pareto front: {sum(on_front for on_front, _ in marks)} point(s)")
     if args.saturation_axis:
         if saturation_point is None:
             print("saturation: none (still improving at the largest point)")
@@ -219,24 +216,19 @@ def _parse_objectives(spec: str) -> list[tuple[str, str]]:
 
 
 def cmd_pareto(args) -> int:
-    import csv as csv_mod
-
     objectives = _parse_objectives(args.objectives)
     with open(args.points, "r", encoding="utf-8", newline="") as fh:
-        reader = csv_mod.DictReader(fh)
+        reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SweepError("points file has no header row")
         fieldnames = list(reader.fieldnames)
         rows = list(reader)
     front = explore.pareto_front(rows, objectives, _row_value)
-    out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv_mod.DictWriter(out, fieldnames=fieldnames)
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        writer = csv.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(front)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if args.out:
         print(f"{len(front)} of {len(rows)} points -> {args.out}")
     return 0

@@ -136,8 +136,12 @@ def build_family(family: str, metaparams: dict) -> ArchGraph:
         raise SweepError(f"family {family!r}, metaparameters {metaparams}: {exc}") from exc
 
 
+#: the most grid cells one sweep evaluates
+_MAX_POINTS = 4096
+
+
 def sweep(family: str, grid: dict[str, Sequence], platform: PlatformSpec,
-          max_points: int = 4096, batch: int = 1) -> list[DesignPoint]:
+          batch: int = 1) -> list[DesignPoint]:
     """One design point per grid cell, in lexicographic order over the grid
     axes as given. Deterministic: same grid and platform, same points."""
     axes = list(grid.keys())
@@ -145,8 +149,8 @@ def sweep(family: str, grid: dict[str, Sequence], platform: PlatformSpec,
         if not grid[axis]:
             raise SweepError(f"grid axis {axis!r} has no values")
     total = math.prod(len(grid[a]) for a in axes) if axes else 1
-    if total > max_points:
-        raise SweepError(f"grid has {total} cells, exceeding the cap of {max_points}")
+    if total > _MAX_POINTS:
+        raise SweepError(f"grid has {total} cells, exceeding the cap of {_MAX_POINTS}")
     points = []
     for combo in itertools.product(*(grid[a] for a in axes)):
         metaparams = dict(zip(axes, combo))
@@ -191,36 +195,29 @@ def attach_accuracy(points: Sequence[DesignPoint],
     """Join recorded accuracy onto matching points. Returns the new points
     plus any table rows that matched nothing. Conflicting duplicate rows
     are an error; identical duplicates are tolerated."""
-    keys: Optional[tuple[str, ...]] = None
-    for row in table:
-        row_keys = tuple(sorted(k for k in row if k != "top5_error"))
-        if keys is None:
-            keys = row_keys
-        elif row_keys != keys:
-            raise SweepError("accuracy table rows disagree on metaparam columns")
+    keys = tuple(sorted(table[0].keys() - {"top5_error"})) if table else ()
     seen: dict[tuple, float] = {}
     for row in table:
-        key = tuple(_norm(row[k]) for k in (keys or ()))
+        if tuple(sorted(row.keys() - {"top5_error"})) != keys:
+            raise SweepError("accuracy table rows disagree on metaparam columns")
+        key = tuple(_norm(row[k]) for k in keys)
         if key in seen and seen[key] != row["top5_error"]:
             raise SweepError(f"accuracy table has conflicting rows for {dict(zip(keys, key))}")
         seen[key] = row["top5_error"]  # type: ignore[assignment]
-    if keys:
-        for point in points:
-            missing = [k for k in keys if k not in point.metaparams]
-            if missing:
-                raise SweepError(f"accuracy table column(s) {missing} are not "
-                                 f"metaparameters of the swept points")
 
     out = []
     matched_rows: set[tuple] = set()
     for point in points:
-        key = tuple(_norm(point.metaparams[k]) for k in (keys or ()))
-        if table and key in seen:
+        missing = [k for k in keys if k not in point.metaparams]
+        if missing:
+            raise SweepError(f"accuracy table column(s) {missing} are not "
+                             f"metaparameters of the swept points")
+        key = tuple(_norm(point.metaparams[k]) for k in keys)
+        if key in seen:
             matched_rows.add(key)
-            out.append(replace(point, top5_error=seen[key]))
-        else:
-            out.append(point)
-    unmatched = [dict(zip(keys or (), key)) | {"top5_error": err}
+            point = replace(point, top5_error=seen[key])
+        out.append(point)
+    unmatched = [dict(zip(keys, key)) | {"top5_error": err}
                  for key, err in seen.items() if key not in matched_rows]
     return out, unmatched
 
@@ -237,22 +234,21 @@ def find_saturation(points: Sequence[DesignPoint], epsilon: float = 0.005,
     """
     if not points:
         raise SweepError("find_saturation needs at least one point")
-    errors = []
-    for point in points:
-        if point.top5_error is None:
-            raise SweepError("every point needs a recorded top5_error")
-        errors.append(point.top5_error)
+    errors = [point.top5_error for point in points]
+    if None in errors:
+        raise SweepError("every point needs a recorded top5_error")
     sizes = [point.value_of(axis) for point in points]
     for a, b in zip(sizes, sizes[1:]):
         if not b > a:
             raise SweepError(f"points must be strictly increasing along {axis!r}")
-    n = len(points)
-    for i in range(n - 1):
-        best_later = min(errors[i + 1:])
+    # scan down from the largest point; the last point marked is the smallest
+    found = points[0] if len(points) == 1 else None
+    best_later = errors[-1]
+    for i in range(len(points) - 2, -1, -1):
         if best_later >= errors[i] - epsilon:
-            return points[i]
-    # falling through means even the last point beat its predecessor
-    return points[0] if n == 1 else None
+            found = points[i]
+        best_later = min(best_later, errors[i])
+    return found
 
 
 def pareto_front(points: Sequence, objectives: Sequence[tuple[str, str]],

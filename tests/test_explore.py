@@ -92,8 +92,8 @@ class TestSweep:
 
     def test_cap(self):
         with pytest.raises(SweepError, match="cap"):
-            sweep("squeezenet", {"p": [0.1 * i for i in range(1, 10)]}, PLATFORM,
-                  max_points=4)
+            sweep("squeezenet", {"p": [0.01 * i for i in range(1, 66)],
+                                 "pool_count": list(range(1, 65))}, PLATFORM)
 
     def test_three_axis_product(self):
         grid = {"p": PAPER_P_VALUES, "pool_placement": ["early", "even", "late"],
