@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar, Optional, get_args, get_type_hints
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
@@ -43,7 +44,7 @@ class NumericConfig:
                 continue
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"{type(self).__name__}.{f.name} must be a number, got {v!r}")
-            if isinstance(v, float) and not math.isfinite(v):
+            if not abs(v) <= sys.float_info.max:  # NaN, infinity, or an int no float holds
                 raise ValueError(f"{type(self).__name__}.{f.name} must be finite, got {v!r}")
             if not isinstance(v, int) and int in (hints[f.name], *get_args(hints[f.name])):
                 raise ValueError(f"{type(self).__name__}.{f.name} must be an integer, got {v!r}")
@@ -58,6 +59,9 @@ class NumericConfig:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"{cls.label}: unknown key(s) {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
+        if missing:
+            raise ValueError(f"{cls.label}: missing key(s) {sorted(missing)}")
         return cls(**d)
 
     @classmethod
@@ -242,14 +246,19 @@ def energy_from_counts(total_macs: int, total_params: int, activation_words: int
 
 def report(graph: ArchGraph, platform: PlatformSpec = DEFAULT_PLATFORM,
            batch: int = 1) -> MetricsReport:
-    """Assemble the full metric vector for one architecture."""
+    """Assemble the full metric vector for one architecture. A metric past
+    the float range is a ValueError naming the graph."""
     table = layer_costs(graph)
     params = sum(row.params for row in table)
     macs = sum(row.macs for row in table)
     storage = params * platform.word_bytes
     peak = max(row.live_words for row in table) * platform.word_bytes
-    energy = energy_from_counts(macs, params, _traffic_words(table), peak, platform, batch)
-    fps = platform.macs_per_second / macs if macs > 0 else math.inf
+    try:
+        energy = energy_from_counts(macs, params, _traffic_words(table), peak, platform, batch)
+        fps = platform.macs_per_second / macs if macs > 0 else math.inf
+        float(storage + peak)  # the tables print byte counts as floats too
+    except OverflowError as exc:
+        raise ValueError(f"graph {graph.name!r}: cost metrics overflow a float ({exc})") from None
     return MetricsReport(
         name=graph.name,
         total_params=params,

@@ -102,6 +102,28 @@ class TestDescribe:
         assert run_cli("describe", "--family", "squeezenet", "--pool-count", "0") == 2
         assert "pool_count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arch, platform, name", [
+        # 10**312 MACs: the energy product leaves the float range
+        ({"name": "big", "nodes": [
+            {"id": "in", "op": "input", "params": {"height": 8, "width": 8, "channels": 3},
+             "inputs": []},
+            {"id": "c", "op": "conv", "params": {"kernel": 1, "filters": 10**310},
+             "inputs": ["in"]}]}, PLATFORM, "big"),
+        # the energy fits, but alexnet's 61M parameters of 10**301 bytes do not
+        (None, {**PLATFORM, "word_bytes": 10**301}, "alexnet"),
+    ], ids=["filters_1e310", "word_bytes_1e301"])
+    def test_costs_past_float_range_exit_2_naming_the_graph(self, tmp_path, capsys, arch,
+                                                            platform, name):
+        (tmp_path / "platform.json").write_text(json.dumps(platform))
+        source = ["--family", "alexnet"]
+        if arch is not None:
+            (tmp_path / "arch.json").write_text(json.dumps(arch))
+            source = ["--arch", str(tmp_path / "arch.json")]
+        assert run_cli("describe", *source, "--platform", str(tmp_path / "platform.json")) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: graph {name!r}: cost metrics overflow a float (")
+        assert captured.out == ""
+
 
 class TestSweep:
     def write_grid(self, tmp_path, grid):
@@ -398,6 +420,34 @@ class TestCheck:
         config.write_text(text)
         assert run_cli(command, "--family", "alexnet", option, str(config)) == 2
         assert f"error: {label}: top level must be an object" in capsys.readouterr().err
+
+    def test_missing_platform_key_exits_2_naming_it(self, tmp_path, capsys):
+        platform = tmp_path / "platform.json"
+        platform.write_text(json.dumps({"e_mac": 1e-12, "macs_per_second": 1e10}))
+        assert run_cli("describe", "--family", "alexnet", "--platform", str(platform)) == 2
+        assert capsys.readouterr().err == (
+            "error: platform config: missing key(s) ['on_chip_bytes']\n")
+
+    @pytest.mark.parametrize("command, option, config, field", [
+        ("describe", "--platform", {**PLATFORM, "macs_per_second": 10**400},
+         "PlatformSpec.macs_per_second"),
+        ("describe", "--platform", {**PLATFORM, "offchip_ratio": 10**400},
+         "PlatformSpec.offchip_ratio"),
+        ("describe", "--platform", {**PLATFORM, "word_bytes": 10**400},
+         "PlatformSpec.word_bytes"),
+        ("check", "--constraints", {"max_energy_per_frame": 10**400},
+         "ConstraintSet.max_energy_per_frame"),
+        ("check", "--constraints", {"max_onchip_bytes": 10**400},
+         "ConstraintSet.max_onchip_bytes"),
+    ], ids=["macs_per_second", "offchip_ratio", "word_bytes", "max_energy_per_frame",
+            "max_onchip_bytes"])
+    def test_integer_past_float_range_exits_2_naming_it(self, tmp_path, capsys, command,
+                                                        option, config, field):
+        # JSON writes 10**400 as a 1 and 400 zeros, an integer no float holds
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(command, "--family", "squeezenet", option, str(path)) == 2
+        assert capsys.readouterr().err == f"error: {field} must be finite, got {10**400}\n"
 
 
 class TestCompressionCommands:
