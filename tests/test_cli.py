@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -554,6 +555,43 @@ class TestCompressionCommands:
     def test_unallocatable_shape_exits_3_naming_the_tensor(self, tmp_path, capsys, shape):
         assert self._decompress(tmp_path, replace(self._record(), shape=shape)) == 3
         assert f"t: cannot allocate {math.prod(shape)} elements" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", [0, 17])
+    def test_invalid_gap_width_exits_3(self, tmp_path, capsys, width):
+        # byte 28 is the gap width: 12 bytes of container head, the u32 body
+        # length, then the tensor header of 't' with shape (4, 5)
+        data = bytearray(compress.write_sdnc(compress.CompressedModel((self._record(),))))
+        (body_len,) = struct.unpack_from("<I", data, 12)
+        data[28] = width
+        struct.pack_into("<I", data, 16 + body_len, zlib.crc32(data[16:16 + body_len]))
+        sdnc = tmp_path / "w.sdnc"
+        sdnc.write_bytes(bytes(data))
+        assert run_cli("decompress", "--in", str(sdnc), "--out", str(tmp_path / "x.sdnw")) == 3
+        assert capsys.readouterr().err == (
+            f"error: SDNC: t: invalid gap width {width} at offset 28\n")
+
+    # the record holds 13 nonzeros of 20 elements, at positions up to 19
+    @pytest.mark.parametrize("change, message", [
+        ({"nonzero_count": 12}, "t: decoded 13 nonzeros, header declares 12"),
+        ({"shape": (13,)}, "t: decoded position 13 exceeds element count 13"),
+    ], ids=["nonzero_count_off_by_one", "shape_too_small"])
+    def test_header_that_disagrees_with_the_streams_exits_3(self, tmp_path, capsys, change,
+                                                            message):
+        assert self._decompress(tmp_path, replace(self._record(), **change)) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_sdnw_unknown_dtype_exits_3_naming_the_tensor(self, tmp_path, capsys):
+        data = bytearray(weights.write_sdnw([weights.WeightTensor("t", (2,), [1.0, 2.0])]))
+        # the dtype code follows the 12-byte head and the header of 't', shape (2,)
+        assert data[20] == 0
+        data[20] = 1
+        sdnw = tmp_path / "w.sdnw"
+        sdnw.write_bytes(bytes(data))
+        assert run_cli("compress", "--weights", str(sdnw),
+                       "--out", str(tmp_path / "w.sdnc")) == 3
+        assert capsys.readouterr().err == (
+            "error: SDNW: tensor 't' has unknown dtype code 1 at offset 20\n")
+        assert not (tmp_path / "w.sdnc").exists()
 
     def test_sdnw_zero_dimension_exits_3_naming_the_tensor(self, tmp_path, capsys):
         name = b"conv1.weight"

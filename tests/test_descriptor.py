@@ -141,3 +141,38 @@ def test_bad_params_name_node_and_field(op, field, params):
     where = "nodes[0] (in)" if op == "input" else "nodes[1] (x)"
     with pytest.raises(DescriptorError, match=re.escape(where) + f".*'{field}'"):
         parse(_one_op(op, params))
+
+
+# (descriptor document, exact message); each names the node, or the top level
+STRUCTURE_REFUSALS = {
+    "top_level_list": ([], "top level must be an object"),
+    "name_number": ({"name": 3, "nodes": []}, "top level: field 'name' must be a string"),
+    "nodes_object": ({"name": "x", "nodes": {}}, "top level: field 'nodes' must be a list"),
+    "node_number": ({"name": "x", "nodes": [3]}, "nodes[0]: must be an object"),
+    "id_number": ({"name": "x", "nodes": [{"id": 5, "op": "input"}]},
+                  "nodes[0]: field 'id' must be a non-empty string"),
+    "id_empty": ({"name": "x", "nodes": [{"id": "", "op": "input"}]},
+                 "nodes[0]: field 'id' must be a non-empty string"),
+    "op_number": ({"name": "x", "nodes": [{"id": "q", "op": 5}]},
+                  "nodes[0] (q): field 'op' must be a string"),
+    "params_list": ({"name": "x", "nodes": [{"id": "q", "op": "input", "params": []}]},
+                    "nodes[0] (q): field 'params' must be an object"),
+    "inputs_string": ({"name": "x", "nodes": [
+        {"id": "q", "op": "input", "params": VALID["input"], "inputs": "in"}]},
+        "nodes[0] (q): field 'inputs' must be a list of node ids"),
+    "inputs_number_id": ({"name": "x", "nodes": [
+        {"id": "q", "op": "input", "params": VALID["input"], "inputs": [1]}]},
+        "nodes[0] (q): field 'inputs' must be a list of node ids"),
+    "height_zero": (json.loads(_one_op("input", VALID["input"] | {"height": 0})),
+                    "nodes[0] (in): height must be a positive integer, got 0"),
+    "pool_kind_middle": (json.loads(_one_op("pool", VALID["pool"] | {"kind": "middle"})),
+                         "nodes[1] (x): Pool.kind must be 'max' or 'avg', got 'middle'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_REFUSALS))
+def test_malformed_structure_is_refused_naming_the_spot(case):
+    doc, message = STRUCTURE_REFUSALS[case]
+    with pytest.raises(DescriptorError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == message

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from convdse.graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool,
@@ -95,6 +97,25 @@ class TestValidate:
                                  ("a", ReLU()), ("b", ReLU()), ("c", ReLU())),
                       {"input": (), "a": ("input",), "b": ("c",), "c": ("b",)})
         assert validate(g)  # unreachable pair also forms a cycle; either is reported
+
+    # (nodes, preds, one exact violation validate must report)
+    @pytest.mark.parametrize("nodes, preds, violation", [
+        ((("in", Input(TensorShape(4, 4, 3))), ("r", ReLU())),
+         {"in": (), "r": ("ghost",)}, "r: references unknown input 'ghost'"),
+        ((("a", Input(TensorShape(4, 4, 3))), ("b", Input(TensorShape(4, 4, 3))),
+          ("c", Concat())),
+         {"a": (), "b": (), "c": ("a", "b")}, "graph: multiple Input nodes (a, b)"),
+        ((("a", Input(TensorShape(4, 4, 3))), ("b", Input(TensorShape(4, 4, 3)))),
+         {"a": (), "b": ("a",)}, "b: Input node must have no predecessors"),
+        # x has no predecessor, so neither x nor the y it feeds hangs off the Input
+        ((("a", Input(TensorShape(4, 4, 3))), ("x", ReLU()), ("y", ReLU()), ("c", Concat())),
+         {"a": (), "x": (), "y": ("x",), "c": ("a", "y")}, "y: not reachable from Input"),
+    ], ids=["unknown_input", "two_inputs", "input_with_predecessor", "unreachable"])
+    def test_structural_violation_names_the_node(self, nodes, preds, violation):
+        violations = validate(ArchGraph("g", nodes, preds))
+        assert violation in violations
+        with pytest.raises(GraphError, match=re.escape(violation)):
+            infer_shapes(ArchGraph("g", nodes, preds))
 
 
 class TestInferShapes:
