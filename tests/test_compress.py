@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from convdse import huffman, properties
+from convdse.cli import main
 from convdse.compress import (CompressedFormatError, compress_model, compression_report,
                               decode_model, encode, kmeans_quantize, prune_magnitude,
                               quantization_mse, read_sdnc, write_sdnc)
@@ -586,3 +587,94 @@ class TestContainerRobustness:
             assert type(info.value) is error
             assert text.startswith(f"{fmt}: ") and self.MESSAGES[kind] in text, text
             assert re.search(r"at offset \d+$", text), text
+
+
+class TestChecksumAwareMutation:
+    """Seeded mutation of whole containers. An SDNC mutant changes 1-3 bytes
+    of one frame body and then recomputes that frame's CRC32, so it reaches
+    the parser and the decoder behind the checksum; an SDNW mutant changes
+    1-3 bytes anywhere. Each must read or raise its container's format
+    error, never another exception."""
+
+    SEED = 2010
+
+    @staticmethod
+    def tensors():
+        rng = np.random.default_rng(14)
+        return [wt(rng.standard_normal(216), "conv1.weight", (8, 3, 3, 3)),
+                wt(rng.standard_normal(40), "fc.weight", (4, 10))]
+
+    @staticmethod
+    def frames(data):
+        """(body start, body length) of every SDNC frame."""
+        spans, pos = [], 12
+        while pos < len(data):
+            (body_len,) = struct.unpack_from("<I", data, pos)
+            spans.append((pos + 4, body_len))
+            pos += 4 + body_len + 4
+        return spans
+
+    @staticmethod
+    def mutate(data, rng, lo, hi):
+        """Change 1-3 distinct bytes of ``data[lo:hi]``; returns the mutant
+        and the changed offsets."""
+        out = bytearray(data)
+        offsets = sorted(int(o) for o in rng.choice(np.arange(lo, hi), size=rng.integers(1, 4),
+                                                    replace=False))
+        for o in offsets:
+            out[o] ^= int(rng.integers(1, 256))
+        return out, offsets
+
+    def sdnc_mutants(self, data, count, rng, skip_header=False):
+        """``count`` SDNC mutants with each mutated frame's CRC recomputed.
+        ``skip_header`` leaves the tensor header (name and shape) alone."""
+        headers = [len(t.name) + 3 + 4 * len(t.shape) for t in self.tensors()]
+        for _ in range(count):
+            frame = int(rng.integers(len(headers)))
+            start, body_len = self.frames(data)[frame]
+            lo = start + headers[frame] if skip_header else start
+            out, offsets = self.mutate(data, rng, lo, start + body_len)
+            struct.pack_into("<I", out, start + body_len,
+                             zlib.crc32(out[start:start + body_len]))
+            yield bytes(out), offsets
+
+    def test_sdnc_mutants_decode_or_raise_the_format_error(self):
+        data = write_sdnc(compress_model(self.tensors(), 0.7, 3, rel_index_bits=2))
+        escapes = []
+        for mutant, offsets in self.sdnc_mutants(data, 2000, np.random.default_rng(self.SEED)):
+            try:
+                decode_model(read_sdnc(mutant))
+            except CompressedFormatError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - any other exception is the finding
+                escapes.append(f"offsets {offsets}: {type(exc).__name__}: {exc}")
+        assert not escapes, f"seed {self.SEED}: {len(escapes)} escapes, first: {escapes[:3]}"
+
+    def test_sdnw_mutants_read_or_raise_the_format_error(self):
+        data = write_sdnw(self.tensors())
+        rng = np.random.default_rng(self.SEED)
+        escapes = []
+        for _ in range(2000):
+            mutant, offsets = self.mutate(data, rng, 0, len(data))
+            try:
+                read_sdnw(bytes(mutant))
+            except WeightFormatError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - any other exception is the finding
+                escapes.append(f"offsets {offsets}: {type(exc).__name__}: {exc}")
+        assert not escapes, f"seed {self.SEED}: {len(escapes)} escapes, first: {escapes[:3]}"
+
+    def test_decompress_exits_0_or_3_on_mutants(self, tmp_path, capsys):
+        # the tensor header is left alone: a changed dimension byte makes a
+        # valid tensor of up to gigabytes, which decompress would write out
+        data = write_sdnc(compress_model(self.tensors(), 0.7, 3, rel_index_bits=2))
+        sdnc, out = tmp_path / "m.sdnc", tmp_path / "m.sdnw"
+        codes = []
+        for mutant, offsets in self.sdnc_mutants(data, 20, np.random.default_rng(self.SEED + 1),
+                                                 skip_header=True):
+            sdnc.write_bytes(mutant)
+            code = main(["decompress", "--in", str(sdnc), "--out", str(out)])
+            assert code in (0, 3), f"seed {self.SEED + 1}, offsets {offsets}: exit {code}"
+            codes.append(code)
+        capsys.readouterr()
+        assert 3 in codes
