@@ -629,9 +629,10 @@ class TestChecksumAwareMutation:
         """``count`` SDNC mutants with each mutated frame's CRC recomputed.
         ``skip_header`` leaves the tensor header (name and shape) alone."""
         headers = [len(t.name) + 3 + 4 * len(t.shape) for t in self.tensors()]
+        spans = self.frames(data)
         for _ in range(count):
-            frame = int(rng.integers(len(headers)))
-            start, body_len = self.frames(data)[frame]
+            frame = int(rng.integers(len(spans)))
+            start, body_len = spans[frame]
             lo = start + headers[frame] if skip_header else start
             out, offsets = self.mutate(data, rng, lo, start + body_len)
             struct.pack_into("<I", out, start + body_len,
