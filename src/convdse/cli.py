@@ -86,7 +86,7 @@ def cmd_describe(args) -> int:
     platform = _load_platform(args.platform)
     m = report(graph, platform, batch=args.batch)
     if args.json:
-        print(json.dumps(m.to_dict(), indent=2))
+        print(json.dumps(m.to_dict(), indent=2, allow_nan=False))
     else:
         _print_table(_report_rows(m))
     return 0
@@ -174,13 +174,15 @@ def cmd_sweep(args) -> int:
             "metaparams": saturation_point.metaparams,
         },
     }
+    # serialized before either file opens, so a refused sweep leaves no
+    # partial output behind
+    json_text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     csv_path = f"{args.out}.csv"
     json_path = f"{args.out}.json"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(_sweep_csv(list(grid), points, marks))
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json_text)
     print(f"{len(points)} design points -> {csv_path}, {json_path}")
     print(f"pareto front: {sum(on_front for on_front, _ in marks)} point(s)")
     if args.saturation_axis:
@@ -271,7 +273,7 @@ def cmd_compress(args) -> int:
             "ratio": rep.ratio,
             "tensors": [asdict(r) | {"ratio": r.ratio} for r in rep.rows],
         }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, allow_nan=False))
     else:
         name_w = max([len(r.name) for r in rep.rows] + [6])
         print(f"{'tensor'.ljust(name_w)}  {'dense':>12}  {'coded':>12}  {'nnz':>10}  ratio")
@@ -301,7 +303,7 @@ def cmd_verify(args) -> int:
     failed = [r for r in results if not r.passed]
     if args.json:
         print(json.dumps({"checks": [asdict(r) for r in results], "passed": not failed},
-                         indent=2))
+                         indent=2, allow_nan=False))
     else:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}")

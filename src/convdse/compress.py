@@ -21,13 +21,17 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import huffman
 from .weights import (Cursor, WeightTensor, pack_container_head, pack_tensor_header,
                       read_container)
+
+# numpy is imported inside the functions that use it: `import convdse.cli`
+# loads this module, and the cost-side commands should start without
+# paying numpy's import.
+if TYPE_CHECKING:
+    import numpy as np
 
 SDNC_MAGIC = b"SDNC"
 SDNC_VERSION = 1
@@ -42,6 +46,7 @@ def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTenso
     lowest flat index first. The cut magnitude comes from one O(N)
     ``np.partition``: every entry below it is zeroed, then as many of the
     entries equal to it as the count still needs, in flat order."""
+    import numpy as np
     if not 0.0 <= target_sparsity < 1.0:
         raise ValueError(f"target_sparsity must be in [0, 1), got {target_sparsity!r}")
     values = tensor.values.copy()
@@ -70,6 +75,7 @@ class QuantizedTensor:
         return math.prod(self.shape)
 
     def dequantize(self) -> WeightTensor:
+        import numpy as np
         values = np.zeros(self.element_count(), dtype=np.float32)
         if self.positions.size:
             values[self.positions] = self.codebook[self.assignments]
@@ -93,6 +99,7 @@ def kmeans_quantize(tensor: WeightTensor, bits: int) -> QuantizedTensor:
     one ``searchsorted`` of the k - 1 midpoints, O(k log n), and the run
     sums with ``np.add.reduceat``. Only the final assignment visits every
     value, in position order."""
+    import numpy as np
     if not 1 <= bits <= 8:
         raise ValueError(f"bits must be in [1, 8], got {bits!r}")
     positions = np.nonzero(tensor.values)[0].astype(np.int64)
@@ -136,6 +143,7 @@ def kmeans_quantize(tensor: WeightTensor, bits: int) -> QuantizedTensor:
 
 def quantization_mse(tensor: WeightTensor, quantized: QuantizedTensor) -> float:
     """Mean squared error over the nonzero entries (0.0 for all-zero tensors)."""
+    import numpy as np
     if quantized.positions.size == 0:
         return 0.0
     original = tensor.values[quantized.positions].astype(np.float64)
@@ -171,6 +179,7 @@ def _gap_index_symbols(quantized: QuantizedTensor,
     records (gap 2**b - 1 plus one zero-valued padding slot each, so a gap g
     takes g >> b of them); the filler index symbol is one past the last
     codebook slot."""
+    import numpy as np
     gaps = np.diff(quantized.positions, prepend=-1) - 1
     fillers = gaps >> rel_index_bits
     # each nonzero's record follows its own fillers and all earlier records
@@ -185,6 +194,7 @@ def _gap_index_symbols(quantized: QuantizedTensor,
 
 def encode(quantized: Sequence[QuantizedTensor], rel_index_bits: int = 4) -> CompressedModel:
     """Entropy-code pruned+quantized tensors into a compressed model."""
+    import numpy as np
     if not 1 <= rel_index_bits <= 16:
         raise ValueError(f"rel_index_bits must be in [1, 16], got {rel_index_bits!r}")
     records = []
@@ -221,6 +231,7 @@ def _decode_stream(rec: CompressedTensor, stream: str) -> np.ndarray:
 
 def decode_model(model: CompressedModel) -> list[WeightTensor]:
     """Reconstruct the pruned+quantized tensors exactly."""
+    import numpy as np
     tensors = []
     for rec in model.records:
         n = math.prod(rec.shape)
@@ -316,6 +327,7 @@ def read_sdnc(data: bytes) -> CompressedModel:
 
 
 def _parse_record(r: Cursor) -> CompressedTensor:
+    import numpy as np
     name, shape = r.tensor_header()
     rel_index_bits, cb_size = r.unpack("BH")
     if not 1 <= rel_index_bits <= 16:
@@ -355,6 +367,7 @@ def compress_model(tensors: Sequence[WeightTensor], target_sparsity: float, bits
                    rel_index_bits: int = 4) -> CompressedModel:
     """Full pipeline: prune each tensor, quantize the survivors, encode.
     NaN or infinite weights are refused."""
+    import numpy as np
     quantized = []
     for t in tensors:
         # a float64 sum of float32 values cannot overflow, so it is finite

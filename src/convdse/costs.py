@@ -255,6 +255,9 @@ def report(graph: ArchGraph, platform: PlatformSpec = DEFAULT_PLATFORM,
     peak = max(row.live_words for row in table) * platform.word_bytes
     try:
         energy = energy_from_counts(macs, params, _traffic_words(table), peak, platform, batch)
+        # float products of finite operands overflow to inf without raising
+        if not math.isfinite(energy):
+            raise OverflowError(f"energy per frame is {energy}")
         fps = platform.macs_per_second / macs if macs > 0 else math.inf
         float(storage + peak)  # the tables print byte counts as floats too
     except OverflowError as exc:

@@ -171,8 +171,8 @@ def _norm(value) -> object:
 
 def load_accuracy_table(text: str) -> list[dict[str, object]]:
     """Parse a CSV whose header names metaparams plus ``top5_error``.
-    Metaparam cells may be numeric or symbolic; the error must be a
-    fraction in [0, 1]."""
+    Metaparam cells may be symbolic or finite numbers (a NaN key would
+    match no point); the error must be a fraction in [0, 1]."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or "top5_error" not in reader.fieldnames:
         raise SweepError("accuracy table needs a header row with a top5_error column")
@@ -182,7 +182,10 @@ def load_accuracy_table(text: str) -> list[dict[str, object]]:
         for key, value in raw.items():
             if key is None or value is None:
                 raise SweepError(f"accuracy table line {lineno}: ragged row")
-            row[key] = _norm(value)
+            cell = row[key] = _norm(value)
+            if key != "top5_error" and isinstance(cell, float) and not math.isfinite(cell):
+                raise SweepError(f"accuracy table line {lineno}: column {key!r} "
+                                 f"must be finite, got {value!r}")
         err = row["top5_error"]
         if not isinstance(err, float) or not 0.0 <= err <= 1.0:
             raise SweepError(f"accuracy table line {lineno}: top5_error must be in [0, 1]")

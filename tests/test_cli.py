@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convdse import compress, refexec, weights, zoo
+from convdse import cli, compress, explore, refexec, weights, zoo
 from convdse.cli import main
 from convdse.descriptor import serialize
 
@@ -112,7 +112,9 @@ class TestDescribe:
              "inputs": ["in"]}]}, PLATFORM, "big"),
         # the energy fits, but alexnet's 61M parameters of 10**301 bytes do not
         (None, {**PLATFORM, "word_bytes": 10**301}, "alexnet"),
-    ], ids=["filters_1e310", "word_bytes_1e301"])
+        # finite operands whose energy product is inf, which raises nothing
+        (None, {**PLATFORM, "e_mac": 1e300}, "alexnet"),
+    ], ids=["filters_1e310", "word_bytes_1e301", "e_mac_1e300"])
     def test_costs_past_float_range_exit_2_naming_the_graph(self, tmp_path, capsys, arch,
                                                             platform, name):
         (tmp_path / "platform.json").write_text(json.dumps(platform))
@@ -120,10 +122,31 @@ class TestDescribe:
         if arch is not None:
             (tmp_path / "arch.json").write_text(json.dumps(arch))
             source = ["--arch", str(tmp_path / "arch.json")]
-        assert run_cli("describe", *source, "--platform", str(tmp_path / "platform.json")) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: graph {name!r}: cost metrics overflow a float (")
-        assert captured.out == ""
+        for output in ([], ["--json"]):
+            assert run_cli("describe", *source, "--platform", str(tmp_path / "platform.json"),
+                           *output) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                f"error: graph {name!r}: cost metrics overflow a float (")
+            assert captured.out == ""
+
+    def test_non_finite_json_is_refused(self, monkeypatch, tmp_path, capsys):
+        # should a metric escape report's checks, no JSON writer prints
+        # Infinity, and a sweep writes neither of its files
+        real_report = cli.report
+
+        def infinite_energy(*args, **kwargs):
+            return replace(real_report(*args, **kwargs), energy_per_frame=math.inf)
+
+        monkeypatch.setattr(cli, "report", infinite_energy)
+        monkeypatch.setattr(explore, "report", infinite_energy)
+        assert run_cli("describe", "--family", "alexnet", "--json") == 2
+        assert capsys.readouterr().out == ""
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"p": [0.5]}))
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", str(grid),
+                       "--out", str(tmp_path / "x")) == 2
+        assert list(tmp_path.iterdir()) == [grid]
 
 
 class TestSweep:
@@ -276,6 +299,30 @@ class TestSweep:
         assert doc["saturation"] is None
         assert doc["unmatched_accuracy_rows"] == [{"p": 0.9, "top5_error": 0.19}]
         assert [p["saturation"] for p in doc["points"]] == [False, False, False]
+
+    def test_infinite_energy_exits_2_without_output(self, tmp_path, capsys):
+        platform = tmp_path / "platform.json"
+        platform.write_text(json.dumps({**PLATFORM, "e_mac": 1e300}))
+        grid = self.write_grid(tmp_path, {"p": [0.5, 1.0]})
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
+                       "--platform", str(platform), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == (
+            "error: graph 'squeezenet(p=0.5)': cost metrics overflow a float "
+            "(energy per frame is inf)\n")
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.json").exists()
+
+    def test_non_finite_accuracy_cell_exits_2_naming_it(self, tmp_path, capsys):
+        grid = self.write_grid(tmp_path, {"p": [0.5, 1.0], "pool_placement": ["even"],
+                                          "pool_count": [1]})
+        acc = tmp_path / "acc.csv"
+        acc.write_text("p,pool_placement,pool_count,top5_error\n"
+                       "0.5,even,1,0.2\n1.0,even,1,0.19\nnan,even,1,0.2\n")
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
+                       "--accuracy", str(acc), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == (
+            "error: accuracy table line 4: column 'p' must be finite, got 'nan'\n")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("grid", [[0.5], {"p": 0.5}, None], ids=["list", "scalar", "null"])
     def test_grid_that_is_not_axis_lists_exits_2(self, tmp_path, capsys, grid):

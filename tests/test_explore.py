@@ -147,6 +147,11 @@ class TestAttachAccuracy:
             load_accuracy_table("p,err\n0.5,0.15\n")
         with pytest.raises(SweepError, match=r"\[0, 1\]"):
             load_accuracy_table("p,top5_error\n0.5,15\n")
+        # a NaN key matches no point; an infinite one is no metaparameter value
+        for cell in ("nan", "inf", "-Infinity"):
+            with pytest.raises(SweepError, match=f"line 3: column 'p' must be finite, "
+                                                 f"got '{cell}'"):
+                load_accuracy_table(f"p,top5_error\n0.5,0.15\n{cell},0.2\n")
 
 
 class TestFindSaturation:
