@@ -155,13 +155,16 @@ def layer_macs(spec: LayerSpec, in_shape: TensorShape) -> int:
     return _macs(weights, _node_output_shape(spec, [in_shape], type(spec).__name__))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LayerCost:
     """One row of the per-layer cost table. ``weights`` holds the shapes of
     the 'weight' and 'bias' tensors; ``params`` counts their elements and
     ``macs`` is one MAC per 'weight' element per output position.
     ``live_words`` counts every activation live while the layer runs: its
-    inputs, its own output, and earlier outputs a later layer still reads."""
+    inputs, its own output, and earlier outputs a later layer still reads.
+
+    Slotted and not frozen: every sweep point builds one row per layer, and
+    a frozen dataclass sets each field through ``object.__setattr__``."""
 
     node_id: str
     spec: LayerSpec
@@ -178,10 +181,11 @@ def layer_costs(graph: ArchGraph) -> list[LayerCost]:
     shape-inference walk. A node's output is freed after its last consumer
     has run."""
     shapes = infer_shapes(graph)
+    preds = graph.preds
     last_use: dict[str, int] = {}
     for i, nid in enumerate(shapes):
         last_use[nid] = i
-        for p in graph.preds.get(nid, ()):
+        for p in preds.get(nid, ()):
             last_use[p] = i
     freed = [0] * len(shapes)
     for nid, i in last_use.items():
@@ -191,7 +195,7 @@ def layer_costs(graph: ArchGraph) -> list[LayerCost]:
     live = 0
     for i, (nid, out) in enumerate(shapes.items()):
         spec = specs[nid]
-        in_shapes = tuple(shapes[p] for p in graph.preds.get(nid, ()))
+        in_shapes = tuple(map(shapes.__getitem__, preds.get(nid, ())))
         w = _weight_shapes(spec, in_shapes[0]) if in_shapes else {}
         live += out.elements
         rows.append(LayerCost(nid, spec, in_shapes, out, w, _params(w), _macs(w, out), live))
@@ -199,9 +203,13 @@ def layer_costs(graph: ArchGraph) -> list[LayerCost]:
     return rows
 
 
-def _traffic_words(table: list[LayerCost]) -> int:
-    return sum(row.out_shape.elements + sum(s.elements for s in row.in_shapes)
-               for row in table)
+def _traffic_words(row: LayerCost) -> int:
+    """The activation words one layer moves: its output written once and
+    each input read once."""
+    words = row.out_shape.elements
+    for s in row.in_shapes:
+        words += s.elements
+    return words
 
 
 def model_params(graph: ArchGraph) -> int:
@@ -222,7 +230,7 @@ def peak_activation_bytes(graph: ArchGraph, word_bytes: int = 4) -> int:
 def activation_traffic_words(graph: ArchGraph) -> int:
     """Total input plus output activation words across all layers: every
     tensor is counted once when written and once per consumer read."""
-    return _traffic_words(layer_costs(graph))
+    return sum(map(_traffic_words, layer_costs(graph)))
 
 
 def energy_from_counts(total_macs: int, total_params: int, activation_words: int,
@@ -248,13 +256,17 @@ def report(graph: ArchGraph, platform: PlatformSpec = DEFAULT_PLATFORM,
            batch: int = 1) -> MetricsReport:
     """Assemble the full metric vector for one architecture. A metric past
     the float range is a ValueError naming the graph."""
-    table = layer_costs(graph)
-    params = sum(row.params for row in table)
-    macs = sum(row.macs for row in table)
+    params = macs = peak_words = traffic = 0
+    for row in layer_costs(graph):
+        params += row.params
+        macs += row.macs
+        if row.live_words > peak_words:
+            peak_words = row.live_words
+        traffic += _traffic_words(row)
     storage = params * platform.word_bytes
-    peak = max(row.live_words for row in table) * platform.word_bytes
+    peak = peak_words * platform.word_bytes
     try:
-        energy = energy_from_counts(macs, params, _traffic_words(table), peak, platform, batch)
+        energy = energy_from_counts(macs, params, traffic, peak, platform, batch)
         # float products of finite operands overflow to inf without raising
         if not math.isfinite(energy):
             raise OverflowError(f"energy per frame is {energy}")

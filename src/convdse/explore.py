@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Optional, Sequence
 
@@ -257,7 +258,13 @@ def find_saturation(points: Sequence[DesignPoint], epsilon: float = 0.005,
 def pareto_front(points: Sequence, objectives: Sequence[tuple[str, str]],
                  value_of: Callable[[object, str], float] = DesignPoint.value_of) -> list:
     """Exactly the non-dominated points, sorted by the first objective
-    (ties kept in input order). ``value_of(point, metric)`` reads a metric."""
+    (ties kept in input order). ``value_of(point, metric)`` reads a metric;
+    a NaN value is a SweepError, an infinite one is ordered as usual.
+
+    The points are visited in lexicographic order of their objective
+    vectors, so every dominator comes before what it dominates; as
+    domination is transitive, a point is tested only against the front
+    kept so far: O(n log n + n * |front|) comparisons."""
     if not objectives:
         raise SweepError("pareto_front needs at least one objective")
     for metric, sense in objectives:
@@ -265,15 +272,21 @@ def pareto_front(points: Sequence, objectives: Sequence[tuple[str, str]],
             raise SweepError(f"objective sense must be 'min' or 'max', got {sense!r}")
 
     # flip maximized metrics so domination reads uniformly as <=
-    keys = [tuple(value_of(p, m) if s == "min" else -value_of(p, m) for m, s in objectives)
-            for p in points]
+    keys: list[tuple] = []
+    for p in points:
+        key = tuple(value_of(p, m) if s == "min" else -value_of(p, m) for m, s in objectives)
+        for (metric, _), value in zip(objectives, key):
+            if value != value:  # NaN, the one value unequal to itself, has no order
+                raise SweepError(f"objective {metric!r} has value {value!r}, which has no order")
+        keys.append(key)
 
-    def dominates(a: tuple, b: tuple) -> bool:
-        return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
-
-    front = [i for i in range(len(points))
-             if not any(dominates(keys[j], keys[i]) for j in range(len(points)) if j != i)]
-    front.sort(key=lambda i: keys[i][0])
+    front: list[int] = []
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        key = keys[i]
+        # j dominates i when it is nowhere worse and not equal
+        if not any(keys[j] != key and all(map(operator.le, keys[j], key)) for j in front):
+            front.append(i)
+    front.sort(key=lambda i: (keys[i][0], i))
     return [points[i] for i in front]
 
 

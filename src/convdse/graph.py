@@ -30,8 +30,10 @@ class TensorShape:
     channels: int
 
     def __post_init__(self):
-        for name in ("height", "width", "channels"):
-            v = getattr(self, name)
+        h, w, c = self.height, self.width, self.channels
+        if type(h) is int and type(w) is int and type(c) is int and h > 0 and w > 0 and c > 0:
+            return  # the common case, checked at once; the loop below names a failure
+        for name, v in (("height", h), ("width", w), ("channels", c)):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
@@ -43,9 +45,17 @@ class TensorShape:
         return f"{self.height}x{self.width}x{self.channels}"
 
 
-def _require_positive(obj, *names):
-    for name in names:
-        v = getattr(obj, name)
+def _require_positive(obj, names: str, *values) -> None:
+    """Raise ValueError naming the first field of ``obj`` that is not a
+    positive integer (a bool is not one). ``names`` lists the fields, space
+    separated, in the order of ``values``. One combined check runs first;
+    the loop that names the field runs only when it fails."""
+    for v in values:
+        if type(v) is not int or v < 1:
+            break
+    else:
+        return
+    for name, v in zip(names.split(), values):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValueError(f"{type(obj).__name__}.{name} must be a positive integer, got {v!r}")
 
@@ -72,7 +82,8 @@ class Conv(LayerSpec):
     bias: bool = True
 
     def __post_init__(self):
-        _require_positive(self, "kernel_h", "kernel_w", "filters", "groups", "stride")
+        _require_positive(self, "kernel_h kernel_w filters groups stride", self.kernel_h,
+                          self.kernel_w, self.filters, self.groups, self.stride)
         if not isinstance(self.pad, int) or isinstance(self.pad, bool) or self.pad < 0:
             raise ValueError(f"Conv.pad must be a non-negative integer, got {self.pad!r}")
 
@@ -83,7 +94,7 @@ class FullyConnected(LayerSpec):
     bias: bool = True
 
     def __post_init__(self):
-        _require_positive(self, "filters")
+        _require_positive(self, "filters", self.filters)
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,7 @@ class Pool(LayerSpec):
     def __post_init__(self):
         if self.kind not in ("max", "avg"):
             raise ValueError(f"Pool.kind must be 'max' or 'avg', got {self.kind!r}")
-        _require_positive(self, "kernel", "stride")
+        _require_positive(self, "kernel stride", self.kernel, self.stride)
 
 
 @dataclass(frozen=True)
@@ -114,7 +125,7 @@ class Shuffle(LayerSpec):
     groups: int
 
     def __post_init__(self):
-        _require_positive(self, "groups")
+        _require_positive(self, "groups", self.groups)
 
 
 @dataclass(frozen=True)
@@ -196,15 +207,29 @@ class GraphBuilder:
 def topological_order(graph: ArchGraph) -> list[str]:
     """Kahn's algorithm, breaking ties by node declaration order.
 
+    When every predecessor is declared before its consumer, as in every
+    ``GraphBuilder`` graph, that order is the declaration order itself
+    (the heap always pops the lowest declared ready node), so it is
+    returned without running the queue.
+
     Raises GraphError on cycles or dangling predecessor references.
     """
     index = {nid: i for i, (nid, _) in enumerate(graph.nodes)}
+    preds = graph.preds
+    declared_in_order = True
+    for i, (nid, _) in enumerate(graph.nodes):
+        for p in preds.get(nid, ()):
+            j = index.get(p)
+            if j is None:
+                raise GraphError(f"{nid!r} references unknown input {p!r}")
+            if j >= i:
+                declared_in_order = False
+    if declared_in_order:
+        return [nid for nid, _ in graph.nodes]
     indeg = [0] * len(graph.nodes)
     succ: list[list[int]] = [[] for _ in graph.nodes]
     for i, (nid, _) in enumerate(graph.nodes):
-        for p in graph.preds.get(nid, ()):
-            if p not in index:
-                raise GraphError(f"{nid!r} references unknown input {p!r}")
+        for p in preds.get(nid, ()):
             indeg[i] += 1
             succ[index[p]].append(i)
     ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
@@ -234,6 +259,8 @@ def _spatial_size(in_dim: int, kernel: int, stride: int, pad: int, ceil_mode: bo
 
 
 def _node_output_shape(spec: LayerSpec, in_shapes: list[TensorShape], node_id: str) -> TensorShape:
+    if isinstance(spec, (ReLU, Shuffle)):
+        return in_shapes[0]
     if isinstance(spec, Input):
         return spec.shape
     if isinstance(spec, Conv):
@@ -257,8 +284,6 @@ def _node_output_shape(spec: LayerSpec, in_shapes: list[TensorShape], node_id: s
         return TensorShape(h, w, s.channels)
     if isinstance(spec, GlobalAvgPool):
         return TensorShape(1, 1, in_shapes[0].channels)
-    if isinstance(spec, (ReLU, Shuffle)):
-        return in_shapes[0]
     if isinstance(spec, Concat):
         h, w = in_shapes[0].height, in_shapes[0].width
         for s in in_shapes[1:]:
@@ -320,13 +345,16 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, TensorShape], list[str], bool]:
     shape_failed = False
     for nid in order:
         spec, preds = specs[nid], graph.preds.get(nid, ())
-        if any(p in reachable for p in preds):
+        if not reachable.isdisjoint(preds):
             reachable.add(nid)
         elif inputs and nid not in reachable:
             violations.append(f"{nid}: not reachable from Input")
-        if not isinstance(spec, Input) and (not preds or any(p not in shapes for p in preds)):
+        if isinstance(spec, Input):
+            in_shapes = []  # bound to its own shape; a predecessor is already a violation
+        elif preds and all(map(shapes.__contains__, preds)):
+            in_shapes = list(map(shapes.__getitem__, preds))
+        else:
             continue  # an input could not be bound; its violation is already recorded
-        in_shapes = [shapes[p] for p in preds]
         if isinstance(spec, (Conv, Shuffle)) and in_shapes[0].channels % spec.groups != 0:
             violations.append(f"{nid}: groups must divide input channels "
                               f"(g={spec.groups}, C_in={in_shapes[0].channels})")

@@ -362,7 +362,9 @@ class TestPareto:
         ("total_params\n1\n", ",", "no objectives given"),
         ("total_params,top5_error\n1,0.2\nabc,0.1\n", "total_params",
          "metric 'total_params' has non-numeric value 'abc'"),
-    ], ids=["no_header", "no_objectives", "non_numeric_cell"])
+        ("total_params,top5_error\n1,0.2\n2,0.1\n3,nan\n", "total_params:min,top5_error:min",
+         "objective 'top5_error' has value nan, which has no order"),
+    ], ids=["no_header", "no_objectives", "non_numeric_cell", "nan_cell"])
     def test_refusal_exits_2_naming_it(self, tmp_path, capsys, text, objectives, message):
         points = tmp_path / "points.csv"
         points.write_text(text)
@@ -370,6 +372,14 @@ class TestPareto:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def test_infinite_cell_is_ordered(self, tmp_path, capsys):
+        # sweep writes inf as the fps_proxy of a graph with no MACs
+        points = tmp_path / "points.csv"
+        points.write_text("total_params,fps_proxy\n1,10\n2,inf\n3,5\n")
+        assert run_cli("pareto", "--points", str(points),
+                       "--objectives", "total_params:min,fps_proxy:max") == 0
+        assert capsys.readouterr().out.splitlines() == ["total_params,fps_proxy", "1,10", "2,inf"]
 
     def test_out_file_gets_the_front_and_stdout_the_count(self, tmp_path, capsys):
         points = tmp_path / "points.csv"

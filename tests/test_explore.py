@@ -259,6 +259,53 @@ class TestParetoFront:
             assert (witness.metrics.total_params <= p.metrics.total_params
                     and witness.top5_error <= p.top5_error)
 
+    @staticmethod
+    def all_pairs_front(points, objectives, value_of):
+        """The O(n^2) reference: every point tested against every other,
+        the front sorted by the first objective, ties in input order."""
+        keys = [tuple(value_of(p, m) if s == "min" else -value_of(p, m) for m, s in objectives)
+                for p in points]
+
+        def dominates(a, b):
+            return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
+
+        front = [i for i in range(len(points))
+                 if not any(dominates(keys[j], keys[i]) for j in range(len(points)) if j != i)]
+        front.sort(key=lambda i: keys[i][0])
+        return [points[i] for i in front]
+
+    @pytest.mark.parametrize("objectives", [
+        [("a", "min")],
+        [("a", "max")],
+        [("a", "min"), ("b", "min")],
+        [("a", "max"), ("b", "min")],
+        [("a", "min"), ("b", "max"), ("c", "min")],
+        [("a", "max"), ("b", "max"), ("c", "max")],
+    ], ids=lambda objectives: ",".join(f"{m}:{s}" for m, s in objectives))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_order_matches_all_pairs_reference(self, objectives, seed):
+        # few distinct values, so many exact duplicates and ties on every axis
+        levels = [-np.inf, -2.5, 0, 1, 3, np.inf]
+        rng = np.random.default_rng(seed)
+        for n in (0, 1, 2, 7, 60, 200):
+            cells = rng.integers(0, len(levels), size=(n, 3))
+            pts = [{"id": i, **{m: levels[c] for m, c in zip("abc", row)}}
+                   for i, row in enumerate(cells)]
+            front = pareto_front(pts, objectives, lambda p, m: p[m])
+            reference = self.all_pairs_front(pts, objectives, lambda p, m: p[m])
+            assert [p["id"] for p in front] == [p["id"] for p in reference]
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_nan_objective_is_refused_naming_it(self, sense):
+        pts = [point(1, 0.2), point(2, 0.1), point(3, float("nan"))]
+        with pytest.raises(SweepError, match="objective 'top5_error' has value nan"):
+            pareto_front(pts, [("total_params", "min"), ("top5_error", sense)])
+
+    def test_infinite_objective_is_ordered(self):
+        pts = [point(1, 0.2), point(2, float("inf")), point(3, 0.1), point(4, float("-inf"))]
+        assert pareto_front(pts, self.OBJ) == [pts[0], pts[2], pts[3]]
+        assert pareto_front(pts, [("top5_error", "max")]) == [pts[1]]
+
     def test_missing_metric(self):
         with pytest.raises(SweepError):
             pareto_front([point(1, None)], self.OBJ)

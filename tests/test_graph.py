@@ -1,10 +1,13 @@
+import heapq
 import re
 
+import numpy as np
 import pytest
 
 from convdse.graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool,
                            GraphBuilder, GraphError, Input, Pool, ReLU, ShapeError, Shuffle,
-                           TensorShape, infer_shapes, lower_fc, sink_id, validate)
+                           TensorShape, infer_shapes, lower_fc, sink_id, topological_order,
+                           validate)
 from convdse import costs
 
 
@@ -27,6 +30,27 @@ class TestTensorShape:
 
     def test_elements(self):
         assert TensorShape(10, 10, 10).elements == 1000
+
+    class Size(int):
+        pass
+
+    @pytest.mark.parametrize("value", [1, 2**70, Size(3)], ids=["one", "huge", "int_subclass"])
+    def test_accepts_every_positive_int(self, value):
+        assert TensorShape(4, value, 4).width == value
+        assert Conv(3, 3, value).filters == value
+        assert Pool("max", 2, value).stride == value
+
+    @pytest.mark.parametrize("value", [0, -2, True, False, 2.0, "2", None, Size(0)])
+    def test_rejects_anything_else_naming_the_field(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"width must be a positive integer, "
+                                                       f"got {value!r}")):
+            TensorShape(4, value, 4)
+        with pytest.raises(ValueError, match=re.escape(f"Conv.groups must be a positive "
+                                                       f"integer, got {value!r}")):
+            Conv(3, 3, 8, groups=value)
+        with pytest.raises(ValueError, match=re.escape(f"Shuffle.groups must be a positive "
+                                                       f"integer, got {value!r}")):
+            Shuffle(value)
 
 
 class TestValidate:
@@ -107,15 +131,88 @@ class TestValidate:
          {"a": (), "b": (), "c": ("a", "b")}, "graph: multiple Input nodes (a, b)"),
         ((("a", Input(TensorShape(4, 4, 3))), ("b", Input(TensorShape(4, 4, 3)))),
          {"a": (), "b": ("a",)}, "b: Input node must have no predecessors"),
+        # the second Input's predecessor has no shape to read
+        ((("a", Input(TensorShape(4, 4, 3))), ("c", Conv(9, 9, 8)),
+          ("b", Input(TensorShape(4, 4, 3)))),
+         {"a": (), "c": ("a",), "b": ("c",)}, "b: Input node must have no predecessors"),
         # x has no predecessor, so neither x nor the y it feeds hangs off the Input
         ((("a", Input(TensorShape(4, 4, 3))), ("x", ReLU()), ("y", ReLU()), ("c", Concat())),
          {"a": (), "x": (), "y": ("x",), "c": ("a", "y")}, "y: not reachable from Input"),
-    ], ids=["unknown_input", "two_inputs", "input_with_predecessor", "unreachable"])
+    ], ids=["unknown_input", "two_inputs", "input_with_predecessor",
+            "input_after_collapsed_conv", "unreachable"])
     def test_structural_violation_names_the_node(self, nodes, preds, violation):
         violations = validate(ArchGraph("g", nodes, preds))
         assert violation in violations
         with pytest.raises(GraphError, match=re.escape(violation)):
             infer_shapes(ArchGraph("g", nodes, preds))
+
+
+def kahn_reference(graph):
+    """Kahn's algorithm with a min-heap on declaration position; None for a
+    cycle."""
+    declared = [nid for nid, _ in graph.nodes]
+    position = {nid: i for i, nid in enumerate(declared)}
+    waiting = {nid: len(graph.preds.get(nid, ())) for nid in declared}
+    consumers: dict[str, list[str]] = {nid: [] for nid in declared}
+    for nid in declared:
+        for p in graph.preds.get(nid, ()):
+            consumers[p].append(nid)
+    heap = [(position[nid], nid) for nid in declared if waiting[nid] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, nid = heapq.heappop(heap)
+        order.append(nid)
+        for c in consumers[nid]:
+            waiting[c] -= 1
+            if waiting[c] == 0:
+                heapq.heappush(heap, (position[c], c))
+    return order if len(order) == len(declared) else None
+
+
+def random_dag(rng, n):
+    """n nodes, each reading up to three earlier ones (repeats allowed),
+    declared in generation order."""
+    ids = [f"n{i}" for i in range(n)]
+    preds = {nid: tuple(ids[j] for j in rng.integers(0, i, size=rng.integers(0, 4)))
+             if i else () for i, nid in enumerate(ids)}
+    return ArchGraph("dag", tuple((nid, ReLU()) for nid in ids), preds)
+
+
+class TestTopologicalOrder:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_kahn_reference_in_order_and_shuffled(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 5, 30, 120):
+            g = random_dag(rng, n)
+            assert topological_order(g) == kahn_reference(g) == [nid for nid, _ in g.nodes]
+            for _ in range(3):
+                nodes = tuple(g.nodes[i] for i in rng.permutation(n))
+                shuffled = ArchGraph("dag", nodes, g.preds)
+                assert topological_order(shuffled) == kahn_reference(shuffled)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cycles_and_self_loops_raise(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_dag(rng, 20)
+        preds = dict(g.preds)
+        preds["n3"] += ("n15",)  # n3 and n15 read each other
+        preds["n15"] += ("n3",)
+        with pytest.raises(GraphError, match="cycle"):
+            topological_order(ArchGraph("cycle", g.nodes, preds))
+        preds = dict(g.preds)
+        preds["n7"] += ("n7",)
+        for nodes in (g.nodes, g.nodes[::-1]):
+            with pytest.raises(GraphError, match="cycle"):
+                topological_order(ArchGraph("self_loop", nodes, preds))
+
+    def test_unknown_reference_raises(self):
+        g = random_dag(np.random.default_rng(0), 10)
+        for nid in ("n0", "n9"):
+            preds = dict(g.preds)
+            preds[nid] += ("ghost",)
+            with pytest.raises(GraphError, match=f"{nid!r} references unknown input 'ghost'"):
+                topological_order(ArchGraph("unknown", g.nodes, preds))
 
 
 class TestInferShapes:
