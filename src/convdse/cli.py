@@ -220,11 +220,10 @@ def _parse_objectives(spec: str) -> list[tuple[str, str]]:
 def cmd_pareto(args) -> int:
     objectives = _parse_objectives(args.objectives)
     with open(args.points, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SweepError("points file has no header row")
-        fieldnames = list(reader.fieldnames)
-        rows = list(reader)
+        fieldnames, numbered = explore.read_csv(fh, f"points file {args.points}")
+    if not fieldnames:
+        raise SweepError("points file has no header row")
+    rows = [row for _, row in numbered]
     front = explore.pareto_front(rows, objectives, _row_value)
     with (open(args.out, "w", encoding="utf-8", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:

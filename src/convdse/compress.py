@@ -95,50 +95,59 @@ def kmeans_quantize(tensor: WeightTensor, bits: int) -> QuantizedTensor:
     tensors yield an empty codebook.
 
     In one dimension every cluster is a run of the sorted values, so the
-    nonzeros are sorted once and each Lloyd step finds the run bounds with
-    one ``searchsorted`` of the k - 1 midpoints, O(k log n), and the run
-    sums with ``np.add.reduceat``. Only the final assignment visits every
-    value, in position order."""
+    nonzeros are argsorted once and each Lloyd step finds the run bounds
+    with one ``searchsorted`` of the k - 1 midpoints, O(k log n), and the
+    run sums with ``np.add.reduceat``. The same search on the final
+    centroids gives the final runs; each run's codebook slot is repeated
+    over it and scattered back to position order through the sort
+    permutation."""
     import numpy as np
     if not 1 <= bits <= 8:
         raise ValueError(f"bits must be in [1, 8], got {bits!r}")
-    positions = np.nonzero(tensor.values)[0].astype(np.int64)
+    # a bool mask is several times faster to search than the float values
+    positions = np.flatnonzero(tensor.values != 0).astype(np.int64, copy=False)
     if positions.size == 0:
         return QuantizedTensor(tensor.name, tensor.shape,
                                np.zeros(0, dtype=np.float32),
                                positions, np.zeros(0, dtype=np.int64))
-    nz = tensor.values[positions].astype(np.float64)
-    ordered = np.sort(nz)
+    nz = tensor.values[positions]
+    # equal values may swap places: the sorted sequence, and so every run
+    # sum, is the same
+    order = np.argsort(nz)
+    ordered = nz.take(order).astype(np.float64)
     k = 1 << bits
     centroids = np.linspace(ordered[0], ordered[-1], k)
     bounds = np.empty(k + 1, dtype=np.int64)
     bounds[0], bounds[k] = 0, ordered.size
-    for _ in range(_KMEANS_ITERS):
+    mids = np.empty(k - 1)
+    movement = math.inf
+    # each pass finds the runs of the current centroids; the last pass,
+    # after convergence or the last Lloyd step, gives the final runs
+    for step in range(_KMEANS_ITERS + 1):
+        np.add(centroids[:-1], centroids[1:], out=mids)
+        mids /= 2.0
         # side="right": a value exactly on a midpoint stays in the lower run
-        bounds[1:k] = np.searchsorted(ordered, (centroids[:-1] + centroids[1:]) / 2.0,
-                                      side="right")
-        counts = np.diff(bounds)
+        bounds[1:k] = ordered.searchsorted(mids, side="right")
+        counts = bounds[1:] - bounds[:-1]
+        if movement < _KMEANS_TOL or step == _KMEANS_ITERS:
+            break
         occupied = counts > 0
         new_centroids = centroids.copy()
         new_centroids[occupied] = (np.add.reduceat(ordered, bounds[:-1][occupied])
                                    / counts[occupied])
-        movement = np.max(np.abs(new_centroids - centroids))
+        movement = abs(new_centroids - centroids).max()
         centroids = new_centroids
-        if movement < _KMEANS_TOL:
-            break
-    # side="left" is the same tie rule, seen from the value
-    labels = np.searchsorted((centroids[:-1] + centroids[1:]) / 2.0, nz,
-                             side="left").astype(np.int64, copy=False)
-    zero = centroids.astype(np.float32) == 0.0
+    codebook = centroids.astype(np.float32)
+    zero = (counts > 0) & (codebook == 0.0)
+    used = (counts > 0) & ~zero
+    # codebook slot per run; -1 marks the members of a zero centroid
+    slot = np.where(used, np.cumsum(used) - 1, -1)
+    labels = np.empty(positions.size, dtype=np.int64)
+    labels[order] = np.repeat(slot, counts)
     if zero.any():
-        keep = ~zero[labels]
+        keep = labels >= 0
         positions, labels = positions[keep], labels[keep]
-    used = np.unique(labels)
-    remap = np.full(k, -1, dtype=np.int64)
-    remap[used] = np.arange(used.size)
-    return QuantizedTensor(tensor.name, tensor.shape,
-                           centroids[used].astype(np.float32),
-                           positions, remap[labels])
+    return QuantizedTensor(tensor.name, tensor.shape, codebook[used], positions, labels)
 
 
 def quantization_mse(tensor: WeightTensor, quantized: QuantizedTensor) -> float:

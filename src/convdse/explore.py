@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, fields, replace
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 from .costs import MetricsReport, NumericConfig, PlatformSpec, report
 from .graph import ArchGraph
@@ -170,19 +170,40 @@ def _norm(value) -> object:
         return str(value)
 
 
+def read_csv(lines: Iterable[str],
+             what: str) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+    """The header (empty for empty input) and the (line number, row) pairs
+    of a CSV. A header that names a column twice, and a row with more or
+    fewer cells than the header, are refused naming ``what``."""
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise SweepError(f"{what}: column {name!r} appears twice in the header")
+        seen.add(name)
+    rows = []
+    for cells in reader:
+        if not cells:  # a blank line
+            continue
+        if len(cells) != len(header):
+            raise SweepError(f"{what} line {reader.line_num}: ragged row "
+                             f"({len(cells)} cell(s), header has {len(header)})")
+        rows.append((reader.line_num, dict(zip(header, cells))))
+    return header, rows
+
+
 def load_accuracy_table(text: str) -> list[dict[str, object]]:
     """Parse a CSV whose header names metaparams plus ``top5_error``.
     Metaparam cells may be symbolic or finite numbers (a NaN key would
     match no point); the error must be a fraction in [0, 1]."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or "top5_error" not in reader.fieldnames:
+    header, raw_rows = read_csv(io.StringIO(text), "accuracy table")
+    if "top5_error" not in header:
         raise SweepError("accuracy table needs a header row with a top5_error column")
     rows = []
-    for lineno, raw in enumerate(reader, start=2):
+    for lineno, raw in raw_rows:
         row: dict[str, object] = {}
         for key, value in raw.items():
-            if key is None or value is None:
-                raise SweepError(f"accuracy table line {lineno}: ragged row")
             cell = row[key] = _norm(value)
             if key != "top5_error" and isinstance(cell, float) and not math.isfinite(cell):
                 raise SweepError(f"accuracy table line {lineno}: column {key!r} "

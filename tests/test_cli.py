@@ -373,6 +373,20 @@ class TestPareto:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,a\n1,2\n2,1\n", "{points}: column 'a' appears twice in the header"),
+        ("a,b\n1,2,3\n", "{points} line 2: ragged row (3 cell(s), header has 2)"),
+        ("a,b\n1,2\n\n3\n", "{points} line 4: ragged row (1 cell(s), header has 2)"),
+    ], ids=["duplicate_column", "long_row", "short_row_after_a_blank_line"])
+    def test_malformed_points_file_exits_2_before_writing(self, tmp_path, capsys, text,
+                                                          message):
+        points = tmp_path / "points.csv"
+        points.write_text(text)
+        assert run_cli("pareto", "--points", str(points), "--objectives", "a:min") == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: points file {message.format(points=points)}\n"
+        assert captured.out == ""
+
     def test_infinite_cell_is_ordered(self, tmp_path, capsys):
         # sweep writes inf as the fps_proxy of a graph with no MACs
         points = tmp_path / "points.csv"

@@ -3,7 +3,8 @@
 Any change to the codec must reproduce these containers byte for byte and
 decode them to the same values. The cases cover filler records at three gap
 widths, a one-symbol alphabet, an all-zero tensor and the narrowest and
-widest codebooks.
+widest codebooks. One SqueezeNet-size model pins the bytes of large
+tensors and long Lloyd runs.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from convdse import refexec, zoo
 from convdse.compress import compress_model, decode_model, read_sdnc, write_sdnc
 from convdse.weights import WeightTensor
 
@@ -87,3 +89,13 @@ def test_sparse_cases_carry_filler_records():
 def test_single_symbol_case_has_one_symbol_alphabets():
     rec = _compress("single_symbol").records[0]
     assert rec.gap_lengths == {0: 1} and rec.index_lengths == {0: 1}
+
+
+def test_squeezenet_size_container_is_pinned():
+    # 52 tensors, 1,248,424 Normal(0, 0.1) weights at the CLI defaults: the
+    # same container as input set 7 of the benchmark's compress workload
+    tensors = refexec.random_weights(zoo.squeezenet(), np.random.default_rng(7))
+    assert sum(t.size for t in tensors) == 1_248_424
+    container = write_sdnc(compress_model(tensors, 0.7, 6, 4))
+    assert (hashlib.sha256(container).hexdigest(), len(container)) == (
+        "9d7050e5eff257f6977c64cf43d72b6b3b6b66e4de961529ee002aaa7318f4b5", 368440)

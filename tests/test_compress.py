@@ -62,15 +62,60 @@ def kmeans_reference(tensor, bits):
     return centroids[used].astype(np.float32), positions, remap[labels]
 
 
+def kmeans_sort_search(tensor, bits):
+    """The earlier sorted-run k-means: the same Lloyd steps over the sorted
+    float64 nonzeros, then one ``searchsorted`` of every nonzero into the
+    final midpoints and ``np.unique`` of the labels; returns (codebook,
+    positions, assignments). Its run sums are the same ``reduceat`` sums,
+    so it is a bit-exact reference on large tensors, where the bincount
+    sums of ``kmeans_reference`` round differently."""
+    positions = np.nonzero(tensor.values)[0].astype(np.int64)
+    if positions.size == 0:
+        return np.zeros(0, dtype=np.float32), positions, np.zeros(0, dtype=np.int64)
+    nz = tensor.values[positions].astype(np.float64)
+    ordered = np.sort(nz)
+    k = 1 << bits
+    centroids = np.linspace(ordered[0], ordered[-1], k)
+    bounds = np.empty(k + 1, dtype=np.int64)
+    bounds[0], bounds[k] = 0, ordered.size
+    for _ in range(50):
+        bounds[1:k] = np.searchsorted(ordered, (centroids[:-1] + centroids[1:]) / 2.0,
+                                      side="right")
+        counts = np.diff(bounds)
+        occupied = counts > 0
+        new_centroids = centroids.copy()
+        new_centroids[occupied] = (np.add.reduceat(ordered, bounds[:-1][occupied])
+                                   / counts[occupied])
+        movement = np.max(np.abs(new_centroids - centroids))
+        centroids = new_centroids
+        if movement < 1e-8:
+            break
+    labels = np.searchsorted((centroids[:-1] + centroids[1:]) / 2.0, nz,
+                             side="left").astype(np.int64, copy=False)
+    zero = centroids.astype(np.float32) == 0.0
+    if zero.any():
+        keep = ~zero[labels]
+        positions, labels = positions[keep], labels[keep]
+    used = np.unique(labels)
+    remap = np.full(k, -1, dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    return centroids[used].astype(np.float32), positions, remap[labels]
+
+
+def assert_same_quantization(qt, expected):
+    codebook, positions, assignments = expected
+    assert np.array_equal(qt.codebook, codebook) and qt.codebook.dtype == codebook.dtype
+    assert np.array_equal(qt.positions, positions) and qt.positions.dtype == np.int64
+    assert np.array_equal(qt.assignments, assignments) and qt.assignments.dtype == np.int64
+
+
 def assert_matches_reference(t, sparsity, bits):
     pruned = prune_magnitude(t, sparsity)
     expected = prune_reference(t, sparsity)
     assert np.array_equal(pruned.values, expected) and pruned.values.dtype == expected.dtype
     qt = kmeans_quantize(pruned, bits)
-    codebook, positions, assignments = kmeans_reference(pruned, bits)
-    assert np.array_equal(qt.codebook, codebook) and qt.codebook.dtype == codebook.dtype
-    assert np.array_equal(qt.positions, positions)
-    assert np.array_equal(qt.assignments, assignments)
+    assert_same_quantization(qt, kmeans_reference(pruned, bits))
+    assert_same_quantization(qt, kmeans_sort_search(pruned, bits))
 
 
 def equivalence_cases():
@@ -81,6 +126,13 @@ def equivalence_cases():
     halves = rng.integers(-6, 7, size=3000) / 2.0  # many ties at every magnitude
     zeros_run = normal.copy()
     zeros_run[:2000] = 0.0  # the 30% cut lies inside this run of zeros
+    # a few levels, each repeated hundreds of times and shuffled: every run
+    # bound falls between two blocks of equal values, and the sort may
+    # swap equal values
+    levels = rng.permutation(np.repeat([-2.0, -1.0, -0.25, 0.75, 1.0, 3.0],
+                                       [400, 1, 250, 600, 2, 350]))
+    # -1 and 2 repeated, with their midpoint 0.5 repeated between them
+    midpoint_block = rng.permutation(np.repeat([-1.0, 0.5, 2.0], [300, 300, 300]))
     cases = {
         "normal_s0": (normal, 0.0, 6),
         "normal_b1": (normal, 0.7, 1),
@@ -98,6 +150,12 @@ def equivalence_cases():
         "on_midpoint_triple_b1": ([-1.0, 0.5, 2.0], 0.0, 1),  # 0.5 is the midpoint
         "on_midpoint_triple_b2": ([-1.0, 0.5, 2.0], 0.0, 2),  # mids -0.5, 0.5, 1.5
         "zero_centroid": ([-0.1, 0.1, 5.0, 10.0], 0.0, 1),
+        "zero_centroid_block": (np.repeat([-0.1, 0.1, 5.0, 10.0], 200), 0.0, 1),
+        "tied_levels_b1": (levels, 0.0, 1),
+        "tied_levels_b2": (levels, 0.2, 2),
+        "tied_levels_b8": (levels, 0.0, 8),
+        "midpoint_block_b1": (midpoint_block, 0.0, 1),
+        "midpoint_block_b2": (midpoint_block, 0.0, 2),
         "all_zero": (np.zeros(10), 0.4, 3),
     }
     return [pytest.param(*case, id=name) for name, case in cases.items()]
@@ -117,6 +175,14 @@ def test_prune_and_quantize_match_the_reference_on_random_tensors():
             values = np.round(values * 4) / 4  # coarse grid: ties everywhere
         sparsity = float(rng.choice([0.0, rng.uniform(0, 0.95)]))
         assert_matches_reference(wt(values), sparsity, bits=i % 8 + 1)
+
+
+@pytest.mark.parametrize("bits", [6, 8])
+def test_quantize_matches_the_sort_search_formulation_bit_for_bit(bits):
+    values = np.random.default_rng(42).standard_normal(1 << 18).astype(np.float32) * 0.1
+    t = wt(values)
+    assert np.count_nonzero(t.values) == 1 << 18
+    assert_same_quantization(kmeans_quantize(t, bits), kmeans_sort_search(t, bits))
 
 
 class TestPrune:
@@ -364,6 +430,103 @@ class TestReport:
         assert ratios[0] < ratios[1] < ratios[2]
 
 
+def huffman_encode_reference(symbols, lengths):
+    """The array-of-bits encoder: every code spread into one uint8 per
+    output bit, packed once; returns (payload bytes, exact bit count)."""
+    symbols = np.asarray(symbols)
+    if symbols.size == 0:
+        return b"", 0
+    huffman.check_lengths(lengths)
+    if symbols.min() < 0:
+        raise ValueError(f"symbol {int(symbols.min())} has no code")
+    codes = huffman.canonical_codes(lengths)
+    code_of = np.zeros(max(max(codes), int(symbols.max())) + 1, dtype=np.uint64)
+    len_of = np.zeros(code_of.size, dtype=np.int64)
+    for sym, (code, length) in codes.items():
+        code_of[sym], len_of[sym] = code, length
+    n = len_of[symbols]
+    if not n.all():
+        raise ValueError(f"symbol {int(symbols[n == 0][0])} has no code")
+    ends = np.cumsum(n)
+    # the bit at stream position t inside a code ending at e is bit e-1-t
+    shift = (np.repeat(ends - 1, n) - np.arange(ends[-1])).astype(np.uint64)
+    bits = (np.repeat(code_of[symbols], n) >> shift) & np.uint64(1)
+    return np.packbits(bits.astype(np.uint8)).tobytes(), int(ends[-1])
+
+
+def encode_outcome(encoder, symbols, lengths):
+    try:
+        return encoder(symbols, lengths)
+    except ValueError as exc:
+        return str(exc)
+
+
+# lengths 1..k-1 plus two k-bit codes: a complete code whose longest code
+# is k bits
+def staircase(k):
+    return {sym: sym + 1 for sym in range(k - 1)} | {k - 1: k, k: k}
+
+
+class TestEncodeMatchesTheBitArrayReference:
+    """``huffman.encode`` against the array-of-bits encoder, with symbol
+    pairs fused (the default) and with every alphabet encoded one symbol
+    per code (``_PAIR_SYMBOLS`` = 0)."""
+
+    @pytest.fixture(params=["paired", "unpaired"], autouse=True)
+    def pairing(self, request, monkeypatch):
+        if request.param == "unpaired":
+            monkeypatch.setattr(huffman, "_PAIR_SYMBOLS", 0)
+
+    @staticmethod
+    def assert_same(symbols, lengths):
+        want = encode_outcome(huffman_encode_reference, symbols, lengths)
+        assert encode_outcome(huffman.encode, symbols, lengths) == want
+        return want
+
+    def test_random_prefix_codes(self):
+        rng = np.random.default_rng(15)
+        tables, odd, multi_word = set(), 0, 0
+        for _ in range(300):
+            lengths = properties.random_code_lengths(rng)
+            symbols = rng.choice(list(lengths), size=int(rng.integers(0, 700)))
+            _, bits = self.assert_same(symbols, lengths)
+            tables.add((2 * max(lengths.values()) <= huffman.MAX_CODE_LENGTH,
+                        max(lengths) < 256))
+            odd += symbols.size % 2
+            multi_word += bits > 64
+        # tables pairable and not by code length and by alphabet size
+        assert len(tables) == 4 and odd and multi_word
+
+    @pytest.mark.parametrize("lengths, symbols", [
+        ({5: 1}, [5] * 77),
+        ({0: 1, 1: 1}, []),
+        ({}, []),
+        (staircase(57), list(range(58)) * 3 + [57, 56, 57]),
+        (staircase(28), list(range(29)) * 5 + [28]),
+        (staircase(29), list(range(30)) * 5),
+        ({sym: 8 for sym in range(256)}, list(range(256)) * 2 + [255]),
+        ({sym: 9 for sym in range(300)}, list(range(300))[::-1] * 2 + [7]),
+        ({0: 1, 1: 3, 2: 3}, [0, 1, 2] * 71),
+        ({3: 7, 9: 7}, [3, 9] * 64 + [3]),
+    ], ids=["one_symbol_odd", "empty_input", "empty_input_empty_table", "57_bit_codes",
+            "28_bit_codes_paired", "29_bit_codes_unpaired", "byte_aligned_256",
+            "alphabet_past_256", "incomplete_odd", "7_bit_codes_cross_words"])
+    def test_edge_cases(self, lengths, symbols):
+        self.assert_same(symbols, lengths)
+
+    @pytest.mark.parametrize("symbols, message", [
+        ([1, -2, 0, 5], "symbol -2 has no code"),
+        ([0, 2, 1, 3, 5], "symbol 1 has no code"),
+        ([0, 2, 0, 1], "symbol 1 has no code"),
+        ([0, 2, 3, 0, 1], "symbol 1 has no code"),
+        ([0, 2, 9, 2], "symbol 9 has no code"),
+    ], ids=["negative", "first_missing_in_stream", "missing_second_of_pair",
+            "missing_odd_last", "missing_past_the_table"])
+    def test_a_symbol_without_a_code_is_named(self, symbols, message):
+        lengths = {0: 1, 2: 2, 3: 2}
+        assert self.assert_same(symbols, lengths) == message
+
+
 class TestHuffman:
     def test_uniform_distribution_gains_nothing(self):
         symbols = list(range(64)) * 10
@@ -393,6 +556,10 @@ class TestHuffman:
         lengths = huffman.code_lengths(symbols)
         payload, bits = huffman.encode(symbols, lengths)
         assert huffman.decode(payload, bits, lengths, len(symbols)).tolist() == symbols
+
+    def test_empty_table_names_the_first_symbol(self):
+        with pytest.raises(ValueError, match=r"^symbol 3 has no code$"):
+            huffman.encode([3, 1], {})
 
     def test_single_symbol_alphabet(self):
         symbols = [5] * 20

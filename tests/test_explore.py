@@ -153,6 +153,15 @@ class TestAttachAccuracy:
                                                  f"got '{cell}'"):
                 load_accuracy_table(f"p,top5_error\n0.5,0.15\n{cell},0.2\n")
 
+    def test_csv_loader_refuses_duplicate_columns_and_ragged_rows(self):
+        with pytest.raises(SweepError, match=r"^accuracy table: column 'p' appears "
+                                             r"twice in the header$"):
+            load_accuracy_table("p,p,top5_error\n0.1,0.2,0.3\n")
+        for row, cells in (("0.5,0.3", 2), ("0.5,0.3,0.2,0.1", 4)):
+            with pytest.raises(SweepError, match=rf"^accuracy table line 3: ragged row "
+                                                 rf"\({cells} cell\(s\), header has 3\)$"):
+                load_accuracy_table(f"p,q,top5_error\n0.1,0.2,0.3\n{row}\n")
+
 
 class TestFindSaturation:
     def test_flat_plateau_saturates_at_smallest(self):
