@@ -119,23 +119,21 @@ def kmeans_quantize(tensor: WeightTensor, bits: int) -> QuantizedTensor:
     centroids = np.linspace(ordered[0], ordered[-1], k)
     bounds = np.empty(k + 1, dtype=np.int64)
     bounds[0], bounds[k] = 0, ordered.size
-    mids = np.empty(k - 1)
     movement = math.inf
     # each pass finds the runs of the current centroids; the last pass,
     # after convergence or the last Lloyd step, gives the final runs
     for step in range(_KMEANS_ITERS + 1):
-        np.add(centroids[:-1], centroids[1:], out=mids)
-        mids /= 2.0
         # side="right": a value exactly on a midpoint stays in the lower run
-        bounds[1:k] = ordered.searchsorted(mids, side="right")
-        counts = bounds[1:] - bounds[:-1]
+        bounds[1:k] = np.searchsorted(ordered, (centroids[:-1] + centroids[1:]) / 2.0,
+                                      side="right")
+        counts = np.diff(bounds)
         if movement < _KMEANS_TOL or step == _KMEANS_ITERS:
             break
         occupied = counts > 0
         new_centroids = centroids.copy()
         new_centroids[occupied] = (np.add.reduceat(ordered, bounds[:-1][occupied])
                                    / counts[occupied])
-        movement = abs(new_centroids - centroids).max()
+        movement = np.max(np.abs(new_centroids - centroids))
         centroids = new_centroids
     codebook = centroids.astype(np.float32)
     zero = (counts > 0) & (codebook == 0.0)

@@ -4,15 +4,13 @@ Only code lengths are stored; codes are reassigned canonically (shorter
 codes first, ties by symbol value), so encoder and decoder agree from the
 length table alone. A single-symbol alphabet gets one 1-bit code.
 
-Both directions are array code. Encoding looks up one code per symbol, or
-one per pair of adjacent symbols when the alphabet has at most 256 entries
-and two codes fit MAX_CODE_LENGTH bits, and packs the codes MSB-first into
-big-endian 64-bit words: each code is shifted into the word that holds its
-last bit, the codes ending in one word are OR-reduced, and a code that
-crosses a word boundary adds its high bits to the previous word. Decoding
-works on bounded chunks and gives every bit position of a chunk the code
-word that would start there: a table over
-the first (at most 12) bits of its window, and for the prefixes of longer
+Both directions are array code. Encoding looks up one code per symbol and
+packs the codes MSB-first into big-endian 64-bit words: each code is
+shifted into the word that holds its last bit, the codes ending in one word
+are OR-reduced, and a code that crosses a word boundary adds its high bits
+to the previous word. Decoding works on bounded chunks and gives every bit
+position of a chunk the code word that would start there: a table over the
+first (at most 12) bits of its window, and for the prefixes of longer
 codes a search over the left-justified canonical interval ends (Moffat &
 Turpin, IEEE Trans. Commun. 1997). Each position's successor (the start of
 the next code word) is composed with itself three times, so the only Python
@@ -36,7 +34,6 @@ if TYPE_CHECKING:
 #: must fit one big-endian uint64 read.
 MAX_CODE_LENGTH = 57
 
-_PAIR_SYMBOLS = 256   # encode: largest alphabet whose symbol pairs get one table
 _CHUNK_BITS = 1 << 14  # decode: bits whose successor is found per step
 _TABLE_BITS = 12       # decode: window bits looked up in one table
 
@@ -106,59 +103,34 @@ def encode(symbols: Sequence[int], lengths: dict[int, int]) -> tuple[bytes, int]
     check_lengths(lengths)
     if symbols.min() < 0:
         raise ValueError(f"symbol {int(symbols.min())} has no code")
+    # a symbol past the table is refused before the tables are sized
+    top = max(lengths, default=-1)
+    if symbols.max() > top:
+        missing = ~np.isin(symbols, list(lengths))
+        raise ValueError(f"symbol {int(symbols[missing.argmax()])} has no code")
     codes = canonical_codes(lengths)
-    size = max(max(codes, default=0), int(symbols.max())) + 1
-    code_of = np.zeros(size, dtype=np.uint64)
-    len_of = np.zeros(size, dtype=np.uint64)
+    code_of = np.zeros(top + 1, dtype=np.uint64)
+    len_of = np.zeros(top + 1, dtype=np.uint64)
     code_of[list(codes)] = [code for code, _ in codes.values()]
     len_of[list(codes)] = [length for _, length in codes.values()]
-    if 2 * int(len_of.max()) <= MAX_CODE_LENGTH and size <= _PAIR_SYMBOLS:
-        index, code_table, len_table = _pairs(symbols, code_of, len_of)
-    else:
-        index, code_table, len_table = symbols, code_of, len_of
-    ends = len_table.take(index)  # each code's length, summed in place below
+    ends = len_of.take(symbols)  # each code's length, summed in place below
     if not ends.all():
-        missing = len_of.take(symbols) == 0
-        raise ValueError(f"symbol {int(symbols[missing.argmax()])} has no code")
+        raise ValueError(f"symbol {int(symbols[(ends == 0).argmax()])} has no code")
     np.cumsum(ends, out=ends)
     total = int(ends[-1])
     # every code is shorter than a word, so each word holds the last bit of
     # at least one code, and the codes ending in one word are adjacent
     word_starts = np.arange((total + 63) // 64, dtype=np.uint64) << np.uint64(6)
     firsts = np.searchsorted(ends, word_starts, side="right")
-    shifted = code_table.take(index)
+    shifted = code_of.take(symbols)
     shifted <<= -ends & np.uint64(63)
     words = np.bitwise_or.reduceat(shifted, firsts)
     # the first code ending in word w may start in word w - 1; its bits past
     # the ones in word w go there (none when it does not cross)
     crossing = firsts[1:]
-    words[:-1] |= code_table.take(index.take(crossing)) >> (ends.take(crossing)
-                                                           - word_starts[1:])
+    words[:-1] |= code_of.take(symbols.take(crossing)) >> (ends.take(crossing)
+                                                          - word_starts[1:])
     return words.astype(">u8").view(np.uint8)[:(total + 7) // 8].tobytes(), total
-
-
-def _pairs(symbols: np.ndarray, code_of: np.ndarray,
-           len_of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One code per pair of adjacent symbols: returns the index of each
-    pair in the returned code and length tables, where s * size + t is the
-    pair (s, t) and size * size + s the single s that ends an odd stream. A
-    pair with a symbol that has no code has length 0."""
-    import numpy as np
-    size = code_of.size
-    pair_len = np.add.outer(len_of, len_of)
-    missing = len_of == 0
-    pair_len[missing] = 0
-    pair_len[:, missing] = 0
-    pair_code = (code_of[:, None] << len_of) | code_of
-    half = symbols.size // 2
-    index = np.empty(symbols.size - half, dtype=np.intp)
-    index[:half] = symbols[0:2 * half:2]
-    index[:half] *= size
-    index[:half] += symbols[1::2]
-    if symbols.size % 2:
-        index[-1] = size * size + int(symbols[-1])
-    return (index, np.concatenate((pair_code.ravel(), code_of)),
-            np.concatenate((pair_len.ravel(), len_of)))
 
 
 def decode(data: bytes, bit_count: int, lengths: dict[int, int], count: int) -> np.ndarray:

@@ -468,14 +468,7 @@ def staircase(k):
 
 
 class TestEncodeMatchesTheBitArrayReference:
-    """``huffman.encode`` against the array-of-bits encoder, with symbol
-    pairs fused (the default) and with every alphabet encoded one symbol
-    per code (``_PAIR_SYMBOLS`` = 0)."""
-
-    @pytest.fixture(params=["paired", "unpaired"], autouse=True)
-    def pairing(self, request, monkeypatch):
-        if request.param == "unpaired":
-            monkeypatch.setattr(huffman, "_PAIR_SYMBOLS", 0)
+    """``huffman.encode`` against the array-of-bits encoder."""
 
     @staticmethod
     def assert_same(symbols, lengths):
@@ -485,17 +478,16 @@ class TestEncodeMatchesTheBitArrayReference:
 
     def test_random_prefix_codes(self):
         rng = np.random.default_rng(15)
-        tables, odd, multi_word = set(), 0, 0
+        longest, odd, multi_word = set(), 0, 0
         for _ in range(300):
             lengths = properties.random_code_lengths(rng)
             symbols = rng.choice(list(lengths), size=int(rng.integers(0, 700)))
             _, bits = self.assert_same(symbols, lengths)
-            tables.add((2 * max(lengths.values()) <= huffman.MAX_CODE_LENGTH,
-                        max(lengths) < 256))
+            longest.add(max(lengths.values()) > 32)
             odd += symbols.size % 2
             multi_word += bits > 64
-        # tables pairable and not by code length and by alphabet size
-        assert len(tables) == 4 and odd and multi_word
+        # codes shorter and longer than half a word
+        assert len(longest) == 2 and odd and multi_word
 
     @pytest.mark.parametrize("lengths, symbols", [
         ({5: 1}, [5] * 77),
@@ -508,9 +500,12 @@ class TestEncodeMatchesTheBitArrayReference:
         ({sym: 9 for sym in range(300)}, list(range(300))[::-1] * 2 + [7]),
         ({0: 1, 1: 3, 2: 3}, [0, 1, 2] * 71),
         ({3: 7, 9: 7}, [3, 9] * 64 + [3]),
+        ({0: 1, 1: 2, 2: 2}, np.array([2, 0, 1, 2] * 33, dtype=np.uint64)),
+        ({0: 1, 1: 2, 2: 2}, np.array([2, 0, 1, 2] * 33, dtype=np.uint16)),
     ], ids=["one_symbol_odd", "empty_input", "empty_input_empty_table", "57_bit_codes",
-            "28_bit_codes_paired", "29_bit_codes_unpaired", "byte_aligned_256",
-            "alphabet_past_256", "incomplete_odd", "7_bit_codes_cross_words"])
+            "28_bit_codes", "29_bit_codes", "byte_aligned_256",
+            "alphabet_past_256", "incomplete_odd", "7_bit_codes_cross_words",
+            "uint64_symbols", "uint16_symbols"])
     def test_edge_cases(self, lengths, symbols):
         self.assert_same(symbols, lengths)
 
@@ -520,11 +515,20 @@ class TestEncodeMatchesTheBitArrayReference:
         ([0, 2, 0, 1], "symbol 1 has no code"),
         ([0, 2, 3, 0, 1], "symbol 1 has no code"),
         ([0, 2, 9, 2], "symbol 9 has no code"),
-    ], ids=["negative", "first_missing_in_stream", "missing_second_of_pair",
-            "missing_odd_last", "missing_past_the_table"])
+    ], ids=["negative", "first_missing_in_stream", "missing_second",
+            "missing_last", "missing_past_the_table"])
     def test_a_symbol_without_a_code_is_named(self, symbols, message):
         lengths = {0: 1, 2: 2, 3: 2}
         assert self.assert_same(symbols, lengths) == message
+
+    @pytest.mark.parametrize("symbols, message", [
+        ([0, 2**40], "symbol 1099511627776 has no code"),
+        ([0, 1, 2**40], "symbol 1 has no code"),
+        (np.array([0, 2**63], dtype=np.uint64), "symbol 9223372036854775808 has no code"),
+    ], ids=["far_past_the_table", "first_missing_before_it", "past_intp"])
+    def test_a_symbol_far_past_the_table_is_named_without_allocating(self, symbols, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            huffman.encode(symbols, {0: 1, 2: 2, 3: 2})
 
 
 class TestHuffman:
