@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -193,15 +194,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _row_value(row: dict[str, str], metric: str) -> float:
-    """Metric getter letting pareto_front run over raw CSV rows."""
-    value = row.get(metric)
-    if value in (None, ""):
-        raise SweepError(f"points file is missing metric {metric!r}")
+def _row_value(what: str, numbered_row: tuple[int, dict[str, str]], metric: str) -> float:
+    """Metric getter letting pareto_front run over the (line number, row)
+    pairs of the CSV named ``what``; an empty or non-numeric cell is refused
+    naming the file and the line."""
+    line, row = numbered_row
+    value = row[metric]
     try:
         return float(value)
-    except ValueError as exc:
-        raise SweepError(f"metric {metric!r} has non-numeric value {value!r}") from exc
+    except ValueError:
+        problem = "is empty" if value == "" else f"has non-numeric value {value!r}"
+        raise SweepError(f"{what} line {line}: metric {metric!r} {problem}") from None
 
 
 def _parse_objectives(spec: str) -> list[tuple[str, str]]:
@@ -219,19 +222,22 @@ def _parse_objectives(spec: str) -> list[tuple[str, str]]:
 
 def cmd_pareto(args) -> int:
     objectives = _parse_objectives(args.objectives)
+    what = f"points file {args.points}"
     with open(args.points, "r", encoding="utf-8", newline="") as fh:
-        fieldnames, numbered = explore.read_csv(fh, f"points file {args.points}")
+        fieldnames, numbered = explore.read_csv(fh, what)
     if not fieldnames:
         raise SweepError("points file has no header row")
-    rows = [row for _, row in numbered]
-    front = explore.pareto_front(rows, objectives, _row_value)
+    for metric, _ in objectives:
+        if metric not in fieldnames:
+            raise SweepError(f"{what} is missing metric {metric!r}")
+    front = explore.pareto_front(numbered, objectives, functools.partial(_row_value, what))
     with (open(args.out, "w", encoding="utf-8", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:
         writer = csv.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()
-        writer.writerows(front)
+        writer.writerows(row for _, row in front)
     if args.out:
-        print(f"{len(front)} of {len(rows)} points -> {args.out}")
+        print(f"{len(front)} of {len(numbered)} points -> {args.out}")
     return 0
 
 

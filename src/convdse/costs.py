@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar, Optional, get_args, get_type_hints
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
-                    Pool, ReLU, Shuffle, TensorShape, _node_output_shape, infer_shapes)
+                    Pool, ReLU, Shuffle, TensorShape, _bind, _node_output_shape, _rule_for)
 
 
 class NumericConfig:
@@ -117,23 +117,41 @@ class MetricsReport:
         return d
 
 
-def _weight_shapes(spec: LayerSpec, in_shape: TensorShape) -> dict[str, tuple[int, ...]]:
-    """The learnable tensors of one layer bound to its input shape: 'weight'
-    as (F, C/g, kh, kw) for a convolution and (F, C, H, W) for a
-    fully-connected layer, plus 'bias' as (F,) when the layer has one."""
-    if isinstance(spec, Conv):
-        c_in = in_shape.channels
-        if c_in % spec.groups != 0:
-            raise ValueError(f"groups must divide input channels (g={spec.groups}, C_in={c_in})")
-        weight = (spec.filters, c_in // spec.groups, spec.kernel_h, spec.kernel_w)
-    elif isinstance(spec, FullyConnected):
-        # a fully-connected layer is a convolution spanning the full input extent
-        weight = (spec.filters, in_shape.channels, in_shape.height, in_shape.width)
-    elif isinstance(spec, (Input, Pool, GlobalAvgPool, ReLU, Shuffle, Concat)):
-        return {}
-    else:
-        raise ValueError(f"unknown layer type {type(spec).__name__}")
+# Weight rules: one per layer type, called as rule(spec, in_shape) and
+# returning the learnable tensors of the layer bound to its input shape:
+# 'weight' as (F, C/g, kh, kw) for a convolution and (F, C, H, W) for a
+# fully-connected layer, plus 'bias' as (F,) when the layer has one.
+
+def _conv_weights(spec: Conv, in_shape: TensorShape) -> dict[str, tuple[int, ...]]:
+    c_in = in_shape.channels
+    if c_in % spec.groups != 0:
+        raise ValueError(f"groups must divide input channels (g={spec.groups}, C_in={c_in})")
+    weight = (spec.filters, c_in // spec.groups, spec.kernel_h, spec.kernel_w)
     return {"weight": weight, "bias": (spec.filters,)} if spec.bias else {"weight": weight}
+
+
+def _fc_weights(spec: FullyConnected, in_shape: TensorShape) -> dict[str, tuple[int, ...]]:
+    # a fully-connected layer is a convolution spanning the full input extent
+    weight = (spec.filters, in_shape.channels, in_shape.height, in_shape.width)
+    return {"weight": weight, "bias": (spec.filters,)} if spec.bias else {"weight": weight}
+
+
+def _no_weights(spec: LayerSpec, in_shape: TensorShape) -> dict[str, tuple[int, ...]]:
+    return {}
+
+
+_WEIGHT_RULES = {
+    Conv: _conv_weights, FullyConnected: _fc_weights, Input: _no_weights, Pool: _no_weights,
+    GlobalAvgPool: _no_weights, ReLU: _no_weights, Shuffle: _no_weights, Concat: _no_weights,
+}
+
+
+def _weight_shapes(spec: LayerSpec, in_shape: TensorShape) -> dict[str, tuple[int, ...]]:
+    """The learnable tensors of one layer bound to its input shape."""
+    rule = _rule_for(_WEIGHT_RULES, spec)
+    if rule is None:
+        raise ValueError(f"unknown layer type {type(spec).__name__}")
+    return rule(spec, in_shape)
 
 
 def _params(weights: dict[str, tuple[int, ...]]) -> int:
@@ -176,40 +194,48 @@ class LayerCost:
     live_words: int
 
 
-def layer_costs(graph: ArchGraph) -> list[LayerCost]:
-    """Per-layer cost table in topological execution order, built from one
-    shape-inference walk. A node's output is freed after its last consumer
-    has run."""
-    shapes = infer_shapes(graph)
+def _cost_rows(graph: ArchGraph) -> tuple[list[LayerCost], int]:
+    """The rows of ``layer_costs`` and the ``activation_traffic_words`` total,
+    from one bound walk of the graph (``graph._bind``).
+
+    The first loop takes each node's element count once, finds the position
+    of its last reader, and sums the traffic: each output written once and
+    read once per consumer. The second loop builds every row."""
+    shapes, bound = _bind(graph)
     preds = graph.preds
-    last_use: dict[str, int] = {}
-    for i, nid in enumerate(shapes):
-        last_use[nid] = i
+    position: dict[str, int] = {}
+    sizes: list[int] = []
+    last_use: list[int] = []
+    traffic = 0
+    for i, (nid, out) in enumerate(shapes.items()):
+        position[nid] = i
+        size = out.elements
+        sizes.append(size)
+        last_use.append(i)
+        traffic += size
         for p in preds.get(nid, ()):
-            last_use[p] = i
-    freed = [0] * len(shapes)
-    for nid, i in last_use.items():
-        freed[i] += shapes[nid].elements
-    specs = dict(graph.nodes)
+            j = position[p]
+            last_use[j] = i
+            traffic += sizes[j]
+    freed = [0] * len(sizes)
+    for j, i in enumerate(last_use):
+        freed[i] += sizes[j]
     rows = []
     live = 0
-    for i, (nid, out) in enumerate(shapes.items()):
-        spec = specs[nid]
-        in_shapes = tuple(map(shapes.__getitem__, preds.get(nid, ())))
+    for (nid, out), (spec, in_shapes), size, free in zip(shapes.items(), bound, sizes, freed):
         w = _weight_shapes(spec, in_shapes[0]) if in_shapes else {}
-        live += out.elements
+        live += size
         rows.append(LayerCost(nid, spec, in_shapes, out, w, _params(w), _macs(w, out), live))
-        live -= freed[i]
-    return rows
+        live -= free
+    return rows, traffic
 
 
-def _traffic_words(row: LayerCost) -> int:
-    """The activation words one layer moves: its output written once and
-    each input read once."""
-    words = row.out_shape.elements
-    for s in row.in_shapes:
-        words += s.elements
-    return words
+def layer_costs(graph: ArchGraph) -> list[LayerCost]:
+    """Per-layer cost table in topological execution order, built from the
+    input and output shapes of one bound walk. A node's output is freed
+    after its last consumer has run. Raises as ``infer_shapes`` does for an
+    invalid graph."""
+    return _cost_rows(graph)[0]
 
 
 def model_params(graph: ArchGraph) -> int:
@@ -230,7 +256,7 @@ def peak_activation_bytes(graph: ArchGraph, word_bytes: int = 4) -> int:
 def activation_traffic_words(graph: ArchGraph) -> int:
     """Total input plus output activation words across all layers: every
     tensor is counted once when written and once per consumer read."""
-    return sum(map(_traffic_words, layer_costs(graph)))
+    return _cost_rows(graph)[1]
 
 
 def energy_from_counts(total_macs: int, total_params: int, activation_words: int,
@@ -256,13 +282,13 @@ def report(graph: ArchGraph, platform: PlatformSpec = DEFAULT_PLATFORM,
            batch: int = 1) -> MetricsReport:
     """Assemble the full metric vector for one architecture. A metric past
     the float range is a ValueError naming the graph."""
-    params = macs = peak_words = traffic = 0
-    for row in layer_costs(graph):
+    rows, traffic = _cost_rows(graph)
+    params = macs = peak_words = 0
+    for row in rows:
         params += row.params
         macs += row.macs
         if row.live_words > peak_words:
             peak_words = row.live_words
-        traffic += _traffic_words(row)
     storage = params * platform.word_bytes
     peak = peak_words * platform.word_bytes
     try:

@@ -3,6 +3,13 @@
 Graphs are DAGs of layer nodes with exactly one input node and one sink.
 All structures are immutable after construction; every operation here is a
 pure function, so graphs can be shared freely between threads.
+
+Each layer type has one shape rule in ``_SHAPE_RULES``; a subclass of a
+layer type uses its base's rule. ``_walk`` checks and binds a whole graph
+in one pass: it finds every node's rule, checks the structure, then calls
+the rules in topological order and keeps each bound node's input shapes,
+so ``validate``, ``infer_shapes`` and the cost table in ``costs`` all read
+the same bound walk instead of deriving shapes again.
 """
 
 from __future__ import annotations
@@ -258,117 +265,209 @@ def _spatial_size(in_dim: int, kernel: int, stride: int, pad: int, ceil_mode: bo
     return out - 1 if (out - 1) * stride >= in_dim + pad else out
 
 
-def _node_output_shape(spec: LayerSpec, in_shapes: list[TensorShape], node_id: str) -> TensorShape:
-    if isinstance(spec, (ReLU, Shuffle)):
-        return in_shapes[0]
-    if isinstance(spec, Input):
-        return spec.shape
-    if isinstance(spec, Conv):
-        s = in_shapes[0]
-        h = _spatial_size(s.height, spec.kernel_h, spec.stride, spec.pad, False)
-        w = _spatial_size(s.width, spec.kernel_w, spec.stride, spec.pad, False)
-        if h < 1 or w < 1:
-            raise ShapeError(f"{node_id}: convolution output {h}x{w} is not positive "
-                             f"(input {s}, kernel {spec.kernel_h}x{spec.kernel_w}, "
-                             f"stride {spec.stride}, pad {spec.pad})")
-        return TensorShape(h, w, spec.filters)
-    if isinstance(spec, FullyConnected):
-        return TensorShape(1, 1, spec.filters)
-    if isinstance(spec, Pool):
-        s = in_shapes[0]
-        h = _spatial_size(s.height, spec.kernel, spec.stride, 0, spec.ceil_mode)
-        w = _spatial_size(s.width, spec.kernel, spec.stride, 0, spec.ceil_mode)
-        if h < 1 or w < 1:
-            raise ShapeError(f"{node_id}: pool output {h}x{w} is not positive "
-                             f"(input {s}, kernel {spec.kernel}, stride {spec.stride})")
-        return TensorShape(h, w, s.channels)
-    if isinstance(spec, GlobalAvgPool):
-        return TensorShape(1, 1, in_shapes[0].channels)
-    if isinstance(spec, Concat):
-        h, w = in_shapes[0].height, in_shapes[0].width
-        for s in in_shapes[1:]:
-            if (s.height, s.width) != (h, w):
-                raise ShapeError(f"{node_id}: concat inputs must share height and width "
-                                 f"({s} vs {in_shapes[0]})")
-        return TensorShape(h, w, sum(s.channels for s in in_shapes))
-    raise GraphError(f"{node_id}: unknown layer type {type(spec).__name__}")
+# Shape rules: one per layer type, called as rule(spec, in_shapes, node_id,
+# violations). A rule returns the output shape, appends a violation that
+# still leaves the shape defined, and raises ShapeError naming the node when
+# there is no shape.
+
+def _check_groups(spec, c_in: int, node_id: str, violations: list[str]) -> None:
+    if c_in % spec.groups != 0:
+        violations.append(f"{node_id}: groups must divide input channels "
+                          f"(g={spec.groups}, C_in={c_in})")
 
 
-def _walk(graph: ArchGraph) -> tuple[dict[str, TensorShape], list[str], bool]:
+def _input_shape(spec: Input, in_shapes, node_id, violations) -> TensorShape:
+    return spec.shape
+
+
+def _relu_shape(spec: ReLU, in_shapes, node_id, violations) -> TensorShape:
+    return in_shapes[0]
+
+
+def _shuffle_shape(spec: Shuffle, in_shapes, node_id, violations) -> TensorShape:
+    _check_groups(spec, in_shapes[0].channels, node_id, violations)
+    return in_shapes[0]
+
+
+def _conv_shape(spec: Conv, in_shapes, node_id, violations) -> TensorShape:
+    s = in_shapes[0]
+    _check_groups(spec, s.channels, node_id, violations)
+    h = _spatial_size(s.height, spec.kernel_h, spec.stride, spec.pad, False)
+    w = _spatial_size(s.width, spec.kernel_w, spec.stride, spec.pad, False)
+    if h < 1 or w < 1:
+        raise ShapeError(f"{node_id}: convolution output {h}x{w} is not positive "
+                         f"(input {s}, kernel {spec.kernel_h}x{spec.kernel_w}, "
+                         f"stride {spec.stride}, pad {spec.pad})")
+    return TensorShape(h, w, spec.filters)
+
+
+def _fc_shape(spec: FullyConnected, in_shapes, node_id, violations) -> TensorShape:
+    return TensorShape(1, 1, spec.filters)
+
+
+def _pool_shape(spec: Pool, in_shapes, node_id, violations) -> TensorShape:
+    s = in_shapes[0]
+    h = _spatial_size(s.height, spec.kernel, spec.stride, 0, spec.ceil_mode)
+    w = _spatial_size(s.width, spec.kernel, spec.stride, 0, spec.ceil_mode)
+    if h < 1 or w < 1:
+        raise ShapeError(f"{node_id}: pool output {h}x{w} is not positive "
+                         f"(input {s}, kernel {spec.kernel}, stride {spec.stride})")
+    return TensorShape(h, w, s.channels)
+
+
+def _gap_shape(spec: GlobalAvgPool, in_shapes, node_id, violations) -> TensorShape:
+    return TensorShape(1, 1, in_shapes[0].channels)
+
+
+def _concat_shape(spec: Concat, in_shapes, node_id, violations) -> TensorShape:
+    first = in_shapes[0]
+    h, w = first.height, first.width
+    channels = first.channels
+    for s in in_shapes[1:]:
+        if s.height != h or s.width != w:
+            raise ShapeError(f"{node_id}: concat inputs must share height and width "
+                             f"({s} vs {first})")
+        channels += s.channels
+    return TensorShape(h, w, channels)
+
+
+_SHAPE_RULES = {
+    Input: _input_shape, Conv: _conv_shape, FullyConnected: _fc_shape, Pool: _pool_shape,
+    GlobalAvgPool: _gap_shape, ReLU: _relu_shape, Shuffle: _shuffle_shape,
+    Concat: _concat_shape,
+}
+
+
+def _rule_for(rules: Mapping[type, object], spec: LayerSpec):
+    """The entry of ``rules`` for the type of ``spec``, else for its nearest
+    registered base class, so a subclass binds as its base does; None when
+    no class in its MRO is registered."""
+    for cls in type(spec).__mro__:
+        rule = rules.get(cls)
+        if rule is not None:
+            return rule
+    return None
+
+
+def _node_output_shape(spec: LayerSpec, in_shapes, node_id: str) -> TensorShape:
+    """The output shape of one node bound to its input shapes. Raises
+    ShapeError naming the node when a dimension collapses, and GraphError
+    for a layer type without a rule."""
+    rule = _rule_for(_SHAPE_RULES, spec)
+    if rule is None:
+        raise GraphError(f"{node_id}: unknown layer type {type(spec).__name__}")
+    return rule(spec, in_shapes, node_id, [])
+
+
+def _walk(graph: ArchGraph) -> tuple[dict[str, TensorShape],
+                                     list[tuple[LayerSpec, tuple[TensorShape, ...]]],
+                                     list[str], bool]:
     """Check and bind the whole graph in one O(N+E) pass.
 
+    The first loop looks up each node's shape rule (``_SHAPE_RULES``) and
+    checks its arity, its references and its grouping, and collects the
+    consumed ids for the sink check. The second loop binds the nodes in
+    topological order: it gathers each node's input shapes once and hands
+    them to the rule.
+
     Returns the output shape of every node that could be bound, keyed in
-    topological order; every violation, each reported once; and whether a
-    shape rule failed (a collapsed dimension or a concat mismatch).
+    topological order; the spec and input shapes of those nodes, in the
+    same order; every violation, each reported once; and whether a shape
+    rule failed (a collapsed dimension or a concat mismatch).
     """
-    specs = dict(graph.nodes)
-    if len(specs) != len(graph.nodes):
-        counts = Counter(nid for nid, _ in graph.nodes)
+    nodes, all_preds = graph.nodes, graph.preds
+    specs = dict(nodes)
+    if len(specs) != len(nodes):
+        counts = Counter(nid for nid, _ in nodes)
         # ids are ambiguous; further checks would mislead
-        return {}, [f"{nid}: duplicate id" for nid, n in counts.items() if n > 1], False
+        return {}, [], [f"{nid}: duplicate id" for nid, n in counts.items() if n > 1], False
 
     violations: list[str] = []
-    inputs = [nid for nid, spec in graph.nodes if isinstance(spec, Input)]
-    if not inputs:
-        violations.append("graph: missing Input")
-    elif len(inputs) > 1:
-        violations.append(f"graph: multiple Input nodes ({', '.join(inputs)})")
-
+    inputs: list[str] = []
+    rules = {}  # node id -> shape rule
+    consumed: set[str] = set()
     unknown = False
-    for nid, spec in graph.nodes:
-        preds = graph.preds.get(nid, ())
+    for nid, spec in nodes:
+        rules[nid] = rule = _rule_for(_SHAPE_RULES, spec)
+        preds = all_preds.get(nid, ())
         for p in preds:
             if p not in specs:
                 violations.append(f"{nid}: references unknown input {p!r}")
                 unknown = True
-        if isinstance(spec, Input):
+        consumed.update(preds)
+        if rule is _input_shape:
+            inputs.append(nid)
             if preds:
                 violations.append(f"{nid}: Input node must have no predecessors")
-        elif isinstance(spec, Concat):
+        elif rule is _concat_shape:
             if len(preds) < 2:
                 violations.append(f"{nid}: Concat needs at least 2 predecessors, has {len(preds)}")
         elif len(preds) != 1:
             violations.append(f"{nid}: needs exactly one predecessor, has {len(preds)}")
-        if isinstance(spec, Conv) and spec.filters % spec.groups != 0:
+        if rule is _conv_shape and spec.filters % spec.groups != 0:
             violations.append(f"{nid}: groups must divide filters "
                               f"(g={spec.groups}, F={spec.filters})")
+    if not inputs:
+        violations.insert(0, "graph: missing Input")
+    elif len(inputs) > 1:
+        violations.insert(0, f"graph: multiple Input nodes ({', '.join(inputs)})")
     if unknown:
-        return {}, violations, False
+        return {}, [], violations, False
     try:
         order = topological_order(graph)
     except GraphError as exc:  # the references are known, so this is a cycle
         violations.append(f"graph: {exc}")
-        return {}, violations, False
+        return {}, [], violations, False
 
     reachable = set(inputs[:1])
     shapes: dict[str, TensorShape] = {}
+    bound: list[tuple[LayerSpec, tuple[TensorShape, ...]]] = []
     shape_failed = False
     for nid in order:
-        spec, preds = specs[nid], graph.preds.get(nid, ())
+        preds = all_preds.get(nid, ())
         if not reachable.isdisjoint(preds):
             reachable.add(nid)
         elif inputs and nid not in reachable:
             violations.append(f"{nid}: not reachable from Input")
-        if isinstance(spec, Input):
-            in_shapes = []  # bound to its own shape; a predecessor is already a violation
-        elif preds and all(map(shapes.__contains__, preds)):
-            in_shapes = list(map(shapes.__getitem__, preds))
+        rule = rules[nid]
+        if rule is _input_shape:
+            in_shapes = ()  # bound to its own shape; a predecessor is already a violation
         else:
-            continue  # an input could not be bound; its violation is already recorded
-        if isinstance(spec, (Conv, Shuffle)) and in_shapes[0].channels % spec.groups != 0:
-            violations.append(f"{nid}: groups must divide input channels "
-                              f"(g={spec.groups}, C_in={in_shapes[0].channels})")
+            try:
+                in_shapes = tuple(map(shapes.__getitem__, preds))
+            except KeyError:
+                continue  # an input could not be bound; its violation is already recorded
+            if not in_shapes:
+                continue  # no input at all, already a violation
+        spec = specs[nid]
+        if rule is None:
+            violations.append(f"{nid}: unknown layer type {type(spec).__name__}")
+            continue
         try:
-            shapes[nid] = _node_output_shape(spec, in_shapes, nid)
-        except GraphError as exc:
+            shapes[nid] = rule(spec, in_shapes, nid, violations)
+        except ShapeError as exc:
             violations.append(str(exc))
-            shape_failed = shape_failed or isinstance(exc, ShapeError)
+            shape_failed = True
+            continue
+        bound.append((spec, in_shapes))
 
-    sinks = _sinks(graph)
+    sinks = [nid for nid, _ in nodes if nid not in consumed]
     if len(sinks) != 1:
         violations.append(f"graph: expected exactly one sink node, found {len(sinks)} "
                           f"({', '.join(sinks)})")
-    return shapes, violations, shape_failed
+    return shapes, bound, violations, shape_failed
+
+
+def _bind(graph: ArchGraph) -> tuple[dict[str, TensorShape],
+                                     list[tuple[LayerSpec, tuple[TensorShape, ...]]]]:
+    """The first two results of ``_walk``, for a graph without violations.
+    Raises ShapeError naming the node when a dimension collapses, and
+    GraphError listing every violation for any other invalid graph."""
+    shapes, bound, violations, shape_failed = _walk(graph)
+    if violations:
+        error = ShapeError if shape_failed else GraphError
+        raise error(f"invalid graph {graph.name!r}: " + "; ".join(violations))
+    return shapes, bound
 
 
 def validate(graph: ArchGraph) -> list[str]:
@@ -377,18 +476,14 @@ def validate(graph: ArchGraph) -> list[str]:
 
     Violations are data, not exceptions: each entry names the offending node.
     """
-    return _walk(graph)[1]
+    return _walk(graph)[2]
 
 
 def infer_shapes(graph: ArchGraph) -> dict[str, TensorShape]:
     """Map every node id to its output shape, keyed in topological order.
     Raises ShapeError naming the node when a dimension collapses, and
     GraphError listing every violation for any other invalid graph."""
-    shapes, violations, shape_failed = _walk(graph)
-    if violations:
-        error = ShapeError if shape_failed else GraphError
-        raise error(f"invalid graph {graph.name!r}: " + "; ".join(violations))
-    return shapes
+    return _bind(graph)[0]
 
 
 def _sinks(graph: ArchGraph) -> list[str]:

@@ -361,16 +361,22 @@ class TestPareto:
         ("", "total_params:min", "points file has no header row"),
         ("total_params\n1\n", ",", "no objectives given"),
         ("total_params,top5_error\n1,0.2\nabc,0.1\n", "total_params",
-         "metric 'total_params' has non-numeric value 'abc'"),
+         "points file {points} line 3: metric 'total_params' has non-numeric value 'abc'"),
         ("total_params,top5_error\n1,0.2\n2,0.1\n3,nan\n", "total_params:min,top5_error:min",
          "objective 'top5_error' has value nan, which has no order"),
-    ], ids=["no_header", "no_objectives", "non_numeric_cell", "nan_cell"])
+        ("a,b\n1,2\n3,\n", "a:min,b:min", "points file {points} line 3: metric 'b' is empty"),
+        ("a,b\n1,2\n\n3,x\n", "a:min,b:min",
+         "points file {points} line 4: metric 'b' has non-numeric value 'x'"),
+        ("a,b\n1,2\n", "a:min,c:min", "points file {points} is missing metric 'c'"),
+        ("a,b\n", "c:max", "points file {points} is missing metric 'c'"),
+    ], ids=["no_header", "no_objectives", "non_numeric_cell", "nan_cell", "empty_cell",
+            "non_numeric_cell_after_a_blank_line", "missing_column", "missing_column_no_rows"])
     def test_refusal_exits_2_naming_it(self, tmp_path, capsys, text, objectives, message):
         points = tmp_path / "points.csv"
         points.write_text(text)
         assert run_cli("pareto", "--points", str(points), "--objectives", objectives) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {message.format(points=points)}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("text, message", [

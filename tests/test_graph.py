@@ -1,13 +1,14 @@
 import heapq
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from convdse.graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool,
-                           GraphBuilder, GraphError, Input, Pool, ReLU, ShapeError, Shuffle,
-                           TensorShape, infer_shapes, lower_fc, sink_id, topological_order,
-                           validate)
+                           GraphBuilder, GraphError, Input, LayerSpec, Pool, ReLU, ShapeError,
+                           Shuffle, TensorShape, infer_shapes, lower_fc, sink_id,
+                           topological_order, validate)
 from convdse import costs
 
 
@@ -289,3 +290,70 @@ class TestLowerFc:
         g = chain(Conv(1, 1, 16), FullyConnected(10))
         once = lower_fc(g)
         assert lower_fc(once) == once
+
+
+@dataclass(frozen=True)
+class TaggedConv(Conv):
+    tag: str = "tagged"
+
+
+@dataclass(frozen=True)
+class TaggedPool(Pool):
+    tag: str = "tagged"
+
+
+@dataclass(frozen=True)
+class Unregistered(LayerSpec):
+    pass
+
+
+class TestLayerTypeLookup:
+    """A subclass of a layer type binds and is priced by its base's rules;
+    a type no rule covers is refused naming the node."""
+
+    @staticmethod
+    def _pair(conv, pool):
+        b = GraphBuilder("lookup")
+        x = b.input(TensorShape(11, 9, 6))
+        x = b.add(conv, (x,), name="conv")
+        x = b.relu(x)
+        b.add(pool, (x,), name="pool")
+        return b.build()
+
+    @pytest.mark.parametrize("conv_args", [
+        dict(kernel_h=3, kernel_w=2, filters=8, groups=2, stride=2, pad=1),
+        dict(kernel_h=1, kernel_w=1, filters=4, bias=False),
+    ], ids=["grouped_rectangular", "pointwise_no_bias"])
+    def test_subclass_matches_its_base(self, conv_args):
+        base = self._pair(Conv(**conv_args), Pool("avg", 3, 2, ceil_mode=True))
+        sub = self._pair(TaggedConv(**conv_args), TaggedPool("avg", 3, 2, ceil_mode=True))
+        assert validate(sub) == validate(base) == []
+        assert infer_shapes(sub) == infer_shapes(base)
+        rows, base_rows = costs.layer_costs(sub), costs.layer_costs(base)
+        assert [type(r.spec) for r in rows[1::2]] == [TaggedConv, TaggedPool]
+        for row, base_row in zip(rows, base_rows):
+            assert ((row.node_id, row.in_shapes, row.out_shape, row.weights, row.params,
+                     row.macs, row.live_words)
+                    == (base_row.node_id, base_row.in_shapes, base_row.out_shape,
+                        base_row.weights, base_row.params, base_row.macs, base_row.live_words))
+        assert costs.report(sub) == costs.report(base)
+
+    def test_subclass_keeps_its_base_checks(self):
+        g = self._pair(TaggedConv(1, 1, 8, groups=4), TaggedPool("max", 12, 1))
+        assert validate(g) == [
+            "conv: groups must divide input channels (g=4, C_in=6)",
+            "pool: pool output 0x-2 is not positive (input 11x9x8, kernel 12, stride 1)",
+        ]
+
+    def test_unregistered_type_is_refused_naming_the_node(self):
+        b = GraphBuilder("odd")
+        x = b.input(TensorShape(4, 4, 2))
+        b.add(Unregistered(), (x,), name="mystery")
+        g = b.build()
+        assert validate(g) == ["mystery: unknown layer type Unregistered"]
+        message = "invalid graph 'odd': mystery: unknown layer type Unregistered"
+        with pytest.raises(GraphError) as exc:
+            costs.layer_costs(g)
+        assert type(exc.value) is GraphError and str(exc.value) == message
+        with pytest.raises(ValueError, match="^unknown layer type Unregistered$"):
+            costs.layer_params(Unregistered(), TensorShape(4, 4, 2))
