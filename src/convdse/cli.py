@@ -316,6 +316,18 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
+def _batch_size(text: str) -> int:
+    """The ``--batch`` type: an integer of at least 1, refused by argparse
+    (exit 2, naming the flag) before any graph is built."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--arch", help="architecture descriptor (JSON)")
     parser.add_argument("--family", choices=sorted(explore.FAMILIES),
@@ -327,7 +339,7 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(f"--{m.name.replace('_', '-')}", **kind,
                                 help=f"{m.help} ({name}{default})")
     parser.add_argument("--platform", help="platform config (JSON)")
-    parser.add_argument("--batch", type=int, default=1,
+    parser.add_argument("--batch", type=_batch_size, default=1,
                         help="batch size for weight-fetch amortization (default 1)")
 
 
@@ -347,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(explore.FAMILIES))
     p.add_argument("--grid", required=True, help="JSON file mapping axis -> value list")
     p.add_argument("--platform", help="platform config (JSON)")
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--batch", type=_batch_size, default=1,
+                   help="batch size for weight-fetch amortization (default 1)")
     p.add_argument("--accuracy", help="CSV of recorded accuracy keyed by metaparams")
     p.add_argument("--saturation-axis",
                    help="metric to order points by when detecting saturation")

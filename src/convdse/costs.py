@@ -14,18 +14,24 @@ Conventions, stated once:
   * the frames-per-second figure is a pure compute-throughput proxy
     (macs_per_second / total_macs); memory pressure shows up in the energy
     term instead
+
+Integers inside, objects at the edge: one loop prices the graph's bound
+walk on (height, width, channels) triples, and ``report`` reads its totals
+from that loop; only ``layer_costs`` wraps its numbers in LayerCost rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import accumulate
 from typing import ClassVar, Optional, get_args, get_type_hints
 
-from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
-                    Pool, ReLU, Shuffle, TensorShape, _bind, _node_output_shape, _rule_for)
+from .graph import (_SHAPE_RULES, ArchGraph, Concat, Conv, Dims, FullyConnected, GlobalAvgPool,
+                    Input, LayerSpec, Pool, ReLU, Shuffle, TensorShape, _bind, _rule_for)
 
 
 class NumericConfig:
@@ -117,60 +123,57 @@ class MetricsReport:
         return d
 
 
-# Weight rules: one per layer type, called as rule(spec, in_shape) and
-# returning the learnable tensors of the layer bound to its input shape:
-# 'weight' as (F, C/g, kh, kw) for a convolution and (F, C, H, W) for a
-# fully-connected layer, plus 'bias' as (F,) when the layer has one.
+# Weight rules: one per layer type, called as rule(spec, in_shape) on the
+# (h, w, c) triple of the layer's input and returning its 'weight' tensor
+# shape, (F, C/g, kh, kw) for a convolution and (F, C, H, W) for a
+# fully-connected layer, or None for a layer without weights. A layer with
+# weights also has a 'bias' of shape (F,) when ``spec.bias`` is set.
 
-def _conv_weights(spec: Conv, in_shape: TensorShape) -> dict[str, tuple[int, ...]]:
-    c_in = in_shape.channels
+def _conv_weight(spec: Conv, in_shape: Dims) -> tuple[int, int, int, int]:
+    c_in = in_shape[2]
     if c_in % spec.groups != 0:
         raise ValueError(f"groups must divide input channels (g={spec.groups}, C_in={c_in})")
-    weight = (spec.filters, c_in // spec.groups, spec.kernel_h, spec.kernel_w)
-    return {"weight": weight, "bias": (spec.filters,)} if spec.bias else {"weight": weight}
+    return spec.filters, c_in // spec.groups, spec.kernel_h, spec.kernel_w
 
 
-def _fc_weights(spec: FullyConnected, in_shape: TensorShape) -> dict[str, tuple[int, ...]]:
+def _fc_weight(spec: FullyConnected, in_shape: Dims) -> tuple[int, int, int, int]:
     # a fully-connected layer is a convolution spanning the full input extent
-    weight = (spec.filters, in_shape.channels, in_shape.height, in_shape.width)
-    return {"weight": weight, "bias": (spec.filters,)} if spec.bias else {"weight": weight}
+    h, w, c = in_shape
+    return spec.filters, c, h, w
 
 
-def _no_weights(spec: LayerSpec, in_shape: TensorShape) -> dict[str, tuple[int, ...]]:
-    return {}
+def _no_weight(spec: LayerSpec, in_shape: Dims) -> None:
+    return None
 
 
 _WEIGHT_RULES = {
-    Conv: _conv_weights, FullyConnected: _fc_weights, Input: _no_weights, Pool: _no_weights,
-    GlobalAvgPool: _no_weights, ReLU: _no_weights, Shuffle: _no_weights, Concat: _no_weights,
+    Conv: _conv_weight, FullyConnected: _fc_weight, Input: _no_weight, Pool: _no_weight,
+    GlobalAvgPool: _no_weight, ReLU: _no_weight, Shuffle: _no_weight, Concat: _no_weight,
 }
 
 
-def _weight_shapes(spec: LayerSpec, in_shape: TensorShape) -> dict[str, tuple[int, ...]]:
-    """The learnable tensors of one layer bound to its input shape."""
+def _weight_rule(spec: LayerSpec):
+    """The weight rule of the type of ``spec`` or of its nearest registered
+    base class; a ValueError for a type without one."""
     rule = _rule_for(_WEIGHT_RULES, spec)
     if rule is None:
         raise ValueError(f"unknown layer type {type(spec).__name__}")
-    return rule(spec, in_shape)
-
-
-def _params(weights: dict[str, tuple[int, ...]]) -> int:
-    return sum(map(math.prod, weights.values()))
-
-
-def _macs(weights: dict[str, tuple[int, ...]], out: TensorShape) -> int:
-    return math.prod(weights["weight"]) * out.height * out.width if weights else 0
+    return rule
 
 
 def layer_params(spec: LayerSpec, in_shape: TensorShape) -> int:
     """Learnable parameter count of one layer bound to its input shape."""
-    return _params(_weight_shapes(spec, in_shape))
+    s = in_shape.height, in_shape.width, in_shape.channels
+    weight = _weight_rule(spec)(spec, s)
+    return math.prod(weight) + (spec.filters if spec.bias else 0) if weight else 0
 
 
 def layer_macs(spec: LayerSpec, in_shape: TensorShape) -> int:
     """Multiply-accumulate count of one layer bound to its input shape."""
-    weights = _weight_shapes(spec, in_shape)
-    return _macs(weights, _node_output_shape(spec, [in_shape], type(spec).__name__))
+    s = in_shape.height, in_shape.width, in_shape.channels
+    weight = _weight_rule(spec)(spec, s)
+    h, w, _ = _rule_for(_SHAPE_RULES, spec)(spec, (s,), type(spec).__name__, [])
+    return math.prod(weight) * h * w if weight else 0
 
 
 @dataclass(slots=True)
@@ -181,8 +184,7 @@ class LayerCost:
     ``live_words`` counts every activation live while the layer runs: its
     inputs, its own output, and earlier outputs a later layer still reads.
 
-    Slotted and not frozen: every sweep point builds one row per layer, and
-    a frozen dataclass sets each field through ``object.__setattr__``."""
+    Only ``layer_costs`` builds rows; the totals never go through them."""
 
     node_id: str
     spec: LayerSpec
@@ -194,69 +196,90 @@ class LayerCost:
     live_words: int
 
 
-def _cost_rows(graph: ArchGraph) -> tuple[list[LayerCost], int]:
-    """The rows of ``layer_costs`` and the ``activation_traffic_words`` total,
-    from one bound walk of the graph (``graph._bind``).
+def _price(graph: ArchGraph):
+    """Price one bound walk of the graph (``graph._bind``) on plain integers.
 
-    The first loop takes each node's element count once, finds the position
-    of its last reader, and sums the traffic: each output written once and
-    read once per consumer. The second loop builds every row."""
+    The one pricing loop takes each node's element count, weight shape,
+    parameters and MACs, finds the position of each output's last reader,
+    and sums the activation traffic: each output written once and read once
+    per consumer. Returns the walk's output triples and bound nodes, each
+    node's ``(weight, params, macs)`` and live words in topological order,
+    and the totals (params, MACs, peak live words, traffic).
+    """
     shapes, bound = _bind(graph)
     preds = graph.preds
     position: dict[str, int] = {}
     sizes: list[int] = []
     last_use: list[int] = []
-    traffic = 0
-    for i, (nid, out) in enumerate(shapes.items()):
+    priced = []
+    params = macs = traffic = 0
+    rule_of = _WEIGHT_RULES.get
+    for i, ((nid, (h, w, c)), (spec, in_shapes)) in enumerate(zip(shapes.items(), bound)):
         position[nid] = i
-        size = out.elements
+        size = h * w * c
         sizes.append(size)
         last_use.append(i)
         traffic += size
-        for p in preds.get(nid, ()):
-            j = position[p]
+        for src in preds.get(nid, ()):
+            j = position[src]
             last_use[j] = i
             traffic += sizes[j]
+        weight = ((rule_of(type(spec)) or _weight_rule(spec))(spec, in_shapes[0])
+                  if in_shapes else None)
+        p = m = 0
+        if weight:
+            n = math.prod(weight)
+            p, m = n + spec.filters if spec.bias else n, n * h * w
+        params += p
+        macs += m
+        priced.append((weight, p, m))
     freed = [0] * len(sizes)
     for j, i in enumerate(last_use):
         freed[i] += sizes[j]
-    rows = []
-    live = 0
-    for (nid, out), (spec, in_shapes), size, free in zip(shapes.items(), bound, sizes, freed):
-        w = _weight_shapes(spec, in_shapes[0]) if in_shapes else {}
-        live += size
-        rows.append(LayerCost(nid, spec, in_shapes, out, w, _params(w), _macs(w, out), live))
-        live -= free
-    return rows, traffic
+    # while node i runs: every output up to its own, less those freed before it
+    live = list(map(operator.sub, accumulate(sizes), accumulate(freed, initial=0)))
+    return shapes, bound, priced, live, (params, macs, max(live), traffic)
 
 
 def layer_costs(graph: ArchGraph) -> list[LayerCost]:
-    """Per-layer cost table in topological execution order, built from the
-    input and output shapes of one bound walk. A node's output is freed
-    after its last consumer has run. Raises as ``infer_shapes`` does for an
-    invalid graph."""
-    return _cost_rows(graph)[0]
+    """Per-layer cost table in topological execution order. A node's output
+    is freed after its last consumer has run. The rows wrap the integers of
+    the pricing loop: shapes become TensorShape objects and the weight
+    shape a 'weight'/'bias' dict only here. Raises as ``infer_shapes`` does
+    for an invalid graph."""
+    shapes, bound, priced, live_words, _ = _price(graph)
+    objects = {nid: TensorShape(*s) for nid, s in shapes.items()}
+    preds = graph.preds
+    rows = []
+    for (nid, out), (spec, _), (weight, params, macs), live in zip(objects.items(), bound,
+                                                                   priced, live_words):
+        weights = {} if weight is None else {"weight": weight}
+        if weight is not None and spec.bias:
+            weights["bias"] = (spec.filters,)
+        in_shapes = tuple(objects[p] for p in preds.get(nid, ()))
+        rows.append(LayerCost(nid, spec, in_shapes, out, weights, params, macs, live))
+    return rows
 
 
 def model_params(graph: ArchGraph) -> int:
-    return sum(row.params for row in layer_costs(graph))
+    return _price(graph)[4][0]
 
 
 def model_macs(graph: ArchGraph) -> int:
-    return sum(row.macs for row in layer_costs(graph))
+    return _price(graph)[4][1]
 
 
 def peak_activation_bytes(graph: ArchGraph, word_bytes: int = 4) -> int:
     """Maximum bytes of simultaneously live activations over a topological
     execution. A node's output stays live until its last consumer has run;
     while a node runs, its inputs and its own output are live together."""
-    return max(row.live_words for row in layer_costs(graph)) * word_bytes
+    return _price(graph)[4][2] * word_bytes
 
 
 def activation_traffic_words(graph: ArchGraph) -> int:
     """Total input plus output activation words across all layers: every
     tensor is counted once when written and once per consumer read."""
-    return _cost_rows(graph)[1]
+    return _price(graph)[4][3]
 
 
 def energy_from_counts(total_macs: int, total_params: int, activation_words: int,
@@ -282,13 +305,7 @@ def report(graph: ArchGraph, platform: PlatformSpec = DEFAULT_PLATFORM,
            batch: int = 1) -> MetricsReport:
     """Assemble the full metric vector for one architecture. A metric past
     the float range is a ValueError naming the graph."""
-    rows, traffic = _cost_rows(graph)
-    params = macs = peak_words = 0
-    for row in rows:
-        params += row.params
-        macs += row.macs
-        if row.live_words > peak_words:
-            peak_words = row.live_words
+    params, macs, peak_words, traffic = _price(graph)[4]
     storage = params * platform.word_bytes
     peak = peak_words * platform.word_bytes
     try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 from .costs import MetricsReport, NumericConfig, PlatformSpec, report
-from .graph import ArchGraph
+from .graph import ArchGraph, GraphError
 from .zoo import POOL_STRATEGIES, PoolPlacement, alexnet, mobilenet_like, squeezenet, vgg19
 
 
@@ -144,7 +144,9 @@ _MAX_POINTS = 4096
 def sweep(family: str, grid: dict[str, Sequence], platform: PlatformSpec,
           batch: int = 1) -> list[DesignPoint]:
     """One design point per grid cell, in lexicographic order over the grid
-    axes as given. Deterministic: same grid and platform, same points."""
+    axes as given. Deterministic: same grid and platform, same points. A
+    cell whose graph is invalid raises the GraphError (or ShapeError) of
+    ``report``, prefixed with the family and the cell's metaparameters."""
     axes = list(grid.keys())
     for axis in axes:
         if not grid[axis]:
@@ -156,7 +158,11 @@ def sweep(family: str, grid: dict[str, Sequence], platform: PlatformSpec,
     for combo in itertools.product(*(grid[a] for a in axes)):
         metaparams = dict(zip(axes, combo))
         graph = build_family(family, metaparams)
-        points.append(DesignPoint(metaparams, report(graph, platform, batch)))
+        try:
+            metrics = report(graph, platform, batch)
+        except GraphError as exc:  # the graph's name does not tell the cells apart
+            raise type(exc)(f"family {family!r}, metaparameters {metaparams}: {exc}") from exc
+        points.append(DesignPoint(metaparams, metrics))
     return points
 
 

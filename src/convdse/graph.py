@@ -9,7 +9,9 @@ layer type uses its base's rule. ``_walk`` checks and binds a whole graph
 in one pass: it finds every node's rule, checks the structure, then calls
 the rules in topological order and keeps each bound node's input shapes,
 so ``validate``, ``infer_shapes`` and the cost table in ``costs`` all read
-the same bound walk instead of deriving shapes again.
+the same bound walk instead of deriving shapes again. Integers inside,
+objects at the edge: the rules and the walk bind plain (height, width,
+channels) triples, and only ``infer_shapes`` wraps them in TensorShape.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ class TensorShape:
 
     def __str__(self) -> str:
         return f"{self.height}x{self.width}x{self.channels}"
+
+
+#: An activation's (height, width, channels), as the walk binds it.
+Dims = tuple[int, int, int]
 
 
 def _require_positive(obj, names: str, *values) -> None:
@@ -266,9 +272,14 @@ def _spatial_size(in_dim: int, kernel: int, stride: int, pad: int, ceil_mode: bo
 
 
 # Shape rules: one per layer type, called as rule(spec, in_shapes, node_id,
-# violations). A rule returns the output shape, appends a violation that
-# still leaves the shape defined, and raises ShapeError naming the node when
-# there is no shape.
+# violations) on plain (height, width, channels) int triples. A rule returns
+# the output triple, appends a violation that still leaves the shape
+# defined, and raises ShapeError naming the node when there is no shape.
+
+def _dims(s: Dims) -> str:
+    """An (h, w, c) triple as ``str(TensorShape)`` prints it."""
+    return "{}x{}x{}".format(*s)
+
 
 def _check_groups(spec, c_in: int, node_id: str, violations: list[str]) -> None:
     if c_in % spec.groups != 0:
@@ -276,59 +287,59 @@ def _check_groups(spec, c_in: int, node_id: str, violations: list[str]) -> None:
                           f"(g={spec.groups}, C_in={c_in})")
 
 
-def _input_shape(spec: Input, in_shapes, node_id, violations) -> TensorShape:
-    return spec.shape
+def _input_shape(spec: Input, in_shapes, node_id, violations) -> Dims:
+    s = spec.shape
+    return s.height, s.width, s.channels
 
 
-def _relu_shape(spec: ReLU, in_shapes, node_id, violations) -> TensorShape:
+def _relu_shape(spec: ReLU, in_shapes, node_id, violations) -> Dims:
     return in_shapes[0]
 
 
-def _shuffle_shape(spec: Shuffle, in_shapes, node_id, violations) -> TensorShape:
-    _check_groups(spec, in_shapes[0].channels, node_id, violations)
+def _shuffle_shape(spec: Shuffle, in_shapes, node_id, violations) -> Dims:
+    _check_groups(spec, in_shapes[0][2], node_id, violations)
     return in_shapes[0]
 
 
-def _conv_shape(spec: Conv, in_shapes, node_id, violations) -> TensorShape:
+def _conv_shape(spec: Conv, in_shapes, node_id, violations) -> Dims:
     s = in_shapes[0]
-    _check_groups(spec, s.channels, node_id, violations)
-    h = _spatial_size(s.height, spec.kernel_h, spec.stride, spec.pad, False)
-    w = _spatial_size(s.width, spec.kernel_w, spec.stride, spec.pad, False)
+    _check_groups(spec, s[2], node_id, violations)
+    h = _spatial_size(s[0], spec.kernel_h, spec.stride, spec.pad, False)
+    w = _spatial_size(s[1], spec.kernel_w, spec.stride, spec.pad, False)
     if h < 1 or w < 1:
         raise ShapeError(f"{node_id}: convolution output {h}x{w} is not positive "
-                         f"(input {s}, kernel {spec.kernel_h}x{spec.kernel_w}, "
+                         f"(input {_dims(s)}, kernel {spec.kernel_h}x{spec.kernel_w}, "
                          f"stride {spec.stride}, pad {spec.pad})")
-    return TensorShape(h, w, spec.filters)
+    return h, w, spec.filters
 
 
-def _fc_shape(spec: FullyConnected, in_shapes, node_id, violations) -> TensorShape:
-    return TensorShape(1, 1, spec.filters)
+def _fc_shape(spec: FullyConnected, in_shapes, node_id, violations) -> Dims:
+    return 1, 1, spec.filters
 
 
-def _pool_shape(spec: Pool, in_shapes, node_id, violations) -> TensorShape:
+def _pool_shape(spec: Pool, in_shapes, node_id, violations) -> Dims:
     s = in_shapes[0]
-    h = _spatial_size(s.height, spec.kernel, spec.stride, 0, spec.ceil_mode)
-    w = _spatial_size(s.width, spec.kernel, spec.stride, 0, spec.ceil_mode)
+    h = _spatial_size(s[0], spec.kernel, spec.stride, 0, spec.ceil_mode)
+    w = _spatial_size(s[1], spec.kernel, spec.stride, 0, spec.ceil_mode)
     if h < 1 or w < 1:
         raise ShapeError(f"{node_id}: pool output {h}x{w} is not positive "
-                         f"(input {s}, kernel {spec.kernel}, stride {spec.stride})")
-    return TensorShape(h, w, s.channels)
+                         f"(input {_dims(s)}, kernel {spec.kernel}, stride {spec.stride})")
+    return h, w, s[2]
 
 
-def _gap_shape(spec: GlobalAvgPool, in_shapes, node_id, violations) -> TensorShape:
-    return TensorShape(1, 1, in_shapes[0].channels)
+def _gap_shape(spec: GlobalAvgPool, in_shapes, node_id, violations) -> Dims:
+    return 1, 1, in_shapes[0][2]
 
 
-def _concat_shape(spec: Concat, in_shapes, node_id, violations) -> TensorShape:
+def _concat_shape(spec: Concat, in_shapes, node_id, violations) -> Dims:
     first = in_shapes[0]
-    h, w = first.height, first.width
-    channels = first.channels
+    h, w, channels = first
     for s in in_shapes[1:]:
-        if s.height != h or s.width != w:
+        if s[0] != h or s[1] != w:
             raise ShapeError(f"{node_id}: concat inputs must share height and width "
-                             f"({s} vs {first})")
-        channels += s.channels
-    return TensorShape(h, w, channels)
+                             f"({_dims(s)} vs {_dims(first)})")
+        channels += s[2]
+    return h, w, channels
 
 
 _SHAPE_RULES = {
@@ -349,29 +360,20 @@ def _rule_for(rules: Mapping[type, object], spec: LayerSpec):
     return None
 
 
-def _node_output_shape(spec: LayerSpec, in_shapes, node_id: str) -> TensorShape:
-    """The output shape of one node bound to its input shapes. Raises
-    ShapeError naming the node when a dimension collapses, and GraphError
-    for a layer type without a rule."""
-    rule = _rule_for(_SHAPE_RULES, spec)
-    if rule is None:
-        raise GraphError(f"{node_id}: unknown layer type {type(spec).__name__}")
-    return rule(spec, in_shapes, node_id, [])
-
-
-def _walk(graph: ArchGraph) -> tuple[dict[str, TensorShape],
-                                     list[tuple[LayerSpec, tuple[TensorShape, ...]]],
+def _walk(graph: ArchGraph) -> tuple[dict[str, Dims], list[tuple[LayerSpec, tuple[Dims, ...]]],
                                      list[str], bool]:
-    """Check and bind the whole graph in one O(N+E) pass.
+    """Check and bind the whole graph in one O(N+E) pass, on plain
+    integers: every shape here is an (h, w, c) triple, and only the public
+    functions wrap one in a TensorShape.
 
     The first loop looks up each node's shape rule (``_SHAPE_RULES``) and
     checks its arity, its references and its grouping, and collects the
     consumed ids for the sink check. The second loop binds the nodes in
-    topological order: it gathers each node's input shapes once and hands
+    topological order: it gathers each node's input triples once and hands
     them to the rule.
 
-    Returns the output shape of every node that could be bound, keyed in
-    topological order; the spec and input shapes of those nodes, in the
+    Returns the output triple of every node that could be bound, keyed in
+    topological order; the spec and input triples of those nodes, in the
     same order; every violation, each reported once; and whether a shape
     rule failed (a collapsed dimension or a concat mismatch).
     """
@@ -384,12 +386,13 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, TensorShape],
 
     violations: list[str] = []
     inputs: list[str] = []
-    rules = {}  # node id -> shape rule
+    bindings = {}  # node id -> (spec, shape rule, predecessor ids)
     consumed: set[str] = set()
     unknown = False
     for nid, spec in nodes:
-        rules[nid] = rule = _rule_for(_SHAPE_RULES, spec)
+        rule = _SHAPE_RULES.get(type(spec)) or _rule_for(_SHAPE_RULES, spec)
         preds = all_preds.get(nid, ())
+        bindings[nid] = spec, rule, preds
         for p in preds:
             if p not in specs:
                 violations.append(f"{nid}: references unknown input {p!r}")
@@ -420,26 +423,25 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, TensorShape],
         return {}, [], violations, False
 
     reachable = set(inputs[:1])
-    shapes: dict[str, TensorShape] = {}
-    bound: list[tuple[LayerSpec, tuple[TensorShape, ...]]] = []
+    shapes: dict[str, Dims] = {}
+    bound: list[tuple[LayerSpec, tuple[Dims, ...]]] = []
     shape_failed = False
     for nid in order:
-        preds = all_preds.get(nid, ())
+        spec, rule, preds = bindings[nid]
         if not reachable.isdisjoint(preds):
             reachable.add(nid)
         elif inputs and nid not in reachable:
             violations.append(f"{nid}: not reachable from Input")
-        rule = rules[nid]
         if rule is _input_shape:
             in_shapes = ()  # bound to its own shape; a predecessor is already a violation
         else:
             try:
-                in_shapes = tuple(map(shapes.__getitem__, preds))
+                in_shapes = ((shapes[preds[0]],) if len(preds) == 1
+                             else tuple(map(shapes.__getitem__, preds)))
             except KeyError:
                 continue  # an input could not be bound; its violation is already recorded
             if not in_shapes:
                 continue  # no input at all, already a violation
-        spec = specs[nid]
         if rule is None:
             violations.append(f"{nid}: unknown layer type {type(spec).__name__}")
             continue
@@ -458,8 +460,7 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, TensorShape],
     return shapes, bound, violations, shape_failed
 
 
-def _bind(graph: ArchGraph) -> tuple[dict[str, TensorShape],
-                                     list[tuple[LayerSpec, tuple[TensorShape, ...]]]]:
+def _bind(graph: ArchGraph) -> tuple[dict[str, Dims], list[tuple[LayerSpec, tuple[Dims, ...]]]]:
     """The first two results of ``_walk``, for a graph without violations.
     Raises ShapeError naming the node when a dimension collapses, and
     GraphError listing every violation for any other invalid graph."""
@@ -483,7 +484,7 @@ def infer_shapes(graph: ArchGraph) -> dict[str, TensorShape]:
     """Map every node id to its output shape, keyed in topological order.
     Raises ShapeError naming the node when a dimension collapses, and
     GraphError listing every violation for any other invalid graph."""
-    return _bind(graph)[0]
+    return {nid: TensorShape(*s) for nid, s in _bind(graph)[0].items()}
 
 
 def _sinks(graph: ArchGraph) -> list[str]:

@@ -11,6 +11,7 @@ the implementations they check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -136,6 +137,13 @@ def check_mac_counts(seed: int = 0, trials: int = 20) -> PropertyResult:
         if shapes != expected:
             return PropertyResult("mac_counts", False, f"graph {i} ({graph.name}): weight shapes "
                                   f"{shapes} in the cost table, {expected} in the executor")
+        # report prices the walk without the rows, so it is checked on its own
+        totals = costs.report(graph)
+        params = sum(math.prod(shape) for shape in expected.values())
+        if (totals.total_macs, totals.total_params) != (instrumented, params):
+            return PropertyResult("mac_counts", False, f"graph {i} ({graph.name}): report has "
+                                  f"{totals.total_macs} MACs and {totals.total_params} params, "
+                                  f"the executor {instrumented} and {params}")
     return PropertyResult("mac_counts", True,
                           f"analytic == instrumented on {trials} random graphs")
 

@@ -1,8 +1,11 @@
 """Parametric generators for the reference architecture families.
 
-Each generator returns a plain ArchGraph that passes validation and shape
-inference; nothing here depends on the cost model, so generators and
-evaluation stay independently testable.
+Each generator returns a plain ArchGraph; nothing here depends on the cost
+model, so generators and evaluation stay independently testable. With the
+default metaparameters every graph passes validation and shape inference,
+but not every metaparameter cell does: a placement that pools too often
+too early collapses a spatial dimension (``squeezenet`` with seven early
+pools shrinks 1x1 to 0x0), which ``validate`` reports as a violation.
 """
 
 from __future__ import annotations

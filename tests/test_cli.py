@@ -203,6 +203,15 @@ class TestSweep:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_invalid_cell_exits_1_naming_the_cell(self, tmp_path, capsys):
+        grid = self.write_grid(tmp_path, {"p": [0.5], "pool_placement": ["early"],
+                                          "pool_count": [7]})
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
+                       "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert "'pool_placement': 'early', 'pool_count': 7}: invalid graph" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_metaparam_exits_2(self, tmp_path):
         grid = self.write_grid(tmp_path, {"width_mult": [1.0]})
         assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
@@ -692,3 +701,28 @@ class TestCompressionCommands:
         capsys.readouterr()
         assert run_cli("decompress", "--in", str(sdnc),
                        "--out", str(tmp_path / "x.sdnw")) == 3
+
+
+@pytest.mark.parametrize("batch", ["0", "-3", "two"])
+@pytest.mark.parametrize("command", ["describe", "check", "sweep"])
+def test_batch_below_one_exits_2_naming_the_flag(tmp_path, capsys, command, batch):
+    # the grid and constraint files do not exist: the flag is refused before
+    # any file is read or any graph is built
+    argv = {"describe": ["describe", "--family", "squeezenet"],
+            "check": ["check", "--family", "squeezenet",
+                      "--constraints", str(tmp_path / "constraints.json")],
+            "sweep": ["sweep", "--family", "squeezenet", "--grid", str(tmp_path / "grid.json"),
+                      "--out", str(tmp_path / "x")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, f"--batch={batch}")
+    assert exc.value.code == 2
+    assert f"argument --batch: must be an integer >= 1, got '{batch}'" in capsys.readouterr().err
+
+
+def test_batch_of_two_amortizes_spilled_weights(capsys):
+    # alexnet's weights spill off-chip, so a batch halves their energy share
+    energies = []
+    for batch in ("1", "2"):
+        assert run_cli("describe", "--family", "alexnet", "--json", "--batch", batch) == 0
+        energies.append(json.loads(capsys.readouterr().out)["energy_per_frame"])
+    assert energies[1] < energies[0]

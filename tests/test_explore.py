@@ -5,6 +5,7 @@ from convdse.costs import MetricsReport, PlatformSpec, report
 from convdse.explore import (ConstraintSet, DesignPoint, SweepError, attach_accuracy,
                              build_family, check_constraints, find_saturation,
                              load_accuracy_table, pareto_front, sweep)
+from convdse.graph import ShapeError
 from convdse.zoo import PoolPlacement, squeezenet
 
 PLATFORM = PlatformSpec(on_chip_bytes=8 << 20, e_mac=1e-12, macs_per_second=1e10)
@@ -104,6 +105,16 @@ class TestSweep:
     def test_deterministic(self):
         grid = {"p": [0.5, 1.0], "pool_placement": ["even", "late"]}
         assert sweep("squeezenet", grid, PLATFORM) == sweep("squeezenet", grid, PLATFORM)
+
+    def test_invalid_cell_is_named_by_its_metaparameters(self):
+        # seven early pools shrink the 1x1 map of the sixth to 0x0
+        grid = {"p": [0.5], "pool_placement": ["early"], "pool_count": [7]}
+        with pytest.raises(ShapeError) as exc:
+            sweep("squeezenet", grid, PLATFORM)
+        assert str(exc.value) == (
+            "family 'squeezenet', metaparameters {'p': 0.5, 'pool_placement': 'early', "
+            "'pool_count': 7}: invalid graph 'squeezenet(p=0.5)': pool7: pool output 0x0 "
+            "is not positive (input 1x1x384, kernel 3, stride 2)")
 
 
 class TestAttachAccuracy:

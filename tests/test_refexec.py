@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from convdse import costs
 from convdse.graph import Conv, GraphBuilder, Pool, TensorShape, infer_shapes
-from convdse.properties import conv_scalar_reference, random_graph
+from convdse.properties import check_mac_counts, conv_scalar_reference, random_graph
 from convdse.refexec import (ExecutionError, Tensor3D, conv_forward, count_macs_instrumented,
                              expected_weight_shapes, pool_forward, random_weights, run,
                              run_all, shuffle_forward, shuffle_sources)
@@ -231,3 +233,19 @@ def test_expected_weight_shapes_cover_biases():
         "c2.weight": (4, 8, 1, 1),
         "f.weight": (10, 4, 6, 6), "f.bias": (10,),
     }
+
+
+@pytest.mark.parametrize("field", ["total_macs", "total_params"])
+def test_mac_counts_oracle_checks_report_totals(monkeypatch, field):
+    # report prices the walk without the cost table's rows, so the oracle
+    # must catch a report total that the rows do not share
+    priced = costs.report
+
+    def off_by_one(graph, *args):
+        metrics = priced(graph, *args)
+        return replace(metrics, **{field: getattr(metrics, field) + 1})
+
+    assert check_mac_counts(seed=0, trials=3).passed
+    monkeypatch.setattr(costs, "report", off_by_one)
+    result = check_mac_counts(seed=0, trials=3)
+    assert not result.passed and "report has" in result.detail

@@ -339,6 +339,7 @@ def test_walk_matches_the_isinstance_rules(index):
     new, ref = _outcome(infer_shapes, graph), _outcome(ref_infer_shapes, graph)
     if new[0] == "value" == ref[0]:
         assert list(new[1].items()) == list(ref[1].items())
+        assert all(type(s) is TensorShape for s in new[1].values())
     else:
         assert new == ref
     rows = _outcome(costs.layer_costs, graph)
@@ -346,14 +347,22 @@ def test_walk_matches_the_isinstance_rules(index):
     if ref_rows[0] != "value":
         assert rows == ref_rows
         assert _outcome(costs.activation_traffic_words, graph) == ref_rows
+        # the totals are priced without rows, so each one refuses on its own
+        for total in (costs.report, costs.model_params, costs.model_macs,
+                      costs.peak_activation_bytes):
+            assert _outcome(total, graph) == ref_rows
         return
     ref_rows, ref_traffic = ref_rows[1]
     assert rows[0] == "value"
     assert [(r.node_id, r.spec, r.in_shapes, r.out_shape, r.weights, r.params, r.macs,
              r.live_words) for r in rows[1]] == ref_rows
+    assert all(type(s) is TensorShape for r in rows[1] for s in (*r.in_shapes, r.out_shape))
     assert costs.activation_traffic_words(graph) == ref_traffic
     report = costs.report(graph)
     assert report.total_params == sum(r[5] for r in ref_rows)
     assert report.total_macs == sum(r[6] for r in ref_rows)
     assert report.peak_activation_bytes == 4 * max(r[7] for r in ref_rows)
+    assert costs.model_params(graph) == report.total_params
+    assert costs.model_macs(graph) == report.total_macs
+    assert costs.peak_activation_bytes(graph, 2) == 2 * max(r[7] for r in ref_rows)
 
