@@ -16,7 +16,7 @@ from dataclasses import MISSING, fields
 from typing import Any, get_type_hints
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
-                    Pool, ReLU, Shuffle, TensorShape)
+                    Pool, ReLU, Shuffle, TensorShape, shared_spec)
 
 
 class DescriptorError(ValueError):
@@ -91,7 +91,7 @@ def _parse_layer(op: str, params: dict, where: str) -> LayerSpec:
                                   f"got {value!r}")
         values.append(value)
     try:
-        return Input(TensorShape(*values)) if cls is Input else cls(*values)
+        return Input(TensorShape(*values)) if cls is Input else shared_spec(cls, *values)
     except ValueError as exc:
         raise DescriptorError(f"{where}: {exc}") from exc
 

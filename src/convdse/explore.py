@@ -154,6 +154,8 @@ def sweep(family: str, grid: dict[str, Sequence], platform: PlatformSpec,
     total = math.prod(len(grid[a]) for a in axes) if axes else 1
     if total > _MAX_POINTS:
         raise SweepError(f"grid has {total} cells, exceeding the cap of {_MAX_POINTS}")
+    if not isinstance(batch, int) or isinstance(batch, bool) or batch < 1:
+        raise SweepError(f"batch must be a positive integer, got {batch!r}")
     points = []
     for combo in itertools.product(*(grid[a] for a in axes)):
         metaparams = dict(zip(axes, combo))

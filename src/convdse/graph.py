@@ -12,10 +12,17 @@ so ``validate``, ``infer_shapes`` and the cost table in ``costs`` all read
 the same bound walk instead of deriving shapes again. Integers inside,
 objects at the edge: the rules and the walk bind plain (height, width,
 channels) triples, and only ``infer_shapes`` wraps them in TensorShape.
+
+Equal layer specs are one shared instance: ``GraphBuilder`` and the
+descriptor parser build every spec through ``shared_spec``, a bounded cache
+keyed by the layer class and its typed arguments. A spec is immutable, so
+sharing it is safe, and nothing depends on a spec's identity: specs compare
+by value, and the walk compares only its rules with ``is``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import Counter
 from dataclasses import dataclass
@@ -61,13 +68,7 @@ Dims = tuple[int, int, int]
 def _require_positive(obj, names: str, *values) -> None:
     """Raise ValueError naming the first field of ``obj`` that is not a
     positive integer (a bool is not one). ``names`` lists the fields, space
-    separated, in the order of ``values``. One combined check runs first;
-    the loop that names the field runs only when it fails."""
-    for v in values:
-        if type(v) is not int or v < 1:
-            break
-    else:
-        return
+    separated, in the order of ``values``."""
     for name, v in zip(names.split(), values):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValueError(f"{type(obj).__name__}.{name} must be a positive integer, got {v!r}")
@@ -146,6 +147,30 @@ class Concat(LayerSpec):
     pass
 
 
+#: The most distinct specs ``shared_spec`` keeps; past it the least recently
+#: used one is dropped. The bench sweep of 240 squeezenet cells builds 105
+#: distinct specs and its 2,103-node descriptor about 117, so a sweep over
+#: thousands of distinct widths cannot grow the cache without limit.
+SPEC_CACHE_BOUND = 1024
+
+
+@functools.lru_cache(maxsize=SPEC_CACHE_BOUND, typed=True)
+def _cached_spec(cls: type, *args) -> LayerSpec:
+    return cls(*args)
+
+
+def shared_spec(cls: type, *args) -> LayerSpec:
+    """``cls(*args)``, shared: equal arguments of the same types give the
+    same instance, so ``bias=1`` stays apart from ``bias=True``. A refused
+    value raises on every call and is never cached, and an argument that
+    cannot be hashed builds an unshared spec, so the class's own check
+    refuses it with its own message."""
+    try:
+        return _cached_spec(cls, *args)
+    except TypeError:  # an unhashable argument; a TypeError of cls itself is raised again
+        return cls(*args)
+
+
 @dataclass(frozen=True)
 class ArchGraph:
     """Named DAG of layers. ``nodes`` is ordered; ``preds`` maps node id to
@@ -188,30 +213,31 @@ class GraphBuilder:
     def conv(self, src: str, kernel, filters: int, *, groups: int = 1, stride: int = 1,
              pad: int = 0, bias: bool = True, name: Optional[str] = None) -> str:
         kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
-        return self.add(Conv(kh, kw, filters, groups, stride, pad, bias), (src,), name)
+        return self.add(shared_spec(Conv, kh, kw, filters, groups, stride, pad, bias), (src,),
+                        name)
 
     def fc(self, src: str, filters: int, *, bias: bool = True, name: Optional[str] = None) -> str:
-        return self.add(FullyConnected(filters, bias), (src,), name)
+        return self.add(shared_spec(FullyConnected, filters, bias), (src,), name)
 
     def maxpool(self, src: str, kernel: int, stride: int, *, ceil_mode: bool = False,
                 name: Optional[str] = None) -> str:
-        return self.add(Pool("max", kernel, stride, ceil_mode), (src,), name)
+        return self.add(shared_spec(Pool, "max", kernel, stride, ceil_mode), (src,), name)
 
     def avgpool(self, src: str, kernel: int, stride: int, *, ceil_mode: bool = False,
                 name: Optional[str] = None) -> str:
-        return self.add(Pool("avg", kernel, stride, ceil_mode), (src,), name)
+        return self.add(shared_spec(Pool, "avg", kernel, stride, ceil_mode), (src,), name)
 
     def gap(self, src: str, name: Optional[str] = None) -> str:
-        return self.add(GlobalAvgPool(), (src,), name)
+        return self.add(shared_spec(GlobalAvgPool), (src,), name)
 
     def relu(self, src: str, name: Optional[str] = None) -> str:
-        return self.add(ReLU(), (src,), name)
+        return self.add(shared_spec(ReLU), (src,), name)
 
     def shuffle(self, src: str, groups: int, name: Optional[str] = None) -> str:
-        return self.add(Shuffle(groups), (src,), name)
+        return self.add(shared_spec(Shuffle, groups), (src,), name)
 
     def concat(self, srcs: Iterable[str], name: Optional[str] = None) -> str:
-        return self.add(Concat(), tuple(srcs), name)
+        return self.add(shared_spec(Concat), tuple(srcs), name)
 
     def build(self) -> ArchGraph:
         return ArchGraph(self.name, tuple(self._nodes), dict(self._preds))
@@ -487,13 +513,9 @@ def infer_shapes(graph: ArchGraph) -> dict[str, TensorShape]:
     return {nid: TensorShape(*s) for nid, s in _bind(graph)[0].items()}
 
 
-def _sinks(graph: ArchGraph) -> list[str]:
-    consumed = {p for nid, _ in graph.nodes for p in graph.preds.get(nid, ())}
-    return [nid for nid, _ in graph.nodes if nid not in consumed]
-
-
 def sink_id(graph: ArchGraph) -> str:
-    sinks = _sinks(graph)
+    consumed = {p for nid, _ in graph.nodes for p in graph.preds.get(nid, ())}
+    sinks = [nid for nid, _ in graph.nodes if nid not in consumed]
     if len(sinks) != 1:
         raise GraphError(f"expected exactly one sink, found {len(sinks)}")
     return sinks[0]

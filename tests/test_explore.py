@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from convdse import explore
 from convdse.costs import MetricsReport, PlatformSpec, report
 from convdse.explore import (ConstraintSet, DesignPoint, SweepError, attach_accuracy,
                              build_family, check_constraints, find_saturation,
@@ -105,6 +108,19 @@ class TestSweep:
     def test_deterministic(self):
         grid = {"p": [0.5, 1.0], "pool_placement": ["even", "late"]}
         assert sweep("squeezenet", grid, PLATFORM) == sweep("squeezenet", grid, PLATFORM)
+
+    @pytest.mark.parametrize("batch", [0, -1, 2.0, True, "2", None])
+    def test_bad_batch_is_refused_before_any_cell_is_built(self, monkeypatch, batch):
+        def build_family(family, metaparams):
+            raise AssertionError("a cell was built")
+        monkeypatch.setattr(explore, "build_family", build_family)
+        with pytest.raises(SweepError, match=re.escape(f"batch must be a positive integer, "
+                                                       f"got {batch!r}")):
+            sweep("squeezenet", {"p": [0.5]}, PLATFORM, batch=batch)
+
+    def test_batch_above_one_is_taken(self):
+        [point] = sweep("squeezenet", {"p": [0.5]}, PLATFORM, batch=4)
+        assert point.metrics == report(squeezenet(0.5), PLATFORM, batch=4)
 
     def test_invalid_cell_is_named_by_its_metaparameters(self):
         # seven early pools shrink the 1x1 map of the sixth to 0x0

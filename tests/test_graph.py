@@ -1,4 +1,5 @@
 import heapq
+import json
 import re
 from dataclasses import dataclass
 
@@ -9,7 +10,8 @@ from convdse.graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPoo
                            GraphBuilder, GraphError, Input, LayerSpec, Pool, ReLU, ShapeError,
                            Shuffle, TensorShape, infer_shapes, lower_fc, sink_id,
                            topological_order, validate)
-from convdse import costs
+from convdse import costs, graph
+from convdse.descriptor import DescriptorError, parse, serialize
 
 
 def chain(*layers, input_shape=TensorShape(8, 8, 4), name="chain"):
@@ -357,3 +359,105 @@ class TestLayerTypeLookup:
         assert type(exc.value) is GraphError and str(exc.value) == message
         with pytest.raises(ValueError, match="^unknown layer type Unregistered$"):
             costs.layer_params(Unregistered(), TensorShape(4, 4, 2))
+
+
+class TestSharedSpec:
+    """GraphBuilder and the descriptor parser build specs through one
+    bounded, typed cache; a refusal is never cached and reads as before."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        graph._cached_spec.cache_clear()
+
+    @staticmethod
+    def _builder():
+        b = GraphBuilder("shared")
+        return b, b.input(TensorShape(8, 8, 4))
+
+    @staticmethod
+    def _size() -> int:
+        return graph._cached_spec.cache_info().currsize
+
+    def test_equal_builder_calls_share_one_instance(self):
+        specs = []
+        for _ in range(2):
+            b, x = self._builder()
+            b.relu(b.conv(x, 3, 16, pad=1, name="c"), name="r")
+            b.maxpool("r", 2, 2, name="p")
+            specs.append(dict(b.build().nodes))
+        first, second = specs
+        for nid in ("c", "r", "p"):
+            assert first[nid] is second[nid]
+        assert first["c"] == Conv(3, 3, 16, pad=1)
+
+    def test_bias_keeps_its_type_and_serializes_as_given(self):
+        (shared, x), (direct, y) = self._builder(), self._builder()
+        for i, bias in enumerate([True, 1, 1.0]):
+            shared.conv(x, 1, 8, bias=bias, name=f"c{i}")
+            direct.add(Conv(1, 1, 8, bias=bias), (y,), name=f"c{i}")
+        g = shared.build()
+        assert [type(spec.bias) for _, spec in g.nodes[1:]] == [bool, int, float]
+        text = serialize(g)
+        assert text == serialize(direct.build())
+        assert [line.strip() for line in text.splitlines() if '"bias"' in line] == [
+            '"bias": true', '"bias": 1', '"bias": 1.0']
+
+    def test_a_refused_value_raises_every_time_and_is_not_cached(self):
+        b, x = self._builder()
+        b.conv(x, 1, 8, name="kept")
+        before = self._size()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(
+                    "Conv.filters must be a positive integer, got 0")):
+                b.conv(x, 1, 0)
+        assert self._size() == before == 1
+
+    @pytest.mark.parametrize("call, build", [
+        (lambda b, x: b.conv(x, 1, [16]), lambda: Conv(1, 1, [16])),
+        (lambda b, x: b.conv(x, 1, 8, stride=[2]), lambda: Conv(1, 1, 8, stride=[2])),
+        (lambda b, x: b.fc(x, [10]), lambda: FullyConnected([10])),
+        (lambda b, x: b.maxpool(x, [2], 2), lambda: Pool("max", [2], 2)),
+        (lambda b, x: b.shuffle(x, {2}), lambda: Shuffle({2})),
+    ], ids=["conv_filters", "conv_stride", "fc_filters", "pool_kernel", "shuffle_groups"])
+    def test_an_unhashable_argument_is_refused_by_the_class(self, call, build):
+        with pytest.raises(ValueError) as expected:
+            build()
+        b, x = self._builder()
+        with pytest.raises(ValueError) as exc:
+            call(b, x)
+        assert type(exc.value) is ValueError and str(exc.value) == str(expected.value)
+        assert self._size() == 0
+
+    def test_an_unhashable_argument_the_class_takes_builds_unshared(self):
+        b, x = self._builder()
+        b.conv(x, 1, 8, bias=[1], name="c")
+        assert dict(b.build().nodes)["c"] == Conv(1, 1, 8, bias=[1])
+        assert self._size() == 0
+
+    def test_the_cache_stops_at_its_bound(self):
+        assert graph._cached_spec.cache_info().maxsize == graph.SPEC_CACHE_BOUND
+        b, x = self._builder()
+        for filters in range(1, graph.SPEC_CACHE_BOUND + 50):
+            b.conv(x, 1, filters)
+        assert self._size() == graph.SPEC_CACHE_BOUND
+        b.conv(x, 1, 1, name="again")  # evicted long ago: built again, still equal
+        assert dict(b.build().nodes)["again"] == dict(b.build().nodes)["conv1"]
+        assert self._size() == graph.SPEC_CACHE_BOUND
+
+    def test_the_descriptor_parser_shares_specs_too(self):
+        b, x = self._builder()
+        b.relu(b.conv(x, 1, 8, name="c"), name="r")
+        text = serialize(b.build())
+        first, second = dict(parse(text).nodes), dict(parse(text).nodes)
+        assert first["c"] is second["c"] and first["r"] is second["r"]
+
+    def test_the_descriptor_refuses_a_list_valued_field_naming_the_node(self):
+        b, x = self._builder()
+        b.conv(x, 1, 8, name="c")
+        doc = json.loads(serialize(b.build()))
+        doc["nodes"][1]["params"]["filters"] = [16]
+        before = self._size()
+        with pytest.raises(DescriptorError, match=re.escape(
+                "nodes[1] (c): field 'filters' must be an integer, got [16]")):
+            parse(json.dumps(doc))
+        assert self._size() == before
