@@ -6,7 +6,7 @@ compression codec, and a naive reference executor as the semantic oracle.
 
 from .compress import (CompressedModel, CompressionReport, QuantizedTensor, compress_model,
                        compression_report, decode_model, encode, kmeans_quantize,
-                       prune_magnitude)
+                       prune_magnitude, quantize_model)
 from .costs import (DEFAULT_PLATFORM, MetricsReport, PlatformSpec, layer_macs, layer_params,
                     model_macs, model_params, peak_activation_bytes, report)
 from .descriptor import DescriptorError, parse, serialize

@@ -21,7 +21,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import huffman
 from .weights import (Cursor, WeightTensor, pack_container_head, pack_tensor_header,
@@ -45,10 +45,15 @@ def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTenso
     """Zero the floor(sparsity * N) smallest-magnitude entries, ties pruned
     lowest flat index first. The cut magnitude comes from one O(N)
     ``np.partition``: every entry below it is zeroed, then as many of the
-    entries equal to it as the count still needs, in flat order."""
+    entries equal to it as the count still needs, in flat order. NaN or
+    infinite weights are refused."""
     import numpy as np
     if not 0.0 <= target_sparsity < 1.0:
         raise ValueError(f"target_sparsity must be in [0, 1), got {target_sparsity!r}")
+    # a float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every value is; unlike isfinite it allocates no mask
+    if not math.isfinite(tensor.values.sum(dtype=np.float64)):
+        raise ValueError(f"{tensor.name}: weights contain NaN or infinity")
     values = tensor.values.copy()
     n_prune = int(np.floor(target_sparsity * values.size))
     if n_prune:
@@ -86,66 +91,153 @@ _KMEANS_ITERS = 50  # Lloyd steps at most
 _KMEANS_TOL = 1e-8  # stop once no centroid moves by this much
 
 
-def kmeans_quantize(tensor: WeightTensor, bits: int) -> QuantizedTensor:
-    """Lloyd's k-means over the nonzero values only, k = 2**bits centroids
-    initialized evenly over [min, max]. Deterministic: fixed init, ties to
-    the lower centroid index, empty clusters hold their position; unused
-    centroids are dropped afterwards. Members of a centroid that is 0.0 in
-    float32 become pruned, so zero is never a codebook entry. All-zero
-    tensors yield an empty codebook.
+def _prefix_sums(ordered: np.ndarray) -> Optional[np.ndarray]:
+    """The prefix sums of the sorted float32-valued ``ordered``, with a
+    leading 0, when every partial sum is exact in float64; else None.
 
-    In one dimension every cluster is a run of the sorted values, so the
-    nonzeros are argsorted once and each Lloyd step finds the run bounds
-    with one ``searchsorted`` of the k - 1 midpoints, O(k log n), and the
-    run sums with ``np.add.reduceat``. The same search on the final
-    centroids gives the final runs; each run's codebook slot is repeated
-    over it and scattered back to position order through the sort
-    permutation."""
+    Each value is a multiple of 2**(e_lo - 24) below 2**e_hi in magnitude,
+    where e_lo and e_hi are the ``frexp`` exponents of the smallest and
+    largest magnitude, so n of them sum to an integer multiple of that unit
+    below 2**(e_hi - e_lo + 24 + ceil(log2 n)). Within 53 bits every
+    partial sum is exact, and so a run's sum ``prefix[b] - prefix[a]``
+    equals ``np.add.reduceat``'s bit for bit."""
+    import numpy as np
+    n = ordered.size
+    high = max(-ordered[0], ordered[-1])
+    i = int(ordered.searchsorted(0.0))  # the sign change: no value is zero
+    low = min(-ordered[i - 1] if i else math.inf, ordered[i] if i < n else math.inf)
+    if math.frexp(high)[1] - math.frexp(low)[1] + 24 + (n - 1).bit_length() > 53:
+        return None
+    prefix = np.empty(n + 1)
+    prefix[0] = 0.0
+    np.cumsum(ordered, out=prefix[1:])
+    return prefix
+
+
+class _SortedNonzeros:
+    """One tensor's state in the Lloyd loop: the positions of its
+    nonzeros, the permutation that sorts them, the sorted values in
+    float64, and their prefix sums when those are exact (else None)."""
+
+    __slots__ = ("name", "shape", "positions", "order", "ordered", "prefix")
+
+    def __init__(self, tensor: WeightTensor):
+        import numpy as np
+        self.name, self.shape = tensor.name, tensor.shape
+        # held as int32 where they fit: every tensor's state is held at once
+        index = np.int32 if tensor.values.size < 2**31 else np.int64
+        # a bool mask is several times faster to search than the float values
+        self.positions = np.flatnonzero(tensor.values != 0).astype(index)
+        nz = tensor.values[self.positions]
+        # equal values may swap places: the sorted sequence, and so every
+        # run sum, is the same
+        self.order = np.argsort(nz).astype(index)
+        self.ordered = nz.take(self.order).astype(np.float64)
+        self.prefix = None
+        if self.ordered.size:
+            # NaN sorts last and the infinities sit at the ends
+            if not (math.isfinite(self.ordered[0]) and math.isfinite(self.ordered[-1])):
+                raise ValueError(f"{self.name}: weights contain NaN or infinity")
+            self.prefix = _prefix_sums(self.ordered)
+
+    def quantized(self, centroids: np.ndarray, counts: np.ndarray) -> QuantizedTensor:
+        """The tensor quantized to the final ``centroids``, whose runs of the
+        sorted values hold ``counts`` values each: each run's codebook slot
+        is repeated over it and scattered back to position order."""
+        import numpy as np
+        codebook = centroids.astype(np.float32)
+        zero = (counts > 0) & (codebook == 0.0)
+        used = (counts > 0) & ~zero
+        # codebook slot per run; -1 marks the members of a zero centroid
+        slot = np.where(used, np.cumsum(used) - 1, -1)
+        labels = np.empty(self.positions.size, dtype=np.int64)
+        labels[self.order] = np.repeat(slot, counts)
+        positions = self.positions.astype(np.int64)
+        if zero.any():
+            keep = labels >= 0
+            positions, labels = positions[keep], labels[keep]
+        return QuantizedTensor(self.name, self.shape, codebook[used], positions, labels)
+
+
+def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[QuantizedTensor]:
+    """Lloyd's k-means over each tensor's nonzero values, k = 2**bits
+    centroids initialized evenly over [min, max], run for all tensors in
+    lockstep. Deterministic: fixed init, ties to the lower centroid index,
+    empty clusters hold their position; unused centroids are dropped
+    afterwards. Members of a centroid that is 0.0 in float32 become pruned,
+    so zero is never a codebook entry. All-zero tensors yield an empty
+    codebook; NaN or infinite weights are refused.
+
+    ``tensors`` is read once, one tensor at a time, and only each tensor's
+    sorted nonzeros are kept (``_SortedNonzeros``). In one dimension every
+    cluster is a run of the sorted values, so a Lloyd step finds the run
+    bounds with one ``searchsorted`` of the k - 1 midpoints per tensor, and
+    the counts, centroid update and movement on (tensors x k) arrays. A
+    run's sum is the difference of two prefix sums when ``_prefix_sums``
+    shows them exact; otherwise ``np.add.reduceat`` sums the runs, the one
+    way to reproduce those sums' rounding. A tensor leaves the loop once no
+    centroid moved by ``_KMEANS_TOL`` or after ``_KMEANS_ITERS`` steps; one
+    more search gives its final runs, and its state is released as soon as
+    its labels are built."""
     import numpy as np
     if not 1 <= bits <= 8:
         raise ValueError(f"bits must be in [1, 8], got {bits!r}")
-    # a bool mask is several times faster to search than the float values
-    positions = np.flatnonzero(tensor.values != 0).astype(np.int64, copy=False)
-    if positions.size == 0:
-        return QuantizedTensor(tensor.name, tensor.shape,
-                               np.zeros(0, dtype=np.float32),
-                               positions, np.zeros(0, dtype=np.int64))
-    nz = tensor.values[positions]
-    # equal values may swap places: the sorted sequence, and so every run
-    # sum, is the same
-    order = np.argsort(nz)
-    ordered = nz.take(order).astype(np.float64)
     k = 1 << bits
-    centroids = np.linspace(ordered[0], ordered[-1], k)
-    bounds = np.empty(k + 1, dtype=np.int64)
-    bounds[0], bounds[k] = 0, ordered.size
-    movement = math.inf
-    # each pass finds the runs of the current centroids; the last pass,
-    # after convergence or the last Lloyd step, gives the final runs
+    states = [_SortedNonzeros(t) for t in tensors]
+    out: list[Optional[QuantizedTensor]] = [None] * len(states)
+    none = np.zeros(0, dtype=np.int64)
+    for i, state in enumerate(states):
+        if not state.ordered.size:
+            out[i] = QuantizedTensor(state.name, state.shape, np.zeros(0, dtype=np.float32),
+                                     none, none)
+    # (index in out, state) of every tensor still in the loop
+    live = [(i, state) for i, state in enumerate(states) if state.ordered.size]
+    del states
+    # one linspace per tensor: an array linspace rounds every row differently
+    # once any row has min == max
+    centroids = np.array([np.linspace(s.ordered[0], s.ordered[-1], k)
+                          for _, s in live]).reshape(len(live), k)
+    bounds = np.zeros((len(live), k + 1), dtype=np.int64)
+    bounds[:, k] = [s.ordered.size for _, s in live]
+    movement = np.full(len(live), math.inf)
+    # each pass finds the runs of the current centroids; the last pass of a
+    # tensor, after convergence or the last Lloyd step, gives its final runs
     for step in range(_KMEANS_ITERS + 1):
-        # side="right": a value exactly on a midpoint stays in the lower run
-        bounds[1:k] = np.searchsorted(ordered, (centroids[:-1] + centroids[1:]) / 2.0,
-                                      side="right")
-        counts = np.diff(bounds)
-        if movement < _KMEANS_TOL or step == _KMEANS_ITERS:
+        if not live:
             break
+        mids = (centroids[:, :-1] + centroids[:, 1:]) / 2.0
+        for row, (_, s) in enumerate(live):
+            # side="right": a value exactly on a midpoint stays in the lower run
+            bounds[row, 1:k] = s.ordered.searchsorted(mids[row], side="right")
+        counts = bounds[:, 1:] - bounds[:, :-1]
+        done = movement < _KMEANS_TOL if step < _KMEANS_ITERS else np.ones(len(live), bool)
+        if done.any():
+            for row in np.flatnonzero(done):
+                i, state = live[row]
+                live[row] = None  # released once its labels are built
+                out[i] = state.quantized(centroids[row], counts[row])
+            going = ~done
+            live = [entry for entry in live if entry is not None]
+            centroids, bounds, counts = centroids[going], bounds[going], counts[going]
+        ends = np.zeros((len(live), k + 1))
+        for row, (_, s) in enumerate(live):
+            if s.prefix is not None:
+                s.prefix.take(bounds[row], out=ends[row])
+        sums = ends[:, 1:] - ends[:, :-1]
         occupied = counts > 0
-        new_centroids = centroids.copy()
-        new_centroids[occupied] = (np.add.reduceat(ordered, bounds[:-1][occupied])
-                                   / counts[occupied])
-        movement = np.max(np.abs(new_centroids - centroids))
+        for row, (_, s) in enumerate(live):
+            if s.prefix is None:
+                sums[row, occupied[row]] = np.add.reduceat(s.ordered,
+                                                           bounds[row, :-1][occupied[row]])
+        new_centroids = np.divide(sums, counts, out=centroids.copy(), where=occupied)
+        movement = np.abs(new_centroids - centroids).max(axis=1)
         centroids = new_centroids
-    codebook = centroids.astype(np.float32)
-    zero = (counts > 0) & (codebook == 0.0)
-    used = (counts > 0) & ~zero
-    # codebook slot per run; -1 marks the members of a zero centroid
-    slot = np.where(used, np.cumsum(used) - 1, -1)
-    labels = np.empty(positions.size, dtype=np.int64)
-    labels[order] = np.repeat(slot, counts)
-    if zero.any():
-        keep = labels >= 0
-        positions, labels = positions[keep], labels[keep]
-    return QuantizedTensor(tensor.name, tensor.shape, codebook[used], positions, labels)
+    return out
+
+
+def kmeans_quantize(tensor: WeightTensor, bits: int) -> QuantizedTensor:
+    """``quantize_model`` of the one tensor."""
+    return quantize_model([tensor], bits)[0]
 
 
 def quantization_mse(tensor: WeightTensor, quantized: QuantizedTensor) -> float:
@@ -199,11 +291,15 @@ def _gap_index_symbols(quantized: QuantizedTensor,
     return gap_symbols, index_symbols
 
 
+def _check_rel_index_bits(rel_index_bits: int) -> None:
+    if not 1 <= rel_index_bits <= 16:
+        raise ValueError(f"rel_index_bits must be in [1, 16], got {rel_index_bits!r}")
+
+
 def encode(quantized: Sequence[QuantizedTensor], rel_index_bits: int = 4) -> CompressedModel:
     """Entropy-code pruned+quantized tensors into a compressed model."""
     import numpy as np
-    if not 1 <= rel_index_bits <= 16:
-        raise ValueError(f"rel_index_bits must be in [1, 16], got {rel_index_bits!r}")
+    _check_rel_index_bits(rel_index_bits)
     records = []
     for qt in quantized:
         if qt.positions.size and qt.positions.max() >= qt.element_count():
@@ -369,17 +465,13 @@ def _parse_record(r: Cursor) -> CompressedTensor:
 
 def compress_model(tensors: Sequence[WeightTensor], target_sparsity: float, bits: int,
                    rel_index_bits: int = 4) -> CompressedModel:
-    """Full pipeline: prune each tensor, quantize the survivors, encode.
-    NaN or infinite weights are refused."""
-    import numpy as np
-    quantized = []
-    for t in tensors:
-        # a float64 sum of float32 values cannot overflow, so it is finite
-        # exactly when every value is; unlike isfinite it allocates no mask
-        if not math.isfinite(t.values.sum(dtype=np.float64)):
-            raise ValueError(f"{t.name}: weights contain NaN or infinity")
-        quantized.append(kmeans_quantize(prune_magnitude(t, target_sparsity), bits))
-    return encode(quantized, rel_index_bits)
+    """Full pipeline: prune each tensor, quantize the survivors of all of
+    them in one ``quantize_model``, encode. The gap width is checked before
+    any work; NaN or infinite weights are refused."""
+    _check_rel_index_bits(rel_index_bits)
+    # pruned one at a time as the quantizer reads them
+    pruned = (prune_magnitude(t, target_sparsity) for t in tensors)
+    return encode(quantize_model(pruned, bits), rel_index_bits)
 
 
 @dataclass(frozen=True)

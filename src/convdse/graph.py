@@ -74,6 +74,13 @@ def _require_positive(obj, names: str, *values) -> None:
             raise ValueError(f"{type(obj).__name__}.{name} must be a positive integer, got {v!r}")
 
 
+def _require_bool(obj, name: str, value) -> None:
+    """Raise ValueError unless field ``name`` of ``obj`` is True or False:
+    the descriptor writes the value as given and reads back only a boolean."""
+    if type(value) is not bool:
+        raise ValueError(f"{type(obj).__name__}.{name} must be a boolean, got {value!r}")
+
+
 class LayerSpec:
     """Base marker for layer variants; concrete layers are frozen dataclasses."""
 
@@ -100,6 +107,7 @@ class Conv(LayerSpec):
                           self.kernel_w, self.filters, self.groups, self.stride)
         if not isinstance(self.pad, int) or isinstance(self.pad, bool) or self.pad < 0:
             raise ValueError(f"Conv.pad must be a non-negative integer, got {self.pad!r}")
+        _require_bool(self, "bias", self.bias)
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,7 @@ class FullyConnected(LayerSpec):
 
     def __post_init__(self):
         _require_positive(self, "filters", self.filters)
+        _require_bool(self, "bias", self.bias)
 
 
 @dataclass(frozen=True)
@@ -122,6 +131,7 @@ class Pool(LayerSpec):
         if self.kind not in ("max", "avg"):
             raise ValueError(f"Pool.kind must be 'max' or 'avg', got {self.kind!r}")
         _require_positive(self, "kernel stride", self.kernel, self.stride)
+        _require_bool(self, "ceil_mode", self.ceil_mode)
 
 
 @dataclass(frozen=True)
@@ -161,10 +171,10 @@ def _cached_spec(cls: type, *args) -> LayerSpec:
 
 def shared_spec(cls: type, *args) -> LayerSpec:
     """``cls(*args)``, shared: equal arguments of the same types give the
-    same instance, so ``bias=1`` stays apart from ``bias=True``. A refused
-    value raises on every call and is never cached, and an argument that
-    cannot be hashed builds an unshared spec, so the class's own check
-    refuses it with its own message."""
+    same instance. A refused value raises on every call and is never
+    cached, and an argument that cannot be hashed goes straight to
+    ``cls(*args)``, so the class's own check refuses it with its own
+    message."""
     try:
         return _cached_spec(cls, *args)
     except TypeError:  # an unhashable argument; a TypeError of cls itself is raised again

@@ -593,6 +593,22 @@ class TestCompressionCommands:
         assert "conv1.weight: weights contain NaN or infinity" in capsys.readouterr().err
         assert not sdnc.exists()
 
+    @pytest.mark.parametrize("gap_bits", ["0", "17"])
+    def test_gap_width_is_refused_before_any_tensor_is_pruned(self, tmp_path, capsys,
+                                                              monkeypatch, gap_bits):
+        sdnw = tmp_path / "w.sdnw"
+        weights.save_sdnw([weights.WeightTensor("t", (10,), np.arange(10.0))], sdnw)
+
+        def no_pruning(tensor, sparsity):
+            raise AssertionError("pruned before the gap width was checked")
+        monkeypatch.setattr(compress, "prune_magnitude", no_pruning)
+        sdnc = tmp_path / "w.sdnc"
+        assert run_cli("compress", "--weights", str(sdnw), "--out", str(sdnc),
+                       "--gap-bits", gap_bits) == 2
+        assert (f"rel_index_bits must be in [1, 16], got {gap_bits}"
+                in capsys.readouterr().err)
+        assert not sdnc.exists()
+
     @pytest.mark.parametrize("values, change, message", [
         (np.zeros(20), {"shape": (0, 5)}, "zero dimension"),
         (np.arange(20) % 3, {"record_count": 21}, "record count 21 exceeds element count 20"),

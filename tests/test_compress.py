@@ -5,11 +5,11 @@ import zlib
 import numpy as np
 import pytest
 
-from convdse import huffman, properties
+from convdse import compress, huffman, properties
 from convdse.cli import main
 from convdse.compress import (CompressedFormatError, compress_model, compression_report,
                               decode_model, encode, kmeans_quantize, prune_magnitude,
-                              quantization_mse, read_sdnc, write_sdnc)
+                              quantization_mse, quantize_model, read_sdnc, write_sdnc)
 from convdse.weights import (WeightFormatError, WeightTensor, read_sdnw, write_sdnw)
 
 
@@ -62,13 +62,14 @@ def kmeans_reference(tensor, bits):
     return centroids[used].astype(np.float32), positions, remap[labels]
 
 
-def kmeans_sort_search(tensor, bits):
+def kmeans_sort_search(tensor, bits, steps=None):
     """The earlier sorted-run k-means: the same Lloyd steps over the sorted
     float64 nonzeros, then one ``searchsorted`` of every nonzero into the
     final midpoints and ``np.unique`` of the labels; returns (codebook,
-    positions, assignments). Its run sums are the same ``reduceat`` sums,
-    so it is a bit-exact reference on large tensors, where the bincount
-    sums of ``kmeans_reference`` round differently."""
+    positions, assignments) and appends the number of Lloyd steps taken to
+    ``steps`` if given. Its run sums are ``reduceat`` sums, so it is a
+    bit-exact reference on large tensors, where the bincount sums of
+    ``kmeans_reference`` round differently."""
     positions = np.nonzero(tensor.values)[0].astype(np.int64)
     if positions.size == 0:
         return np.zeros(0, dtype=np.float32), positions, np.zeros(0, dtype=np.int64)
@@ -78,7 +79,7 @@ def kmeans_sort_search(tensor, bits):
     centroids = np.linspace(ordered[0], ordered[-1], k)
     bounds = np.empty(k + 1, dtype=np.int64)
     bounds[0], bounds[k] = 0, ordered.size
-    for _ in range(50):
+    for step in range(1, 51):
         bounds[1:k] = np.searchsorted(ordered, (centroids[:-1] + centroids[1:]) / 2.0,
                                       side="right")
         counts = np.diff(bounds)
@@ -90,6 +91,8 @@ def kmeans_sort_search(tensor, bits):
         centroids = new_centroids
         if movement < 1e-8:
             break
+    if steps is not None:
+        steps.append(step)
     labels = np.searchsorted((centroids[:-1] + centroids[1:]) / 2.0, nz,
                              side="left").astype(np.int64, copy=False)
     zero = centroids.astype(np.float32) == 0.0
@@ -185,6 +188,41 @@ def test_quantize_matches_the_sort_search_formulation_bit_for_bit(bits):
     assert_same_quantization(kmeans_quantize(t, bits), kmeans_sort_search(t, bits))
 
 
+def batch_tensors():
+    """Every equivalence case's tensor pruned at its sparsity, then two
+    whose prefix sums would round in float64: values spanning 12 decades,
+    and three levels from 1e-7 to 250 repeated."""
+    tensors = []
+    for case in equivalence_cases():
+        values, sparsity, _ = case.values
+        tensors.append(prune_magnitude(wt(values, name=case.id), sparsity))
+    rng = np.random.default_rng(44)
+    wide = rng.standard_normal(3000) * 10.0 ** rng.uniform(-6, 6, 3000)
+    levels = rng.permutation(np.repeat([1e-7, 3.0, -250.0], [700, 200, 100]))
+    return tensors + [wt(wide, name="wide_range"), wt(levels, name="far_levels")]
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_one_batch_matches_the_sort_search_formulation(bits, monkeypatch):
+    tensors = batch_tensors()
+    exact = []
+    prefix_sums = compress._prefix_sums
+    monkeypatch.setattr(compress, "_prefix_sums",
+                        lambda ordered: exact.append(prefix_sums(ordered) is not None)
+                        or prefix_sums(ordered))
+    batch = quantize_model(iter(tensors), bits)
+    assert exact.count(False) == 2 and exact.count(True) == len(tensors) - 3  # all_zero: none
+    steps = []
+    for t, qt in zip(tensors, batch, strict=True):
+        assert (qt.name, qt.shape) == (t.name, t.shape)
+        assert_same_quantization(qt, kmeans_sort_search(t, bits, steps))
+        alone = kmeans_quantize(t, bits)
+        assert_same_quantization(qt, (alone.codebook, alone.positions, alone.assignments))
+    sizes = [np.count_nonzero(t.values) for t in tensors]
+    assert 0 in sizes and 1 in sizes
+    assert len(set(steps)) > 1  # the tensors left the loop at different steps
+
+
 class TestPrune:
     def test_four_value_example(self):
         pruned = prune_magnitude(wt([0.1, -0.5, 0.3, 0.0]), 0.5)
@@ -220,6 +258,12 @@ class TestPrune:
             prune_magnitude(wt([1.0]), 1.0)
         with pytest.raises(ValueError):
             prune_magnitude(wt([1.0]), -0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("sparsity", [0.0, 0.5])
+    def test_non_finite_weights_are_refused(self, bad, sparsity):
+        with pytest.raises(ValueError, match=re.escape("t: weights contain NaN or infinity")):
+            prune_magnitude(wt([1.0, bad, 2.0, 3.0]), sparsity)
 
 
 class TestKmeans:
@@ -276,6 +320,20 @@ class TestKmeans:
             kmeans_quantize(wt([1.0]), bits=0)
         with pytest.raises(ValueError):
             kmeans_quantize(wt([1.0]), bits=9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_weights_are_refused(self, bad):
+        with pytest.raises(ValueError, match=re.escape("t: weights contain NaN or infinity")):
+            kmeans_quantize(wt([1.0, bad, 2.0, 3.0]), 2)
+        with pytest.raises(ValueError, match=re.escape("b: weights contain NaN or infinity")):
+            quantize_model([wt([1.0, 2.0], name="a"), wt([bad, 0.0], name="b")], 2)
+
+    def test_bits_are_checked_before_any_tensor_is_read(self):
+        def tensors():
+            raise AssertionError("a tensor was read")
+            yield
+        with pytest.raises(ValueError, match=re.escape("bits must be in [1, 8], got 0")):
+            quantize_model(tensors(), 0)
 
 
 class TestEncodeDecode:

@@ -6,6 +6,7 @@ import pytest
 
 from convdse import zoo
 from convdse.descriptor import DescriptorError, parse, serialize
+from convdse.graph import GraphBuilder, TensorShape
 from convdse.properties import random_graph
 
 
@@ -18,6 +19,18 @@ def test_alexnet_round_trip():
                                   lambda: zoo.mobilenet_like(0.5)])
 def test_generator_round_trips(make):
     g = make()
+    assert parse(serialize(g)) == g
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("ceil_mode", [True, False])
+def test_builder_flags_round_trip(bias, ceil_mode):
+    b = GraphBuilder("flags")
+    x = b.input(TensorShape(9, 9, 3))
+    x = b.maxpool(b.conv(x, 3, 8, bias=bias), 3, 2, ceil_mode=ceil_mode)
+    x = b.avgpool(x, 2, 2, ceil_mode=ceil_mode)
+    b.fc(x, 10, bias=bias)
+    g = b.build()
     assert parse(serialize(g)) == g
 
 

@@ -390,17 +390,22 @@ class TestSharedSpec:
             assert first[nid] is second[nid]
         assert first["c"] == Conv(3, 3, 16, pad=1)
 
-    def test_bias_keeps_its_type_and_serializes_as_given(self):
-        (shared, x), (direct, y) = self._builder(), self._builder()
-        for i, bias in enumerate([True, 1, 1.0]):
-            shared.conv(x, 1, 8, bias=bias, name=f"c{i}")
-            direct.add(Conv(1, 1, 8, bias=bias), (y,), name=f"c{i}")
-        g = shared.build()
-        assert [type(spec.bias) for _, spec in g.nodes[1:]] == [bool, int, float]
-        text = serialize(g)
-        assert text == serialize(direct.build())
-        assert [line.strip() for line in text.splitlines() if '"bias"' in line] == [
-            '"bias": true', '"bias": 1', '"bias": 1.0']
+    @pytest.mark.parametrize("call, message", [
+        (lambda b, x: b.conv(x, 1, 8, bias=1), "Conv.bias must be a boolean, got 1"),
+        (lambda b, x: b.conv(x, 1, 8, bias=1.0), "Conv.bias must be a boolean, got 1.0"),
+        (lambda b, x: b.fc(x, 10, bias=0), "FullyConnected.bias must be a boolean, got 0"),
+        (lambda b, x: b.maxpool(x, 2, 2, ceil_mode=2),
+         "Pool.ceil_mode must be a boolean, got 2"),
+        (lambda b, x: b.avgpool(x, 2, 2, ceil_mode=np.True_),
+         f"Pool.ceil_mode must be a boolean, got {np.True_!r}"),
+    ], ids=["conv_bias_1", "conv_bias_1.0", "fc_bias_0", "maxpool_ceil_2",
+            "avgpool_ceil_numpy_bool"])
+    def test_a_non_boolean_flag_is_refused(self, call, message):
+        b, x = self._builder()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(b, x)
+        assert self._size() == 0
 
     def test_a_refused_value_raises_every_time_and_is_not_cached(self):
         b, x = self._builder()
@@ -418,7 +423,9 @@ class TestSharedSpec:
         (lambda b, x: b.fc(x, [10]), lambda: FullyConnected([10])),
         (lambda b, x: b.maxpool(x, [2], 2), lambda: Pool("max", [2], 2)),
         (lambda b, x: b.shuffle(x, {2}), lambda: Shuffle({2})),
-    ], ids=["conv_filters", "conv_stride", "fc_filters", "pool_kernel", "shuffle_groups"])
+        (lambda b, x: b.conv(x, 1, 8, bias=[1]), lambda: Conv(1, 1, 8, bias=[1])),
+    ], ids=["conv_filters", "conv_stride", "fc_filters", "pool_kernel", "shuffle_groups",
+            "conv_bias"])
     def test_an_unhashable_argument_is_refused_by_the_class(self, call, build):
         with pytest.raises(ValueError) as expected:
             build()
@@ -426,12 +433,6 @@ class TestSharedSpec:
         with pytest.raises(ValueError) as exc:
             call(b, x)
         assert type(exc.value) is ValueError and str(exc.value) == str(expected.value)
-        assert self._size() == 0
-
-    def test_an_unhashable_argument_the_class_takes_builds_unshared(self):
-        b, x = self._builder()
-        b.conv(x, 1, 8, bias=[1], name="c")
-        assert dict(b.build().nodes)["c"] == Conv(1, 1, 8, bias=[1])
         assert self._size() == 0
 
     def test_the_cache_stops_at_its_bound(self):
