@@ -43,27 +43,36 @@ class CompressedFormatError(ValueError):
 
 def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTensor:
     """Zero the floor(sparsity * N) smallest-magnitude entries, ties pruned
-    lowest flat index first. The cut magnitude comes from one O(N)
-    ``np.partition``: every entry below it is zeroed, then as many of the
-    entries equal to it as the count still needs, in flat order. NaN or
-    infinite weights are refused."""
+    lowest flat index first; a pruned entry becomes +0.0 and a kept one
+    keeps its bits, -0.0 included. NaN or infinite weights are refused.
+
+    The cut magnitude comes from one O(N) ``np.partition``. Every entry at
+    or above it is kept, except the first of the entries equal to it, in
+    flat order, that the count still needs. The kept mask, negated as int8
+    to all-ones or zero, is ANDed into the float32 bits in one pass, with
+    no per-element branch."""
     import numpy as np
     if not 0.0 <= target_sparsity < 1.0:
         raise ValueError(f"target_sparsity must be in [0, 1), got {target_sparsity!r}")
-    # a float64 sum of float32 values cannot overflow, so it is finite
-    # exactly when every value is; unlike isfinite it allocates no mask
-    if not math.isfinite(tensor.values.sum(dtype=np.float64)):
+    values = tensor.values
+    magnitude = np.abs(values)
+    # NaN and infinity propagate through max, so it is finite exactly when
+    # every value is
+    if not math.isfinite(magnitude.max()):
         raise ValueError(f"{tensor.name}: weights contain NaN or infinity")
-    values = tensor.values.copy()
     n_prune = int(np.floor(target_sparsity * values.size))
-    if n_prune:
-        magnitude = np.abs(values)
-        threshold = np.partition(magnitude, n_prune - 1)[n_prune - 1]
-        below = magnitude < threshold
-        values[below] = 0.0
-        extra = n_prune - int(np.count_nonzero(below))
-        values[np.flatnonzero(magnitude == threshold)[:extra]] = 0.0
-    return WeightTensor(tensor.name, tensor.shape, values)
+    if not n_prune:
+        return WeightTensor(tensor.name, tensor.shape, values.copy())
+    threshold = np.partition(magnitude, n_prune - 1)[n_prune - 1]
+    keep = magnitude >= threshold
+    extra = n_prune - (values.size - int(np.count_nonzero(keep)))
+    keep[np.flatnonzero(magnitude == threshold)[:extra]] = False
+    flags = keep.view(np.int8)
+    np.negative(flags, out=flags)
+    pruned = np.empty_like(values)
+    # numpy widens the int8 flags to int32 in its own small buffers
+    np.bitwise_and(values.view(np.int32), flags, out=pruned.view(np.int32))
+    return WeightTensor(tensor.name, tensor.shape, pruned)
 
 
 @dataclass(frozen=True)
@@ -503,11 +512,17 @@ class CompressionReport:
 
 def compression_report(dense_bytes: int, model: CompressedModel,
                        container: Optional[bytes] = None) -> CompressionReport:
-    """Sizes read off the frames of the model's SDNC ``container`` (serialized if None)."""
+    """Sizes read off the frames of the model's SDNC ``container`` (serialized
+    if None); a container with another number of frames than the model has
+    records is refused."""
     container = write_sdnc(model) if container is None else container
+    frames = _frames(container)
+    if len(frames) != len(model.records):
+        raise ValueError(f"container holds {len(frames)} frames, "
+                         f"model has {len(model.records)} records")
     rows = tuple(TensorReportRow(rec.name, 4 * math.prod(rec.shape), size,
                                  rec.nonzero_count, int(rec.codebook.size))
-                 for rec, (_, size) in zip(model.records, _frames(container)))
+                 for rec, (_, size) in zip(model.records, frames))
     return CompressionReport(dense_bytes, len(container), rows)
 
 

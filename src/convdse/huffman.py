@@ -40,28 +40,32 @@ _TABLE_BITS = 12       # decode: window bits looked up in one table
 
 def code_lengths(symbols: Sequence[int]) -> dict[int, int]:
     """Huffman code length per distinct non-negative symbol (empty input ->
-    empty table)."""
+    empty table). The two lightest subtrees merge first, ties to the lower
+    least symbol; a symbol's length is its leaf's depth in the tree."""
     import numpy as np
     symbols = np.asarray(symbols)
     if symbols.size == 0:
         return {}
     counts = np.bincount(symbols.ravel())
-    present = np.flatnonzero(counts)
-    freqs = dict(zip(present.tolist(), counts[present].tolist()))
-    if len(freqs) == 1:
-        return {next(iter(freqs)): 1}
-    # heap entries: (weight, tiebreak, [symbols...]); merging two entries
-    # lengthens every symbol inside them by one bit
-    heap = [(w, sym, [sym]) for sym, w in freqs.items()]
+    present = np.flatnonzero(counts).tolist()
+    if len(present) == 1:
+        return {present[0]: 1}
+    # heap entries: (weight, least symbol, node id), leaves first. Disjoint
+    # subtrees never share a least symbol, so the id is never compared.
+    leaves = len(present)
+    heap = list(zip(counts[present].tolist(), present, range(leaves)))
     heapq.heapify(heap)
-    lengths = {sym: 0 for sym in freqs}
-    while len(heap) > 1:
-        w1, t1, syms1 = heapq.heappop(heap)
-        w2, t2, syms2 = heapq.heappop(heap)
-        for s in syms1 + syms2:
-            lengths[s] += 1
-        heapq.heappush(heap, (w1 + w2, min(t1, t2), syms1 + syms2))
-    return lengths
+    # merge j makes node leaves + j, so every parent's id exceeds its children's
+    parent = [0] * (2 * leaves - 2)
+    for node in range(leaves, 2 * leaves - 1):
+        w1, t1, a = heapq.heappop(heap)
+        w2, t2, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (w1 + w2, min(t1, t2), node))
+    depth = [0] * (2 * leaves - 1)
+    for node in range(2 * leaves - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    return dict(zip(present, depth))
 
 
 def canonical_codes(lengths: dict[int, int]) -> dict[int, tuple[int, int]]:

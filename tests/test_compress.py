@@ -1,3 +1,4 @@
+import heapq
 import re
 import struct
 import zlib
@@ -5,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from convdse import compress, huffman, properties
+from convdse import compress, huffman, properties, refexec, zoo
 from convdse.cli import main
 from convdse.compress import (CompressedFormatError, compress_model, compression_report,
                               decode_model, encode, kmeans_quantize, prune_magnitude,
@@ -19,8 +20,8 @@ def wt(values, name="t", shape=None):
 
 
 def prune_reference(tensor, target_sparsity):
-    """Stable-argsort pruning: the floor(s * N) smallest magnitudes go,
-    ties lowest flat index first."""
+    """Stable-argsort pruning: the floor(s * N) smallest magnitudes become
+    +0.0, ties lowest flat index first; every other entry keeps its bits."""
     values = tensor.values.copy()
     n_prune = int(np.floor(target_sparsity * values.size))
     values[np.argsort(np.abs(values), kind="stable")[:n_prune]] = 0.0
@@ -115,7 +116,9 @@ def assert_same_quantization(qt, expected):
 def assert_matches_reference(t, sparsity, bits):
     pruned = prune_magnitude(t, sparsity)
     expected = prune_reference(t, sparsity)
-    assert np.array_equal(pruned.values, expected) and pruned.values.dtype == expected.dtype
+    # bytes, not array_equal: -0.0 == +0.0 would hide a flipped zero sign
+    assert pruned.values.dtype == expected.dtype
+    assert pruned.values.tobytes() == expected.tobytes()
     qt = kmeans_quantize(pruned, bits)
     assert_same_quantization(qt, kmeans_reference(pruned, bits))
     assert_same_quantization(qt, kmeans_sort_search(pruned, bits))
@@ -136,6 +139,13 @@ def equivalence_cases():
                                        [400, 1, 250, 600, 2, 350]))
     # -1 and 2 repeated, with their midpoint 0.5 repeated between them
     midpoint_block = rng.permutation(np.repeat([-1.0, 0.5, 2.0], [300, 300, 300]))
+    # 100,000 weights with the cut magnitude repeated all through them; at
+    # sparsity 0.462 the last pruned tie sits past flat index 80,000
+    spread_ties = rng.integers(-24, 25, size=100_000) / 8.0
+    # 3,000 zeros, a third of them -0.0, against a cut of 1,500
+    signed_zeros = normal.copy()
+    signed_zeros[rng.permutation(5000)[:3000]] = rng.choice([0.0, 0.0, -0.0], size=3000)
+    mixed_sign_ties = rng.choice([-1.0, 1.0, -0.5, 0.5, 2.0], size=4000)
     cases = {
         "normal_s0": (normal, 0.0, 6),
         "normal_b1": (normal, 0.7, 1),
@@ -160,6 +170,10 @@ def equivalence_cases():
         "midpoint_block_b1": (midpoint_block, 0.0, 1),
         "midpoint_block_b2": (midpoint_block, 0.0, 2),
         "all_zero": (np.zeros(10), 0.4, 3),
+        "spread_ties": (spread_ties, 0.462, 4),
+        "signed_zeros_exceed_cut": (signed_zeros, 0.3, 5),
+        "signed_zeros_past_cut": (signed_zeros, 0.8, 5),
+        "mixed_sign_ties": (mixed_sign_ties, 0.5, 2),
     }
     return [pytest.param(*case, id=name) for name, case in cases.items()]
 
@@ -264,6 +278,13 @@ class TestPrune:
     def test_non_finite_weights_are_refused(self, bad, sparsity):
         with pytest.raises(ValueError, match=re.escape("t: weights contain NaN or infinity")):
             prune_magnitude(wt([1.0, bad, 2.0, 3.0]), sparsity)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_last_weight_of_a_large_tensor_is_refused_at_sparsity_0(self, bad):
+        values = np.arange(1, 70_001, dtype=np.float32)
+        values[-1] = bad
+        with pytest.raises(ValueError, match=re.escape("t: weights contain NaN or infinity")):
+            prune_magnitude(wt(values), 0.0)
 
 
 class TestKmeans:
@@ -454,6 +475,16 @@ class TestReport:
         assert report.compressed_bytes == len(container)
         assert sum(r.compressed_bytes for r in report.rows) == len(container) - 12
 
+    def test_another_models_container_is_refused(self):
+        rng = np.random.default_rng(10)
+        two = compress_model([wt(rng.standard_normal(300), "a"),
+                              wt(rng.standard_normal(50), "b")], 0.6, 5)
+        one = write_sdnc(compress_model([wt(rng.standard_normal(300), "a")], 0.6, 5))
+        with pytest.raises(ValueError, match="container holds 1 frames, model has 2 records"):
+            compression_report(1400, two, one)
+        with pytest.raises(ValueError, match="container holds 2 frames, model has 0 records"):
+            compression_report(0, encode([]), write_sdnc(two))
+
     def test_empty_model_ratio_is_undefined(self):
         report = compression_report(0, encode([]))
         assert report.ratio is None
@@ -587,6 +618,72 @@ class TestEncodeMatchesTheBitArrayReference:
     def test_a_symbol_far_past_the_table_is_named_without_allocating(self, symbols, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             huffman.encode(symbols, {0: 1, 2: 2, 3: 2})
+
+
+def code_lengths_reference(symbols):
+    """The list-merging Huffman lengths: every heap entry carries its
+    subtree's symbols, and a merge lengthens each of them by one bit."""
+    symbols = np.asarray(symbols)
+    if symbols.size == 0:
+        return {}
+    counts = np.bincount(symbols.ravel())
+    present = np.flatnonzero(counts)
+    freqs = dict(zip(present.tolist(), counts[present].tolist()))
+    if len(freqs) == 1:
+        return {next(iter(freqs)): 1}
+    heap = [(w, sym, [sym]) for sym, w in freqs.items()]
+    heapq.heapify(heap)
+    lengths = {sym: 0 for sym in freqs}
+    while len(heap) > 1:
+        w1, t1, syms1 = heapq.heappop(heap)
+        w2, t2, syms2 = heapq.heappop(heap)
+        for s in syms1 + syms2:
+            lengths[s] += 1
+        heapq.heappush(heap, (w1 + w2, min(t1, t2), syms1 + syms2))
+    return lengths
+
+
+class TestCodeLengthsMatchTheListMergingReference:
+    @staticmethod
+    def draws(rng, count):
+        """Seeded symbol arrays: uniform, geometric and tied weights over
+        alphabets of 1 to 300 symbols, as uint8, uint16 or int64."""
+        for i in range(count):
+            n = int(rng.integers(1, 400))
+            kind = i % 4
+            if kind == 0:
+                symbols = rng.integers(0, int(rng.integers(1, 256)), size=n)
+            elif kind == 1:
+                symbols = np.minimum(rng.geometric(rng.uniform(0.05, 0.9), size=n) - 1, 299)
+            elif kind == 2:
+                # each symbol repeated one of a few counts: weights tie,
+                # and merged subtrees tie with leaves
+                alphabet = rng.permutation(int(rng.integers(1, 300)))[:int(rng.integers(1, 40))]
+                symbols = rng.permutation(np.repeat(alphabet, rng.choice([1, 2, 4], alphabet.size)))
+            else:
+                # one- and two-symbol alphabets
+                symbols = rng.choice(rng.integers(0, 300, size=2)[:1 + i % 8 // 4], size=n)
+            dtype = (np.uint8, np.uint16, np.int64)[i % 3]
+            if symbols.max() > np.iinfo(dtype).max:
+                dtype = np.uint16
+            yield symbols.astype(dtype)
+
+    def test_seeded_draws(self):
+        rng = np.random.default_rng(46)
+        sizes = set()
+        for symbols in self.draws(rng, 3200):
+            expected = code_lengths_reference(symbols)
+            assert huffman.code_lengths(symbols) == expected, symbols
+            sizes.add(len(expected))
+        assert {1, 2} <= sizes and max(sizes) > 150
+
+    def test_both_streams_of_a_squeezenet_size_model(self):
+        tensors = refexec.random_weights(zoo.squeezenet(), np.random.default_rng(47))
+        assert sum(t.size for t in tensors) == 1_248_424
+        quantized = quantize_model((prune_magnitude(t, 0.7) for t in tensors), 6)
+        for qt in quantized:
+            for stream in compress._gap_index_symbols(qt, 4):
+                assert huffman.code_lengths(stream) == code_lengths_reference(stream), qt.name
 
 
 class TestHuffman:
