@@ -15,9 +15,12 @@ Conventions, stated once:
     (macs_per_second / total_macs); memory pressure shows up in the energy
     term instead
 
-Integers inside, objects at the edge: one loop prices the graph's bound
-walk on (height, width, channels) triples, and ``report`` reads its totals
-from that loop; only ``layer_costs`` wraps its numbers in LayerCost rows.
+Integers inside, objects at the edge: one loop binds each node's
+(height, width, channels) triple and prices it in the same step, and
+``report`` reads its totals from that loop; only ``layer_costs`` wraps its
+numbers in LayerCost rows. A graph declared in topological order, as every
+``GraphBuilder`` graph is, is bound and priced in that one loop; any other
+graph is checked by the graph walk first (``graph._bind``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from itertools import accumulate
 from typing import ClassVar, Optional, get_args, get_type_hints
 
 from .graph import (_SHAPE_RULES, ArchGraph, Concat, Conv, Dims, FullyConnected, GlobalAvgPool,
-                    Input, LayerSpec, Pool, ReLU, Shuffle, TensorShape, _bind, _rule_for)
+                    Input, LayerSpec, Pool, ReLU, ShapeError, Shuffle, TensorShape, _bind,
+                    _concat_shape, _conv_shape, _input_shape, _rule_for)
 
 
 class NumericConfig:
@@ -196,35 +200,76 @@ class LayerCost:
     live_words: int
 
 
-def _price(graph: ArchGraph):
-    """Price one bound walk of the graph (``graph._bind``) on plain integers.
+def _price(nodes, preds):
+    """Bind and price ``nodes``, (id, spec) pairs in the order given, in one
+    loop on plain integers, or return None ("decline") as soon as the graph
+    is one the walk (``graph._walk``) would report, or a node reads a
+    predecessor that is not bound yet.
 
-    The one pricing loop takes each node's element count, weight shape,
-    parameters and MACs, finds the position of each output's last reader,
-    and sums the activation traffic: each output written once and read once
-    per consumer. Returns the walk's output triples and bound nodes, each
-    node's ``(weight, params, macs)`` and live words in topological order,
-    and the totals (params, MACs, peak live words, traffic).
+    Each node's output triple comes from its shape rule on its
+    predecessors' triples; the same step takes its element count, the
+    position of each input's last reader, its weight shape, parameters and
+    MACs, and the activation traffic: each output written once and read
+    once per consumer. Every node but the Input reads a bound predecessor,
+    so every bound node is reachable from the Input. Returns each node's
+    position, its output triple, its ``(spec, weight, params, macs)`` and
+    its live words, in binding order, and the totals (params, MACs, peak
+    live words, traffic).
     """
-    shapes, bound = _bind(graph)
-    preds = graph.preds
     position: dict[str, int] = {}
+    shapes: list[Dims] = []
     sizes: list[int] = []
     last_use: list[int] = []
     priced = []
+    violations: list[str] = []
     params = macs = traffic = 0
-    rule_of = _WEIGHT_RULES.get
-    for i, ((nid, (h, w, c)), (spec, in_shapes)) in enumerate(zip(shapes.items(), bound)):
+    has_input = False
+    shape_rule_of, weight_rule_of = _SHAPE_RULES.get, _WEIGHT_RULES.get
+    for i, (nid, spec) in enumerate(nodes):
+        rule = shape_rule_of(type(spec)) or _rule_for(_SHAPE_RULES, spec)
+        if rule is None or nid in position:
+            return None
+        srcs = preds.get(nid, ())
+        if rule is _input_shape:
+            if srcs or has_input:
+                return None
+            has_input = True
+            in_shapes = ()
+        elif rule is _concat_shape:
+            if len(srcs) < 2:
+                return None
+            in_list = []
+            for src in srcs:
+                j = position.get(src)
+                if j is None:
+                    return None
+                last_use[j] = i
+                traffic += sizes[j]
+                in_list.append(shapes[j])
+            in_shapes = tuple(in_list)
+        elif len(srcs) != 1 or rule is _conv_shape and spec.filters % spec.groups:
+            return None
+        else:
+            j = position.get(srcs[0])
+            if j is None:
+                return None
+            last_use[j] = i
+            traffic += sizes[j]
+            in_shapes = (shapes[j],)
+        try:
+            out = rule(spec, in_shapes, nid, violations)
+        except ShapeError:
+            return None
+        if violations:
+            return None
+        h, w, c = out
         position[nid] = i
+        shapes.append(out)
         size = h * w * c
         sizes.append(size)
         last_use.append(i)
         traffic += size
-        for src in preds.get(nid, ()):
-            j = position[src]
-            last_use[j] = i
-            traffic += sizes[j]
-        weight = ((rule_of(type(spec)) or _weight_rule(spec))(spec, in_shapes[0])
+        weight = ((weight_rule_of(type(spec)) or _weight_rule(spec))(spec, in_shapes[0])
                   if in_shapes else None)
         p = m = 0
         if weight:
@@ -232,54 +277,71 @@ def _price(graph: ArchGraph):
             p, m = n + spec.filters if spec.bias else n, n * h * w
         params += p
         macs += m
-        priced.append((weight, p, m))
+        priced.append((spec, weight, p, m))
     freed = [0] * len(sizes)
+    sinks = 0
     for j, i in enumerate(last_use):
         freed[i] += sizes[j]
+        sinks += i == j  # an output no node reads
+    if sinks != 1:  # also the empty graph; any other without an Input declined at its first node
+        return None
     # while node i runs: every output up to its own, less those freed before it
     live = list(map(operator.sub, accumulate(sizes), accumulate(freed, initial=0)))
-    return shapes, bound, priced, live, (params, macs, max(live), traffic)
+    return position, shapes, priced, live, (params, macs, max(live), traffic)
+
+
+def _priced(graph: ArchGraph):
+    """``_price`` of the graph in declaration order. When the loop
+    declines, the walk either raises as ``infer_shapes`` does or sorts a
+    valid graph declared out of order, and the loop runs again in the
+    walk's topological order, which it cannot decline."""
+    priced = _price(graph.nodes, graph.preds)
+    if priced is None:
+        specs = dict(graph.nodes)
+        priced = _price([(nid, specs[nid]) for nid in _bind(graph)], graph.preds)
+    return priced
 
 
 def layer_costs(graph: ArchGraph) -> list[LayerCost]:
-    """Per-layer cost table in topological execution order. A node's output
-    is freed after its last consumer has run. The rows wrap the integers of
-    the pricing loop: shapes become TensorShape objects and the weight
-    shape a 'weight'/'bias' dict only here. Raises as ``infer_shapes`` does
-    for an invalid graph."""
-    shapes, bound, priced, live_words, _ = _price(graph)
-    objects = {nid: TensorShape(*s) for nid, s in shapes.items()}
+    """Per-layer cost table in topological execution order: the declaration
+    order of a graph declared in topological order, else the walk's order.
+    A node's output is freed after its last consumer has run. The rows wrap
+    the integers of the one loop that binds and prices the graph: shapes
+    become TensorShape objects and the weight shape a 'weight'/'bias' dict
+    only here. Raises as ``infer_shapes`` does for an invalid graph."""
+    position, shapes, priced, live_words, _ = _priced(graph)
+    objects = [TensorShape(*s) for s in shapes]
     preds = graph.preds
     rows = []
-    for (nid, out), (spec, _), (weight, params, macs), live in zip(objects.items(), bound,
-                                                                   priced, live_words):
+    for nid, out, (spec, weight, params, macs), live in zip(position, objects, priced,
+                                                            live_words):
         weights = {} if weight is None else {"weight": weight}
         if weight is not None and spec.bias:
             weights["bias"] = (spec.filters,)
-        in_shapes = tuple(objects[p] for p in preds.get(nid, ()))
+        in_shapes = tuple(objects[position[p]] for p in preds.get(nid, ()))
         rows.append(LayerCost(nid, spec, in_shapes, out, weights, params, macs, live))
     return rows
 
 
 def model_params(graph: ArchGraph) -> int:
-    return _price(graph)[4][0]
+    return _priced(graph)[4][0]
 
 
 def model_macs(graph: ArchGraph) -> int:
-    return _price(graph)[4][1]
+    return _priced(graph)[4][1]
 
 
 def peak_activation_bytes(graph: ArchGraph, word_bytes: int = 4) -> int:
     """Maximum bytes of simultaneously live activations over a topological
     execution. A node's output stays live until its last consumer has run;
     while a node runs, its inputs and its own output are live together."""
-    return _price(graph)[4][2] * word_bytes
+    return _priced(graph)[4][2] * word_bytes
 
 
 def activation_traffic_words(graph: ArchGraph) -> int:
     """Total input plus output activation words across all layers: every
     tensor is counted once when written and once per consumer read."""
-    return _price(graph)[4][3]
+    return _priced(graph)[4][3]
 
 
 def energy_from_counts(total_macs: int, total_params: int, activation_words: int,
@@ -305,7 +367,7 @@ def report(graph: ArchGraph, platform: PlatformSpec = DEFAULT_PLATFORM,
            batch: int = 1) -> MetricsReport:
     """Assemble the full metric vector for one architecture. A metric past
     the float range is a ValueError naming the graph."""
-    params, macs, peak_words, traffic = _price(graph)[4]
+    params, macs, peak_words, traffic = _priced(graph)[4]
     storage = params * platform.word_bytes
     peak = peak_words * platform.word_bytes
     try:

@@ -5,11 +5,12 @@ All structures are immutable after construction; every operation here is a
 pure function, so graphs can be shared freely between threads.
 
 Each layer type has one shape rule in ``_SHAPE_RULES``; a subclass of a
-layer type uses its base's rule. ``_walk`` checks and binds a whole graph
-in one pass: it finds every node's rule, checks the structure, then calls
-the rules in topological order and keeps each bound node's input shapes,
-so ``validate``, ``infer_shapes`` and the cost table in ``costs`` all read
-the same bound walk instead of deriving shapes again. Integers inside,
+layer type uses its base's rule. ``_walk`` is the one checker: it finds
+every node's rule, checks the structure, then calls the rules in
+topological order, so ``validate`` and ``infer_shapes`` read the same
+walk. The cost model in ``costs`` calls the same rules in its own pricing
+loop, which binds a graph declared in topological order as it prices it
+and leaves every other graph to the walk (``_bind``). Integers inside,
 objects at the edge: the rules and the walk bind plain (height, width,
 channels) triples, and only ``infer_shapes`` wraps them in TensorShape.
 
@@ -17,7 +18,7 @@ Equal layer specs are one shared instance: ``GraphBuilder`` and the
 descriptor parser build every spec through ``shared_spec``, a bounded cache
 keyed by the layer class and its typed arguments. A spec is immutable, so
 sharing it is safe, and nothing depends on a spec's identity: specs compare
-by value, and the walk compares only its rules with ``is``.
+by value, and the walk and the pricing loop compare only rules with ``is``.
 """
 
 from __future__ import annotations
@@ -396,8 +397,7 @@ def _rule_for(rules: Mapping[type, object], spec: LayerSpec):
     return None
 
 
-def _walk(graph: ArchGraph) -> tuple[dict[str, Dims], list[tuple[LayerSpec, tuple[Dims, ...]]],
-                                     list[str], bool]:
+def _walk(graph: ArchGraph) -> tuple[dict[str, Dims], list[str], bool]:
     """Check and bind the whole graph in one O(N+E) pass, on plain
     integers: every shape here is an (h, w, c) triple, and only the public
     functions wrap one in a TensorShape.
@@ -409,16 +409,15 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, Dims], list[tuple[LayerSpec, tupl
     them to the rule.
 
     Returns the output triple of every node that could be bound, keyed in
-    topological order; the spec and input triples of those nodes, in the
-    same order; every violation, each reported once; and whether a shape
-    rule failed (a collapsed dimension or a concat mismatch).
+    topological order; every violation, each reported once; and whether a
+    shape rule failed (a collapsed dimension or a concat mismatch).
     """
     nodes, all_preds = graph.nodes, graph.preds
     specs = dict(nodes)
     if len(specs) != len(nodes):
         counts = Counter(nid for nid, _ in nodes)
         # ids are ambiguous; further checks would mislead
-        return {}, [], [f"{nid}: duplicate id" for nid, n in counts.items() if n > 1], False
+        return {}, [f"{nid}: duplicate id" for nid, n in counts.items() if n > 1], False
 
     violations: list[str] = []
     inputs: list[str] = []
@@ -451,16 +450,15 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, Dims], list[tuple[LayerSpec, tupl
     elif len(inputs) > 1:
         violations.insert(0, f"graph: multiple Input nodes ({', '.join(inputs)})")
     if unknown:
-        return {}, [], violations, False
+        return {}, violations, False
     try:
         order = topological_order(graph)
     except GraphError as exc:  # the references are known, so this is a cycle
         violations.append(f"graph: {exc}")
-        return {}, [], violations, False
+        return {}, violations, False
 
     reachable = set(inputs[:1])
     shapes: dict[str, Dims] = {}
-    bound: list[tuple[LayerSpec, tuple[Dims, ...]]] = []
     shape_failed = False
     for nid in order:
         spec, rule, preds = bindings[nid]
@@ -486,25 +484,25 @@ def _walk(graph: ArchGraph) -> tuple[dict[str, Dims], list[tuple[LayerSpec, tupl
         except ShapeError as exc:
             violations.append(str(exc))
             shape_failed = True
-            continue
-        bound.append((spec, in_shapes))
 
     sinks = [nid for nid, _ in nodes if nid not in consumed]
     if len(sinks) != 1:
         violations.append(f"graph: expected exactly one sink node, found {len(sinks)} "
                           f"({', '.join(sinks)})")
-    return shapes, bound, violations, shape_failed
+    return shapes, violations, shape_failed
 
 
-def _bind(graph: ArchGraph) -> tuple[dict[str, Dims], list[tuple[LayerSpec, tuple[Dims, ...]]]]:
-    """The first two results of ``_walk``, for a graph without violations.
-    Raises ShapeError naming the node when a dimension collapses, and
-    GraphError listing every violation for any other invalid graph."""
-    shapes, bound, violations, shape_failed = _walk(graph)
+def _bind(graph: ArchGraph) -> dict[str, Dims]:
+    """The output triple of every node, keyed in topological order, for a
+    graph without violations: what the cost model binds when its pricing
+    loop declines a graph. Raises ShapeError naming the node when a
+    dimension collapses, and GraphError listing every violation for any
+    other invalid graph."""
+    shapes, violations, shape_failed = _walk(graph)
     if violations:
         error = ShapeError if shape_failed else GraphError
         raise error(f"invalid graph {graph.name!r}: " + "; ".join(violations))
-    return shapes, bound
+    return shapes
 
 
 def validate(graph: ArchGraph) -> list[str]:
@@ -513,14 +511,14 @@ def validate(graph: ArchGraph) -> list[str]:
 
     Violations are data, not exceptions: each entry names the offending node.
     """
-    return _walk(graph)[2]
+    return _walk(graph)[1]
 
 
 def infer_shapes(graph: ArchGraph) -> dict[str, TensorShape]:
     """Map every node id to its output shape, keyed in topological order.
     Raises ShapeError naming the node when a dimension collapses, and
     GraphError listing every violation for any other invalid graph."""
-    return {nid: TensorShape(*s) for nid, s in _bind(graph)[0].items()}
+    return {nid: TensorShape(*s) for nid, s in _bind(graph).items()}
 
 
 def sink_id(graph: ArchGraph) -> str:

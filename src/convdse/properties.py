@@ -137,7 +137,7 @@ def check_mac_counts(seed: int = 0, trials: int = 20) -> PropertyResult:
         if shapes != expected:
             return PropertyResult("mac_counts", False, f"graph {i} ({graph.name}): weight shapes "
                                   f"{shapes} in the cost table, {expected} in the executor")
-        # report prices the walk without the rows, so it is checked on its own
+        # report prices the graph without the rows, so it is checked on its own
         totals = costs.report(graph)
         params = sum(math.prod(shape) for shape in expected.values())
         if (totals.total_macs, totals.total_params) != (instrumented, params):

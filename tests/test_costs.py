@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import dataclass
 
 import pytest
 
-from convdse import graph, zoo
+from convdse import costs, graph, zoo
 from convdse.costs import (DEFAULT_PLATFORM, PlatformSpec, activation_traffic_words,
                            energy_from_counts, layer_costs, layer_macs, layer_params,
                            model_macs, model_params, peak_activation_bytes, report)
@@ -11,6 +12,37 @@ from convdse.graph import (Conv, FullyConnected, GraphBuilder, Pool, ReLU, Tenso
 
 
 PLATFORM = PlatformSpec(on_chip_bytes=1024, e_mac=1e-12, macs_per_second=1e9)
+
+
+@dataclass(frozen=True)
+class Unregistered(graph.LayerSpec):
+    """A layer type without a shape rule."""
+
+
+def _graph(name, *nodes):
+    """An ArchGraph of (id, spec, predecessor ids) triples, in the order given."""
+    return graph.ArchGraph(name, tuple((nid, spec) for nid, spec, _ in nodes),
+                           {nid: preds for nid, _, preds in nodes})
+
+
+_IN = graph.Input(TensorShape(4, 4, 4))
+
+#: Graphs the walk reports, each broken in one way the pricing loop must see.
+REPORTED = [
+    _graph("empty"),
+    _graph("two_inputs", ("x", _IN, ()), ("y", _IN, ()), ("cat", graph.Concat(), ("x", "y"))),
+    _graph("input_reads", ("x", _IN, ("r",)), ("r", ReLU(), ("x",))),
+    _graph("repeated_id", ("x", _IN, ()), ("r", ReLU(), ("x",)), ("r", ReLU(), ("x",))),
+    _graph("unknown_type", ("x", _IN, ()), ("u", Unregistered(), ("x",))),
+    _graph("lone_concat", ("x", _IN, ()), ("cat", graph.Concat(), ("x",))),
+    _graph("two_reads", ("x", _IN, ()), ("a", ReLU(), ("x",)), ("b", ReLU(), ("x", "a"))),
+    _graph("no_read", ("x", _IN, ()), ("a", ReLU(), ()), ("b", ReLU(), ("a",))),
+    _graph("unknown_read", ("x", _IN, ()), ("a", ReLU(), ("ghost",))),
+    _graph("filters_groups", ("x", _IN, ()), ("c", Conv(1, 1, 6, groups=4), ("x",))),
+    _graph("channel_groups", ("x", _IN, ()), ("s", graph.Shuffle(3), ("x",))),
+    _graph("collapsed", ("x", _IN, ()), ("c", Conv(5, 5, 8), ("x",))),
+    _graph("two_sinks", ("x", _IN, ()), ("a", ReLU(), ("x",)), ("b", ReLU(), ("x",))),
+]
 
 
 class TestLayerParams:
@@ -150,17 +182,35 @@ class TestLayerCosts:
         ]
         assert sum(r.macs for r in rows) == model_macs(g)
 
-    def test_report_sorts_the_graph_once(self, monkeypatch):
+    def test_report_walks_only_a_graph_declared_out_of_order(self, monkeypatch):
         calls = []
-        original = graph.topological_order
 
-        def counting(g):
-            calls.append(g.name)
-            return original(g)
+        def counting(name, original):
+            def wrapper(g):
+                calls.append(name)
+                return original(g)
+            return wrapper
 
-        monkeypatch.setattr(graph, "topological_order", counting)
-        report(zoo.squeezenet())
-        assert len(calls) == 1
+        for name in ("topological_order", "_walk"):
+            monkeypatch.setattr(graph, name, counting(name, getattr(graph, name)))
+        for g in (zoo.alexnet(), zoo.vgg19(), zoo.squeezenet(), zoo.mobilenet_like()):
+            calls.clear()
+            in_order = report(g)
+            assert calls == []  # bound and priced in one loop, neither walked nor sorted
+            reverse = graph.ArchGraph(g.name, g.nodes[::-1], g.preds)
+            assert report(reverse) == in_order
+            assert sorted(calls) == ["_walk", "topological_order"]
+
+    @pytest.mark.parametrize("g", REPORTED, ids=lambda g: g.name)
+    def test_the_pricing_loop_declines_what_the_walk_reports(self, g):
+        assert graph.validate(g)
+        assert costs._price(g.nodes, g.preds) is None
+        with pytest.raises(graph.GraphError) as walked:
+            graph.infer_shapes(g)
+        with pytest.raises(graph.GraphError) as priced:
+            report(g)
+        assert (type(priced.value), str(priced.value)) == (type(walked.value),
+                                                           str(walked.value))
 
 
 class TestEnergy:

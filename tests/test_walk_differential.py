@@ -7,7 +7,10 @@ re-reads each node's input shapes from the shape map; both walk the
 graph in the order of the shipped ``topological_order``. On a seeded corpus
 of valid and broken graphs, ``validate``, ``infer_shapes``, ``layer_costs``
 and ``activation_traffic_words`` must give the same values, in the same
-order, or raise the same exception with the same message.
+order, or raise the same exception with the same message. The cost
+model's one-pass loop (``costs._price``) must accept exactly the graphs
+that ``validate`` accepts and that declare every predecessor before its
+consumer, and decline every other graph to the walk.
 
 The corpus has the ``properties.random_graph`` draws, the zoo graphs, and
 shapes ``random_graph`` never makes: rectangular kernels with stride and
@@ -306,6 +309,16 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def declared_in_order(graph: ArchGraph) -> bool:
+    """Whether every predecessor is declared before its consumer."""
+    seen = set()
+    for nid, _ in graph.nodes:
+        if not seen.issuperset(graph.preds.get(nid, ())):
+            return False
+        seen.add(nid)
+    return True
+
+
 def test_corpus_has_valid_and_broken_graphs_of_every_kind():
     # so that a change to the generators cannot quietly leave a side empty
     verdicts = Counter(not ref_walk(g)[1] for g in CORPUS)
@@ -320,6 +333,10 @@ def test_corpus_has_valid_and_broken_graphs_of_every_kind():
         assert fragment in messages, fragment
     valid = [(g, ref_infer_shapes(g)) for g in CORPUS if not ref_walk(g)[1]]
     nodes = [(g, shapes, nid, s) for g, shapes in valid for nid, s in g.nodes]
+    # both pricing routes (bound in the one loop, or sorted by the walk first),
+    # and the rule lookup along the MRO of a subclass spec
+    assert sum(not declared_in_order(g) for g, _ in valid) >= 10
+    assert sum(any(type(s) in (WideConv, SlowPool) for _, s in g.nodes) for g, _ in valid) >= 10
     assert any(type(s) is WideConv for *_, s in nodes)
     assert any(type(s) is SlowPool for *_, s in nodes)
     assert any(isinstance(s, Conv) and s.kernel_h != s.kernel_w and s.stride > 1 and s.pad > 0
@@ -330,6 +347,13 @@ def test_corpus_has_valid_and_broken_graphs_of_every_kind():
     assert any(isinstance(s, Shuffle) and s.groups > 1
                and getattr(dict(g.nodes)[g.preds[nid][0]], "groups", 1) > 1
                for g, _, nid, s in nodes)
+
+
+def test_one_pass_loop_accepts_exactly_the_valid_graphs_declared_in_order():
+    wrong = [(index, graph.name) for index, graph in enumerate(CORPUS)
+             if (costs._price(graph.nodes, graph.preds) is not None)
+             != (validate(graph) == [] and declared_in_order(graph))]
+    assert wrong == []
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))
