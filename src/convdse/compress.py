@@ -41,6 +41,11 @@ class CompressedFormatError(ValueError):
     """Corrupt or truncated compressed container; message carries the offset."""
 
 
+def _check_sparsity(target_sparsity: float) -> None:
+    if not 0.0 <= target_sparsity < 1.0:
+        raise ValueError(f"target_sparsity must be in [0, 1), got {target_sparsity!r}")
+
+
 def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTensor:
     """Zero the floor(sparsity * N) smallest-magnitude entries, ties pruned
     lowest flat index first; a pruned entry becomes +0.0 and a kept one
@@ -52,8 +57,7 @@ def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTenso
     to all-ones or zero, is ANDed into the float32 bits in one pass, with
     no per-element branch."""
     import numpy as np
-    if not 0.0 <= target_sparsity < 1.0:
-        raise ValueError(f"target_sparsity must be in [0, 1), got {target_sparsity!r}")
+    _check_sparsity(target_sparsity)
     values = tensor.values
     magnitude = np.abs(values)
     # NaN and infinity propagate through max, so it is finite exactly when
@@ -168,6 +172,11 @@ class _SortedNonzeros:
         return QuantizedTensor(self.name, self.shape, codebook[used], positions, labels)
 
 
+def _check_bits(bits: int) -> None:
+    if not 1 <= bits <= 8:
+        raise ValueError(f"bits must be in [1, 8], got {bits!r}")
+
+
 def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[QuantizedTensor]:
     """Lloyd's k-means over each tensor's nonzero values, k = 2**bits
     centroids initialized evenly over [min, max], run for all tensors in
@@ -189,8 +198,7 @@ def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[Quantized
     more search gives its final runs, and its state is released as soon as
     its labels are built."""
     import numpy as np
-    if not 1 <= bits <= 8:
-        raise ValueError(f"bits must be in [1, 8], got {bits!r}")
+    _check_bits(bits)
     k = 1 << bits
     states = [_SortedNonzeros(t) for t in tensors]
     out: list[Optional[QuantizedTensor]] = [None] * len(states)
@@ -475,9 +483,11 @@ def _parse_record(r: Cursor) -> CompressedTensor:
 def compress_model(tensors: Sequence[WeightTensor], target_sparsity: float, bits: int,
                    rel_index_bits: int = 4) -> CompressedModel:
     """Full pipeline: prune each tensor, quantize the survivors of all of
-    them in one ``quantize_model``, encode. The gap width is checked before
-    any work; NaN or infinite weights are refused."""
+    them in one ``quantize_model``, encode. Both widths and the sparsity are
+    checked before any work; NaN or infinite weights are refused."""
     _check_rel_index_bits(rel_index_bits)
+    _check_bits(bits)
+    _check_sparsity(target_sparsity)
     # pruned one at a time as the quantizer reads them
     pruned = (prune_magnitude(t, target_sparsity) for t in tensors)
     return encode(quantize_model(pruned, bits), rel_index_bits)

@@ -33,9 +33,9 @@ from dataclasses import MISSING, dataclass, field, fields
 from itertools import accumulate
 from typing import ClassVar, Optional, get_args, get_type_hints
 
-from .graph import (_SHAPE_RULES, ArchGraph, Concat, Conv, Dims, FullyConnected, GlobalAvgPool,
-                    Input, LayerSpec, Pool, ReLU, ShapeError, Shuffle, TensorShape, _bind,
-                    _concat_shape, _conv_shape, _input_shape, _rule_for)
+from .graph import (_SHAPE_RULES, ArchGraph, Conv, Dims, FullyConnected, LayerSpec, ShapeError,
+                    TensorShape, _bind, _concat_shape, _conv_shape, _fc_shape, _input_shape,
+                    _rule_for)
 
 
 class NumericConfig:
@@ -127,11 +127,11 @@ class MetricsReport:
         return d
 
 
-# Weight rules: one per layer type, called as rule(spec, in_shape) on the
-# (h, w, c) triple of the layer's input and returning its 'weight' tensor
+# Weight rules, keyed by the shape rule of each layer type with weights:
+# rule(spec, in_shape) on the layer's input (h, w, c) returns its 'weight'
 # shape, (F, C/g, kh, kw) for a convolution and (F, C, H, W) for a
-# fully-connected layer, or None for a layer without weights. A layer with
-# weights also has a 'bias' of shape (F,) when ``spec.bias`` is set.
+# fully-connected layer. A layer with weights also has a 'bias' of shape
+# (F,) when ``spec.bias`` is set; one whose shape rule has no entry has none.
 
 def _conv_weight(spec: Conv, in_shape: Dims) -> tuple[int, int, int, int]:
     c_in = in_shape[2]
@@ -146,37 +146,30 @@ def _fc_weight(spec: FullyConnected, in_shape: Dims) -> tuple[int, int, int, int
     return spec.filters, c, h, w
 
 
-def _no_weight(spec: LayerSpec, in_shape: Dims) -> None:
-    return None
+_WEIGHT_RULES = {_conv_shape: _conv_weight, _fc_shape: _fc_weight}
 
 
-_WEIGHT_RULES = {
-    Conv: _conv_weight, FullyConnected: _fc_weight, Input: _no_weight, Pool: _no_weight,
-    GlobalAvgPool: _no_weight, ReLU: _no_weight, Shuffle: _no_weight, Concat: _no_weight,
-}
-
-
-def _weight_rule(spec: LayerSpec):
-    """The weight rule of the type of ``spec`` or of its nearest registered
-    base class; a ValueError for a type without one."""
-    rule = _rule_for(_WEIGHT_RULES, spec)
+def _layer_weight(spec: LayerSpec, in_shape: TensorShape):
+    """The shape rule of ``spec``, its input triple and its weight shape, or
+    None; a ValueError for a type without a shape rule."""
+    rule = _rule_for(_SHAPE_RULES, spec)
     if rule is None:
         raise ValueError(f"unknown layer type {type(spec).__name__}")
-    return rule
+    s = in_shape.height, in_shape.width, in_shape.channels
+    weight_rule = _WEIGHT_RULES.get(rule)
+    return rule, s, weight_rule(spec, s) if weight_rule else None
 
 
 def layer_params(spec: LayerSpec, in_shape: TensorShape) -> int:
     """Learnable parameter count of one layer bound to its input shape."""
-    s = in_shape.height, in_shape.width, in_shape.channels
-    weight = _weight_rule(spec)(spec, s)
+    weight = _layer_weight(spec, in_shape)[2]
     return math.prod(weight) + (spec.filters if spec.bias else 0) if weight else 0
 
 
 def layer_macs(spec: LayerSpec, in_shape: TensorShape) -> int:
     """Multiply-accumulate count of one layer bound to its input shape."""
-    s = in_shape.height, in_shape.width, in_shape.channels
-    weight = _weight_rule(spec)(spec, s)
-    h, w, _ = _rule_for(_SHAPE_RULES, spec)(spec, (s,), type(spec).__name__, [])
+    rule, s, weight = _layer_weight(spec, in_shape)
+    h, w, _ = rule(spec, (s,), type(spec).__name__, [])
     return math.prod(weight) * h * w if weight else 0
 
 
@@ -269,8 +262,8 @@ def _price(nodes, preds):
         sizes.append(size)
         last_use.append(i)
         traffic += size
-        weight = ((weight_rule_of(type(spec)) or _weight_rule(spec))(spec, in_shapes[0])
-                  if in_shapes else None)
+        weight_rule = weight_rule_of(rule)
+        weight = weight_rule(spec, in_shapes[0]) if weight_rule else None
         p = m = 0
         if weight:
             n = math.prod(weight)
@@ -344,6 +337,11 @@ def activation_traffic_words(graph: ArchGraph) -> int:
     return _priced(graph)[4][3]
 
 
+def _check_batch(batch, error: type = ValueError) -> None:
+    if not isinstance(batch, int) or isinstance(batch, bool) or batch < 1:
+        raise error(f"batch must be a positive integer, got {batch!r}")
+
+
 def energy_from_counts(total_macs: int, total_params: int, activation_words: int,
                        peak_activation_bytes_: int, platform: PlatformSpec,
                        batch: int = 1) -> float:
@@ -351,10 +349,9 @@ def energy_from_counts(total_macs: int, total_params: int, activation_words: int
 
     Weights spill off-chip when they alone exceed on-chip capacity;
     activations spill when weights plus the peak activation footprint do.
-    Spilled weight traffic amortizes over the batch, activations do not.
+    Spilled weight traffic amortizes over the batch (an int >= 1), activations do not.
     """
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
+    _check_batch(batch)
     storage = total_params * platform.word_bytes
     param_spill = total_params if storage > platform.on_chip_bytes else 0
     act_spill = (activation_words

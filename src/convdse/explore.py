@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
-from .costs import MetricsReport, NumericConfig, PlatformSpec, report
+from .costs import MetricsReport, NumericConfig, PlatformSpec, _check_batch, report
 from .graph import ArchGraph, GraphError
 from .zoo import POOL_STRATEGIES, PoolPlacement, alexnet, mobilenet_like, squeezenet, vgg19
 
@@ -154,8 +154,7 @@ def sweep(family: str, grid: dict[str, Sequence], platform: PlatformSpec,
     total = math.prod(len(grid[a]) for a in axes) if axes else 1
     if total > _MAX_POINTS:
         raise SweepError(f"grid has {total} cells, exceeding the cap of {_MAX_POINTS}")
-    if not isinstance(batch, int) or isinstance(batch, bool) or batch < 1:
-        raise SweepError(f"batch must be a positive integer, got {batch!r}")
+    _check_batch(batch, SweepError)
     points = []
     for combo in itertools.product(*(grid[a] for a in axes)):
         metaparams = dict(zip(axes, combo))

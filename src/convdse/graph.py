@@ -47,10 +47,8 @@ class TensorShape:
     channels: int
 
     def __post_init__(self):
-        h, w, c = self.height, self.width, self.channels
-        if type(h) is int and type(w) is int and type(c) is int and h > 0 and w > 0 and c > 0:
-            return  # the common case, checked at once; the loop below names a failure
-        for name, v in (("height", h), ("width", w), ("channels", c)):
+        for name, v in (("height", self.height), ("width", self.width),
+                        ("channels", self.channels)):
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
@@ -255,33 +253,22 @@ class GraphBuilder:
 
 
 def topological_order(graph: ArchGraph) -> list[str]:
-    """Kahn's algorithm, breaking ties by node declaration order.
-
-    When every predecessor is declared before its consumer, as in every
-    ``GraphBuilder`` graph, that order is the declaration order itself
-    (the heap always pops the lowest declared ready node), so it is
-    returned without running the queue.
+    """Kahn's algorithm, breaking ties by node declaration order, so a graph
+    declared in topological order, as every ``GraphBuilder`` graph is, comes
+    back in declaration order.
 
     Raises GraphError on cycles or dangling predecessor references.
     """
     index = {nid: i for i, (nid, _) in enumerate(graph.nodes)}
-    preds = graph.preds
-    declared_in_order = True
-    for i, (nid, _) in enumerate(graph.nodes):
-        for p in preds.get(nid, ()):
-            j = index.get(p)
-            if j is None:
-                raise GraphError(f"{nid!r} references unknown input {p!r}")
-            if j >= i:
-                declared_in_order = False
-    if declared_in_order:
-        return [nid for nid, _ in graph.nodes]
     indeg = [0] * len(graph.nodes)
     succ: list[list[int]] = [[] for _ in graph.nodes]
     for i, (nid, _) in enumerate(graph.nodes):
-        for p in preds.get(nid, ()):
+        for p in graph.preds.get(nid, ()):
+            j = index.get(p)
+            if j is None:
+                raise GraphError(f"{nid!r} references unknown input {p!r}")
             indeg[i] += 1
-            succ[index[p]].append(i)
+            succ[j].append(i)
     ready = [i for i, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
     order: list[str] = []
     while ready:
@@ -519,14 +506,6 @@ def infer_shapes(graph: ArchGraph) -> dict[str, TensorShape]:
     Raises ShapeError naming the node when a dimension collapses, and
     GraphError listing every violation for any other invalid graph."""
     return {nid: TensorShape(*s) for nid, s in _bind(graph).items()}
-
-
-def sink_id(graph: ArchGraph) -> str:
-    consumed = {p for nid, _ in graph.nodes for p in graph.preds.get(nid, ())}
-    sinks = [nid for nid, _ in graph.nodes if nid not in consumed]
-    if len(sinks) != 1:
-        raise GraphError(f"expected exactly one sink, found {len(sinks)}")
-    return sinks[0]
 
 
 def lower_fc(graph: ArchGraph) -> ArchGraph:

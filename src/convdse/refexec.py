@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, Pool, ReLU,
-                    Shuffle, TensorShape, _spatial_size, infer_shapes, sink_id)
+                    Shuffle, TensorShape, _spatial_size, infer_shapes)
 from .weights import WeightTensor
 
 # numpy is imported inside the functions that use it: `import convdse.cli`
@@ -223,9 +223,10 @@ def _execute(graph: ArchGraph, weights: Sequence[WeightTensor], input_tensor: Te
 
 
 def run(graph: ArchGraph, weights: Sequence[WeightTensor], input_tensor: Tensor3D) -> Tensor3D:
-    """Execute the graph and return the sink activation."""
+    """Execute the graph and return the sink activation: the last one in
+    topological order, since every node of a one-sink DAG reaches the sink."""
     acts, _ = _execute(graph, weights, input_tensor, count_macs=False)
-    return Tensor3D.from_chw(acts[sink_id(graph)])
+    return Tensor3D.from_chw(next(reversed(acts.values())))
 
 
 def run_all(graph: ArchGraph, weights: Sequence[WeightTensor],

@@ -66,7 +66,7 @@ def place_downsampling(num_layers: int, placement: PoolPlacement) -> list[int]:
     """1-based positions (pool inserted after the layer at each position).
 
     early packs pools at the front, late at the back, and even spaces them
-    at round(k*L/(P+1)); any rounding collision shifts later pools up by 1.
+    at round(k*L/(P+1)), halves rounded up.
     """
     L, P = num_layers, placement.pool_count
     if P >= L:
@@ -75,15 +75,8 @@ def place_downsampling(num_layers: int, placement: PoolPlacement) -> list[int]:
         return list(range(1, P + 1))
     if placement.strategy == "late":
         return list(range(L - P + 1, L + 1))
-    positions: list[int] = []
-    for k in range(1, P + 1):
-        pos = _round_half_up(k * L / (P + 1))
-        while positions and pos <= positions[-1]:
-            pos = positions[-1] + 1
-        positions.append(pos)
-    if positions[-1] > L:
-        raise ValueError("even placement overflowed the layer range")
-    return positions
+    # P < L spaces them at least 1 apart, the last at most L - 1
+    return [_round_half_up(k * L / (P + 1)) for k in range(1, P + 1)]
 
 
 def fire_module(builder: GraphBuilder, src: str, spec: FireSpec, name: str) -> str:

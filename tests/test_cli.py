@@ -609,6 +609,22 @@ class TestCompressionCommands:
                 in capsys.readouterr().err)
         assert not sdnc.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--sparsity", "5"], "target_sparsity must be in [0, 1), got 5.0"),
+        (["--sparsity", "nan"], "target_sparsity must be in [0, 1), got nan"),
+        (["--sparsity", "1"], "target_sparsity must be in [0, 1), got 1.0"),
+        (["--sparsity", "5", "--bits", "0"], "bits must be in [1, 8], got 0"),
+    ], ids=["five", "nan", "one", "bits_first"])
+    @pytest.mark.parametrize("count", [0, 1], ids=["no_tensor", "one_tensor"])
+    def test_bad_sparsity_exits_2_even_without_tensors(self, tmp_path, capsys, argv, message,
+                                                       count):
+        sdnw = tmp_path / "w.sdnw"
+        weights.save_sdnw([weights.WeightTensor("t", (10,), np.arange(10.0))][:count], sdnw)
+        sdnc = tmp_path / "w.sdnc"
+        assert run_cli("compress", "--weights", str(sdnw), "--out", str(sdnc), *argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not sdnc.exists()
+
     @pytest.mark.parametrize("values, change, message", [
         (np.zeros(20), {"shape": (0, 5)}, "zero dimension"),
         (np.arange(20) % 3, {"record_count": 21}, "record count 21 exceeds element count 20"),

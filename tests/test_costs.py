@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -237,6 +238,16 @@ class TestEnergy:
         e4 = energy_from_counts(100_000_000, 1_000_000, 0, 0, p, batch=4)
         assert e4 == pytest.approx(100e-6 + 25e-6, rel=1e-9)
         assert e4 < e1
+
+    @pytest.mark.parametrize("batch", [0, -1, 2.5, 2.0, True, math.inf, math.nan, "2"])
+    def test_batch_that_is_not_a_positive_int_is_refused(self, batch):
+        # an infinite batch would drop alexnet's spilled-weight traffic, and a
+        # NaN one read as an overflow in report
+        message = f"^batch must be a positive integer, got {re.escape(repr(batch))}$"
+        with pytest.raises(ValueError, match=message):
+            energy_from_counts(100_000_000, 1_000_000, 0, 0, PLATFORM, batch=batch)
+        with pytest.raises(ValueError, match=message):
+            report(zoo.alexnet(), batch=batch)
 
     def test_graph_estimate_includes_activation_traffic(self):
         g = zoo.squeezenet(0.5)

@@ -8,7 +8,7 @@ import pytest
 
 from convdse.graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool,
                            GraphBuilder, GraphError, Input, LayerSpec, Pool, ReLU, ShapeError,
-                           Shuffle, TensorShape, infer_shapes, lower_fc, sink_id,
+                           Shuffle, TensorShape, infer_shapes, lower_fc,
                            topological_order, validate)
 from convdse import costs, graph
 from convdse.descriptor import DescriptorError, parse, serialize
@@ -222,25 +222,25 @@ class TestInferShapes:
     def test_alexnet_stem(self):
         g = chain(Conv(11, 11, 96, stride=4), input_shape=TensorShape(227, 227, 3))
         shapes = infer_shapes(g)
-        assert shapes[sink_id(g)] == TensorShape(55, 55, 96)
+        assert list(shapes.values())[-1] == TensorShape(55, 55, 96)
 
     def test_pool_halves(self):
         g = chain(Pool("max", 2, 2), input_shape=TensorShape(56, 56, 64))
-        assert infer_shapes(g)[sink_id(g)] == TensorShape(28, 28, 64)
+        assert list(infer_shapes(g).values())[-1] == TensorShape(28, 28, 64)
 
     def test_pool_ceil_mode(self):
         floor_g = chain(Pool("max", 3, 2), input_shape=TensorShape(6, 6, 1))
         ceil_g = chain(Pool("max", 3, 2, ceil_mode=True), input_shape=TensorShape(6, 6, 1))
-        assert infer_shapes(floor_g)[sink_id(floor_g)] == TensorShape(2, 2, 1)
-        assert infer_shapes(ceil_g)[sink_id(ceil_g)] == TensorShape(3, 3, 1)
+        assert list(infer_shapes(floor_g).values())[-1] == TensorShape(2, 2, 1)
+        assert list(infer_shapes(ceil_g).values())[-1] == TensorShape(3, 3, 1)
 
     def test_global_avg_pool(self):
         g = chain(GlobalAvgPool(), input_shape=TensorShape(13, 13, 256))
-        assert infer_shapes(g)[sink_id(g)] == TensorShape(1, 1, 256)
+        assert list(infer_shapes(g).values())[-1] == TensorShape(1, 1, 256)
 
     def test_fc_collapses_to_vector(self):
         g = chain(FullyConnected(1000), input_shape=TensorShape(6, 6, 256))
-        assert infer_shapes(g)[sink_id(g)] == TensorShape(1, 1, 1000)
+        assert list(infer_shapes(g).values())[-1] == TensorShape(1, 1, 1000)
 
     def test_concat_sums_channels(self):
         b = GraphBuilder("cat")
@@ -271,14 +271,14 @@ class TestLowerFc:
     def test_1x1_case(self):
         g = chain(FullyConnected(1000), input_shape=TensorShape(1, 1, 512))
         lowered = lower_fc(g)
-        spec = dict(lowered.nodes)[sink_id(lowered)]
+        spec = dict(lowered.nodes)[list(infer_shapes(lowered))[-1]]
         assert spec == Conv(1, 1, 1000, groups=1, stride=1, pad=0, bias=True)
         assert costs.model_params(g) == costs.model_params(lowered)
 
     def test_spatial_fc_preserves_params_and_shapes(self):
         g = chain(FullyConnected(4096), input_shape=TensorShape(6, 6, 256))
         lowered = lower_fc(g)
-        spec = dict(lowered.nodes)[sink_id(lowered)]
+        spec = dict(lowered.nodes)[list(infer_shapes(lowered))[-1]]
         assert (spec.kernel_h, spec.kernel_w) == (6, 6)
         assert costs.model_params(g) == costs.model_params(lowered)
         assert costs.model_macs(g) == costs.model_macs(lowered)
@@ -301,6 +301,11 @@ class TaggedConv(Conv):
 
 @dataclass(frozen=True)
 class TaggedPool(Pool):
+    tag: str = "tagged"
+
+
+@dataclass(frozen=True)
+class TaggedFc(FullyConnected):
     tag: str = "tagged"
 
 
@@ -359,6 +364,39 @@ class TestLayerTypeLookup:
         assert type(exc.value) is GraphError and str(exc.value) == message
         with pytest.raises(ValueError, match="^unknown layer type Unregistered$"):
             costs.layer_params(Unregistered(), TensorShape(4, 4, 2))
+
+    # the single-layer functions find a layer's weight rule through its shape
+    # rule, so they follow the same base-class lookup as the graph walk
+
+    @pytest.mark.parametrize("sub, base", [
+        (TaggedConv(3, 2, 8, groups=2, stride=2, pad=1), Conv(3, 2, 8, groups=2, stride=2, pad=1)),
+        (TaggedConv(1, 1, 4, bias=False), Conv(1, 1, 4, bias=False)),
+        (TaggedFc(10), FullyConnected(10)),
+        (TaggedFc(3, bias=False), FullyConnected(3, bias=False)),
+    ], ids=["grouped_conv", "pointwise_conv", "fc", "fc_no_bias"])
+    def test_single_layer_costs_of_a_subclass_are_its_base(self, sub, base):
+        shape = TensorShape(11, 9, 6)
+        assert costs.layer_params(sub, shape) == costs.layer_params(base, shape) > 0
+        assert costs.layer_macs(sub, shape) == costs.layer_macs(base, shape) > 0
+
+    def test_collapsed_subclass_pool_raises_shape_error_from_layer_macs(self):
+        with pytest.raises(ShapeError, match="^TaggedPool: pool output 0x-2 is not positive"):
+            costs.layer_macs(TaggedPool("max", 12, 1), TensorShape(11, 9, 6))
+        assert costs.layer_params(TaggedPool("max", 12, 1), TensorShape(11, 9, 6)) == 0
+
+    @pytest.mark.parametrize("spec", [Conv(1, 1, 8, groups=4), TaggedConv(1, 1, 8, groups=4)],
+                             ids=["conv", "subclass"])
+    def test_bad_groups_raise_from_both_single_layer_functions(self, spec):
+        message = r"^groups must divide input channels \(g=4, C_in=6\)$"
+        for cost in (costs.layer_params, costs.layer_macs):
+            with pytest.raises(ValueError, match=message) as exc:
+                cost(spec, TensorShape(11, 9, 6))
+            assert type(exc.value) is ValueError
+
+    def test_unregistered_type_is_refused_by_layer_macs(self):
+        with pytest.raises(ValueError, match="^unknown layer type Unregistered$") as exc:
+            costs.layer_macs(Unregistered(), TensorShape(4, 4, 2))
+        assert type(exc.value) is ValueError
 
 
 class TestSharedSpec:

@@ -2,7 +2,7 @@ import pytest
 
 from convdse import costs
 from convdse.graph import (Conv, FullyConnected, GraphBuilder, Pool, TensorShape,
-                           infer_shapes, sink_id, validate)
+                           infer_shapes, validate)
 from convdse.zoo import (FireSpec, PoolPlacement, alexnet, fire_module, mobilenet_like,
                          place_downsampling, squeezenet, vgg19)
 
@@ -133,7 +133,7 @@ class TestMobilenetLike:
         assert validate(g) == []
         assert not any(isinstance(spec, Pool) for _, spec in g.nodes)
         fcs = [nid for nid, spec in g.nodes if isinstance(spec, FullyConnected)]
-        assert fcs == [sink_id(g)]
+        assert fcs == [list(infer_shapes(g))[-1]]
         depthwise = [spec for _, spec in g.nodes
                      if isinstance(spec, Conv) and spec.groups > 1]
         assert len(depthwise) == 13
@@ -179,6 +179,15 @@ class TestPlaceDownsampling:
                     assert len(set(pos)) == P
                     assert all(1 <= p <= L for p in pos)
                     assert pos == sorted(pos)
+
+    def test_even_positions_increase_and_end_before_the_last_layer(self):
+        # P < L spaces the pools at least one layer apart, so rounding never
+        # collides or runs past layer L - 1
+        for L in range(2, 300):
+            for P in range(1, L):
+                even = place_downsampling(L, PoolPlacement("even", P))
+                assert len(even) == P and even[0] >= 1 and even[-1] <= L - 1
+                assert all(a < b for a, b in zip(even, even[1:]))
 
 
 def test_every_generator_validates():
