@@ -21,10 +21,8 @@ from typing import Optional, Sequence
 from . import compress as compress_mod
 from . import descriptor, explore, weights
 from .costs import DEFAULT_PLATFORM, MetricsReport, PlatformSpec, report
-from .descriptor import DescriptorError
 from .explore import ConstraintSet, DesignPoint, SweepError
 from .graph import ArchGraph, GraphError
-from .weights import WeightFormatError
 
 
 def human_bytes(n: int) -> str:
@@ -410,10 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the first except clause loads descriptor, weights and compress, which
+    # only a command that raised gets to
     try:
         return args.func(args)
-    except (DescriptorError, WeightFormatError, compress_mod.CompressedFormatError,
-            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (descriptor.DescriptorError, weights.WeightFormatError,
+            compress_mod.CompressedFormatError, json.JSONDecodeError, UnicodeDecodeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except GraphError as exc:

@@ -287,7 +287,8 @@ def pareto_front(points: Sequence, objectives: Sequence[tuple[str, str]],
                  value_of: Callable[[object, str], float] = DesignPoint.value_of) -> list:
     """Exactly the non-dominated points, sorted by the first objective
     (ties kept in input order). ``value_of(point, metric)`` reads a metric;
-    a NaN value is a SweepError, an infinite one is ordered as usual.
+    a NaN value is a SweepError, an infinite one is ordered as usual. A
+    metric named in two objectives is a SweepError.
 
     The points are visited in lexicographic order of their objective
     vectors, so every dominator comes before what it dominates; as
@@ -295,9 +296,13 @@ def pareto_front(points: Sequence, objectives: Sequence[tuple[str, str]],
     kept so far: O(n log n + n * |front|) comparisons."""
     if not objectives:
         raise SweepError("pareto_front needs at least one objective")
+    named = set()
     for metric, sense in objectives:
         if sense not in ("min", "max"):
             raise SweepError(f"objective sense must be 'min' or 'max', got {sense!r}")
+        if metric in named:
+            raise SweepError(f"objective {metric!r} given twice")
+        named.add(metric)
 
     # flip maximized metrics so domination reads uniformly as <=
     keys: list[tuple] = []

@@ -378,8 +378,10 @@ class TestPareto:
          "points file {points} line 4: metric 'b' has non-numeric value 'x'"),
         ("a,b\n1,2\n", "a:min,c:min", "points file {points} is missing metric 'c'"),
         ("a,b\n", "c:max", "points file {points} is missing metric 'c'"),
+        ("a,b\n1,2\n2,1\n", "a:min,a:max", "objective 'a' given twice"),
     ], ids=["no_header", "no_objectives", "non_numeric_cell", "nan_cell", "empty_cell",
-            "non_numeric_cell_after_a_blank_line", "missing_column", "missing_column_no_rows"])
+            "non_numeric_cell_after_a_blank_line", "missing_column", "missing_column_no_rows",
+            "objective_given_twice"])
     def test_refusal_exits_2_naming_it(self, tmp_path, capsys, text, objectives, message):
         points = tmp_path / "points.csv"
         points.write_text(text)
