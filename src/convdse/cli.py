@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 
 from . import compress as compress_mod
 from . import descriptor, explore, weights
-from .costs import DEFAULT_PLATFORM, MetricsReport, PlatformSpec, report
+from .costs import DEFAULT_PLATFORM, MetricsReport, PlatformSpec, load_json, report
 from .explore import ConstraintSet, DesignPoint, SweepError
-from .graph import ArchGraph, GraphError
+from .graph import ArchGraph
 
 
 def human_bytes(n: int) -> str:
@@ -125,8 +125,7 @@ def cmd_sweep(args) -> int:
     if not 0.0 <= args.epsilon < math.inf:
         raise SweepError(f"--epsilon must be finite and non-negative, got {args.epsilon}")
     platform = _load_platform(args.platform)
-    with open(args.grid, "r", encoding="utf-8") as fh:
-        grid = json.load(fh)
+    grid = load_json(args.grid)
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise SweepError("grid file must map axis names to value lists")
     points = explore.sweep(args.family, grid, platform, batch=args.batch)
@@ -408,21 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the first except clause loads descriptor, weights and compress, which
-    # only a command that raised gets to
     try:
         return args.func(args)
-    except (descriptor.DescriptorError, weights.WeightFormatError,
-            compress_mod.CompressedFormatError, json.JSONDecodeError, UnicodeDecodeError,
-            OSError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SweepError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # the class carries the code, so deciding it loads no first-use module
+        if isinstance(exc, (OSError, json.JSONDecodeError, UnicodeDecodeError)):
+            return 3
+        return getattr(exc, "exit_code", 2)
 
 
 def entry() -> None:

@@ -21,17 +21,13 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import huffman
 from .weights import (Cursor, WeightTensor, pack_container_head, pack_tensor_header,
                       read_container)
-
-# numpy is imported inside the functions that use it: `import convdse.cli`
-# loads this module, and the cost-side commands should start without
-# paying numpy's import.
-if TYPE_CHECKING:
-    import numpy as np
 
 SDNC_MAGIC = b"SDNC"
 SDNC_VERSION = 1
@@ -39,6 +35,8 @@ SDNC_VERSION = 1
 
 class CompressedFormatError(ValueError):
     """Corrupt or truncated compressed container; message carries the offset."""
+
+    exit_code = 3
 
 
 def _check_sparsity(target_sparsity: float) -> None:
@@ -56,7 +54,6 @@ def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTenso
     flat order, that the count still needs. The kept mask, negated as int8
     to all-ones or zero, is ANDed into the float32 bits in one pass, with
     no per-element branch."""
-    import numpy as np
     _check_sparsity(target_sparsity)
     values = tensor.values
     magnitude = np.abs(values)
@@ -93,7 +90,6 @@ class QuantizedTensor:
         return math.prod(self.shape)
 
     def dequantize(self) -> WeightTensor:
-        import numpy as np
         values = np.zeros(self.element_count(), dtype=np.float32)
         if self.positions.size:
             values[self.positions] = self.codebook[self.assignments]
@@ -114,7 +110,6 @@ def _prefix_sums(ordered: np.ndarray) -> Optional[np.ndarray]:
     below 2**(e_hi - e_lo + 24 + ceil(log2 n)). Within 53 bits every
     partial sum is exact, and so a run's sum ``prefix[b] - prefix[a]``
     equals ``np.add.reduceat``'s bit for bit."""
-    import numpy as np
     n = ordered.size
     high = max(-ordered[0], ordered[-1])
     i = int(ordered.searchsorted(0.0))  # the sign change: no value is zero
@@ -135,7 +130,6 @@ class _SortedNonzeros:
     __slots__ = ("name", "shape", "positions", "order", "ordered", "prefix")
 
     def __init__(self, tensor: WeightTensor):
-        import numpy as np
         self.name, self.shape = tensor.name, tensor.shape
         # held as int32 where they fit: every tensor's state is held at once
         index = np.int32 if tensor.values.size < 2**31 else np.int64
@@ -157,7 +151,6 @@ class _SortedNonzeros:
         """The tensor quantized to the final ``centroids``, whose runs of the
         sorted values hold ``counts`` values each: each run's codebook slot
         is repeated over it and scattered back to position order."""
-        import numpy as np
         codebook = centroids.astype(np.float32)
         zero = (counts > 0) & (codebook == 0.0)
         used = (counts > 0) & ~zero
@@ -197,7 +190,6 @@ def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[Quantized
     centroid moved by ``_KMEANS_TOL`` or after ``_KMEANS_ITERS`` steps; one
     more search gives its final runs, and its state is released as soon as
     its labels are built."""
-    import numpy as np
     _check_bits(bits)
     k = 1 << bits
     states = [_SortedNonzeros(t) for t in tensors]
@@ -259,7 +251,6 @@ def kmeans_quantize(tensor: WeightTensor, bits: int) -> QuantizedTensor:
 
 def quantization_mse(tensor: WeightTensor, quantized: QuantizedTensor) -> float:
     """Mean squared error over the nonzero entries (0.0 for all-zero tensors)."""
-    import numpy as np
     if quantized.positions.size == 0:
         return 0.0
     original = tensor.values[quantized.positions].astype(np.float64)
@@ -295,7 +286,6 @@ def _gap_index_symbols(quantized: QuantizedTensor,
     records (gap 2**b - 1 plus one zero-valued padding slot each, so a gap g
     takes g >> b of them); the filler index symbol is one past the last
     codebook slot."""
-    import numpy as np
     gaps = np.diff(quantized.positions, prepend=-1) - 1
     fillers = gaps >> rel_index_bits
     # each nonzero's record follows its own fillers and all earlier records
@@ -313,12 +303,23 @@ def _check_rel_index_bits(rel_index_bits: int) -> None:
         raise ValueError(f"rel_index_bits must be in [1, 16], got {rel_index_bits!r}")
 
 
+def _unusable_entry(codebook: np.ndarray) -> Optional[int]:
+    """The index of the first zero or non-finite codebook entry, if any: a
+    decoded zero would drop a nonzero, and a non-finite one is no weight."""
+    bad = np.flatnonzero((codebook == 0) | ~np.isfinite(codebook))
+    return int(bad[0]) if bad.size else None
+
+
 def encode(quantized: Sequence[QuantizedTensor], rel_index_bits: int = 4) -> CompressedModel:
     """Entropy-code pruned+quantized tensors into a compressed model."""
-    import numpy as np
     _check_rel_index_bits(rel_index_bits)
     records = []
     for qt in quantized:
+        codebook = qt.codebook.astype(np.float32)
+        bad = _unusable_entry(codebook)
+        if bad is not None:
+            raise ValueError(f"{qt.name}: codebook entry {bad} is {codebook[bad]}, "
+                             "not a finite nonzero")
         if qt.positions.size and qt.positions.max() >= qt.element_count():
             raise ValueError(f"{qt.name}: nonzero position out of range")
         if qt.assignments.size and (qt.assignments.min() < 0
@@ -331,7 +332,7 @@ def encode(quantized: Sequence[QuantizedTensor], rel_index_bits: int = 4) -> Com
         index_payload, index_bits = huffman.encode(indices, index_lengths)
         records.append(CompressedTensor(
             name=qt.name, shape=qt.shape, rel_index_bits=rel_index_bits,
-            codebook=qt.codebook.astype(np.float32),
+            codebook=codebook,
             nonzero_count=int(qt.positions.size),
             record_count=len(gaps),
             gap_lengths=gap_lengths, index_lengths=index_lengths,
@@ -351,7 +352,6 @@ def _decode_stream(rec: CompressedTensor, stream: str) -> np.ndarray:
 
 def decode_model(model: CompressedModel) -> list[WeightTensor]:
     """Reconstruct the pruned+quantized tensors exactly."""
-    import numpy as np
     tensors = []
     for rec in model.records:
         n = math.prod(rec.shape)
@@ -444,12 +444,15 @@ def read_sdnc(data: bytes) -> CompressedModel:
 
 
 def _parse_record(r: Cursor) -> CompressedTensor:
-    import numpy as np
     name, shape = r.tensor_header()
     rel_index_bits, cb_size = r.unpack("BH")
     if not 1 <= rel_index_bits <= 16:
         r.fail(f"{name}: invalid gap width {rel_index_bits}", r.pos - 3)
     codebook = np.frombuffer(r.take(4 * cb_size), dtype="<f4").astype(np.float32)
+    bad = _unusable_entry(codebook)
+    if bad is not None:
+        r.fail(f"{name}: codebook entry {bad} is {codebook[bad]}, not a finite nonzero",
+               r.pos - 4 * (cb_size - bad))
     nonzero_count, record_count = r.unpack("QQ")
     if record_count > math.prod(shape):
         r.fail(f"{name}: record count {record_count} exceeds "

@@ -38,6 +38,22 @@ from .graph import (_SHAPE_RULES, ArchGraph, Conv, Dims, FullyConnected, LayerSp
                     _rule_for)
 
 
+class JSONFileError(ValueError):
+    """A JSON file nested too deeply for the parser; the message names it."""
+
+    exit_code = 3
+
+
+def load_json(path):
+    """The document in the JSON file at ``path``; one nested past the
+    parser's recursion limit raises ``JSONFileError``, not RecursionError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise JSONFileError(f"{path}: JSON nested too deeply") from None
+
+
 class NumericConfig:
     """Base of a frozen dataclass of numbers read from a JSON object. Every
     field must be a finite positive number, and an integer where it is
@@ -76,8 +92,7 @@ class NumericConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(path))
 
 
 @dataclass(frozen=True)

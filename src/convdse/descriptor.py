@@ -22,6 +22,8 @@ from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Inpu
 class DescriptorError(ValueError):
     """Malformed descriptor text or structure."""
 
+    exit_code = 3
+
 
 #: op tag -> layer class; an op's params are its layer's dataclass fields
 _LAYERS = {"input": Input, "conv": Conv, "fc": FullyConnected, "pool": Pool,
@@ -96,11 +98,15 @@ def _parse_layer(op: str, params: dict, where: str) -> LayerSpec:
         raise DescriptorError(f"{where}: {exc}") from exc
 
 
-def parse(text: str) -> ArchGraph:
+def parse(text: str, source: str = "descriptor") -> ArchGraph:
+    """The graph in descriptor ``text``; ``source`` names the text when its
+    JSON is nested too deeply for the parser."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DescriptorError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise DescriptorError(f"{source}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise DescriptorError("top level must be an object")
     _expect_keys(doc, {"name", "nodes"}, "top level")
@@ -147,4 +153,4 @@ def parse(text: str) -> ArchGraph:
 
 def load(path) -> ArchGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        return parse(fh.read(), str(path))

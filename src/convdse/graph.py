@@ -33,6 +33,8 @@ from typing import Iterable, Mapping, Optional
 class GraphError(ValueError):
     """Structural problem that prevents an operation from running."""
 
+    exit_code = 1
+
 
 class ShapeError(GraphError):
     """Shape inference produced an impossible dimension."""

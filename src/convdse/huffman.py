@@ -22,13 +22,9 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-# numpy is imported inside the functions that use it: `import convdse.cli`
-# loads this module, and the cost-side commands should start without
-# paying numpy's import.
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
 #: Longest decodable code: a window plus its bit offset in the first byte
 #: must fit one big-endian uint64 read.
@@ -42,7 +38,6 @@ def code_lengths(symbols: Sequence[int]) -> dict[int, int]:
     """Huffman code length per distinct non-negative symbol (empty input ->
     empty table). The two lightest subtrees merge first, ties to the lower
     least symbol; a symbol's length is its leaf's depth in the tree."""
-    import numpy as np
     symbols = np.asarray(symbols)
     if symbols.size == 0:
         return {}
@@ -100,7 +95,6 @@ def check_lengths(lengths: dict[int, int]) -> None:
 def encode(symbols: Sequence[int], lengths: dict[int, int]) -> tuple[bytes, int]:
     """Encode symbols with the canonical codes implied by ``lengths``;
     returns (payload bytes, exact bit count)."""
-    import numpy as np
     symbols = np.asarray(symbols).ravel()
     if symbols.size == 0:
         return b"", 0
@@ -142,7 +136,6 @@ def decode(data: bytes, bit_count: int, lengths: dict[int, int], count: int) -> 
     unsigned dtype that holds every symbol of ``lengths``; raises ValueError
     on malformed streams (unknown prefix or premature end) and on length
     tables that ``check_lengths`` refuses."""
-    import numpy as np
     if count == 0:
         return np.empty(0, dtype=np.uint8)
     if not lengths:

@@ -12,17 +12,13 @@ golden files stay portable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, Pool, ReLU,
                     Shuffle, TensorShape, _spatial_size, infer_shapes)
 from .weights import WeightTensor
-
-# numpy is imported inside the functions that use it: `import convdse.cli`
-# loads this module, and the cost-side commands should start without
-# paying numpy's import.
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ExecutionError(ValueError):
@@ -38,7 +34,6 @@ class Tensor3D:
     values: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
         if self.values.dtype != np.float32 or self.values.ndim != 1:
             raise ValueError("values must be a flat float32 array")
         if self.values.size != self.shape.elements:
@@ -46,7 +41,6 @@ class Tensor3D:
 
     @classmethod
     def from_chw(cls, arr: np.ndarray) -> "Tensor3D":
-        import numpy as np
         c, h, w = arr.shape
         return cls(TensorShape(h, w, c), np.ascontiguousarray(arr, dtype=np.float32).reshape(-1))
 
@@ -78,7 +72,6 @@ def expected_weight_shapes(graph: ArchGraph) -> dict[str, tuple[int, ...]]:
 
 def random_weights(graph: ArchGraph, rng: np.random.Generator,
                    scale: float = 0.1) -> list[WeightTensor]:
-    import numpy as np
     return [WeightTensor(name, shape,
                          (rng.standard_normal(int(np.prod(shape))) * scale).astype(np.float32))
             for name, shape in expected_weight_shapes(graph).items()]
@@ -92,7 +85,6 @@ def conv_forward(x: np.ndarray, spec: Conv, weight: np.ndarray,
     channel block of that group. ``counter``, when given, accumulates one
     count per multiply-accumulate performed.
     """
-    import numpy as np
     c_in, h_in, w_in = x.shape
     if c_in % spec.groups != 0 or spec.filters % spec.groups != 0:
         raise ExecutionError(f"groups must divide channels and filters "
@@ -128,7 +120,6 @@ def pool_forward(x: np.ndarray, spec: Pool) -> np.ndarray:
     input (it always starts inside it); max ignores the missing elements,
     avg still divides by the full kernel area (one convention, applied
     everywhere)."""
-    import numpy as np
     c, h_in, w_in = x.shape
     h_out = _spatial_size(h_in, spec.kernel, spec.stride, 0, spec.ceil_mode)
     w_out = _spatial_size(w_in, spec.kernel, spec.stride, 0, spec.ceil_mode)
@@ -162,7 +153,6 @@ def shuffle_sources(channels: int, groups: int) -> list[int]:
 
 def _execute(graph: ArchGraph, weights: Sequence[WeightTensor], input_tensor: Tensor3D,
              count_macs: bool) -> tuple[dict[str, np.ndarray], int]:
-    import numpy as np
     shapes = infer_shapes(graph)
     by_name = {}
     for t in weights:
@@ -241,7 +231,6 @@ def count_macs_instrumented(graph: ArchGraph, weights: Optional[Sequence[WeightT
     """Exact MAC count from an instrumented execution. The count does not
     depend on values, so zero weights and a zero input are synthesized when
     none are supplied."""
-    import numpy as np
     if weights is None:
         weights = [WeightTensor(name, shape,
                                 np.zeros(int(np.prod(shape)), dtype=np.float32))

@@ -13,13 +13,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NoReturn, Optional
+from typing import Callable, NoReturn, Optional
 
-# numpy is imported inside the functions that use it: `import convdse.cli`
-# loads this module, and the cost-side commands should start without
-# paying numpy's import.
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
 SDNW_MAGIC = b"SDNW"
 SDNW_VERSION = 1
@@ -28,6 +24,8 @@ _DTYPE_F32 = 0
 
 class WeightFormatError(ValueError):
     """Corrupt or truncated weight container; message carries the offset."""
+
+    exit_code = 3
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,6 @@ class WeightTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
         object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
         v = np.ascontiguousarray(self.values, dtype=np.float32).reshape(-1)
         object.__setattr__(self, "values", v)
@@ -131,7 +128,6 @@ def write_sdnw(tensors: list[WeightTensor]) -> bytes:
 
 
 def _read_tensor(r: Cursor) -> WeightTensor:
-    import numpy as np
     name, shape = r.tensor_header()
     (dtype,) = r.unpack("B")
     if dtype != _DTYPE_F32:

@@ -653,6 +653,21 @@ class TestCompressionCommands:
         sdnc.write_bytes(compress.write_sdnc(compress.CompressedModel((record,))))
         return run_cli("decompress", "--in", str(sdnc), "--out", str(tmp_path / "x.sdnw"))
 
+    # the record's codebook is [1.0, 2.0], read from byte 31 on: the gap
+    # width at byte 28 and the u16 codebook size precede it
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("entry", [0.0, -0.0, math.nan, math.inf],
+                             ids=["zero", "negative_zero", "nan", "inf"])
+    def test_zero_or_non_finite_codebook_entry_exits_3(self, tmp_path, capsys, entry, slot):
+        rec = self._record()
+        codebook = rec.codebook.copy()
+        codebook[slot] = entry
+        assert self._decompress(tmp_path, replace(rec, codebook=codebook)) == 3
+        assert capsys.readouterr().err == (
+            f"error: SDNC: t: codebook entry {slot} is {np.float32(entry)}, "
+            f"not a finite nonzero at offset {31 + 4 * slot}\n")
+        assert not (tmp_path / "x.sdnw").exists()
+
     def test_stream_shorter_than_record_count_exits_3(self, tmp_path, capsys):
         rec = self._record()
         assert self._decompress(tmp_path, replace(rec, record_count=rec.record_count + 1)) == 3
@@ -735,6 +750,21 @@ class TestCompressionCommands:
         capsys.readouterr()
         assert run_cli("decompress", "--in", str(sdnc),
                        "--out", str(tmp_path / "x.sdnw")) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["describe", "--arch"],
+    ["describe", "--family", "squeezenet", "--platform"],
+    ["check", "--family", "squeezenet", "--constraints"],
+    ["sweep", "--family", "squeezenet", "--out", "x", "--grid"],
+], ids=["arch", "platform", "constraints", "grid"])
+def test_json_nested_past_the_parser_limit_exits_3_naming_the_file(tmp_path, capsys,
+                                                                   monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+    assert run_cli(*argv, "deep.json") == 3
+    assert capsys.readouterr() == ("", "error: deep.json: JSON nested too deeply\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
 
 
 @pytest.mark.parametrize("batch", ["0", "-3", "two"])

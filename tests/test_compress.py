@@ -2,6 +2,7 @@ import heapq
 import re
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -410,6 +411,19 @@ class TestEncodeDecode:
         qt = kmeans_quantize(wt(values), bits=1)
         decoded = decode_model(encode([qt]))[0]
         assert np.array_equal(decoded.values, values)
+
+    # entries are checked as written, in float32, where 1e-60 is zero
+    @pytest.mark.parametrize("entry, shown", [
+        (0.0, "0.0"), (-0.0, "-0.0"), (np.nan, "nan"), (np.inf, "inf"), (1e-60, "0.0"),
+    ], ids=["zero", "negative_zero", "nan", "inf", "underflow"])
+    def test_zero_or_non_finite_codebook_entry_is_refused(self, entry, shown):
+        qt = kmeans_quantize(wt(np.arange(20) % 3), bits=2)
+        codebook = qt.codebook.astype(np.float64)
+        codebook[1] = entry
+        qt = replace(qt, codebook=codebook)
+        with pytest.raises(ValueError, match=re.escape(
+                f"t: codebook entry 1 is {shown}, not a finite nonzero")):
+            encode([qt])
 
     def test_rel_index_bits_range(self):
         qt = kmeans_quantize(wt([1.0]), bits=1)

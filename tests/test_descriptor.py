@@ -79,6 +79,11 @@ def test_malformed_json_reports_line():
         parse(bad)
 
 
+def test_json_nested_past_the_parser_limit_is_a_descriptor_error():
+    with pytest.raises(DescriptorError, match="^descriptor: JSON nested too deeply$"):
+        parse("[" * 200_000 + "]" * 200_000)
+
+
 def test_bad_field_type_names_node_and_field():
     text = json.dumps({"name": "x", "nodes": [
         {"id": "input", "op": "input",

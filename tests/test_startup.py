@@ -42,6 +42,12 @@ commands = [
     ["check", "--family", "squeezenet", "--constraints", f"{work}/constraints.json"],
     ["sweep", "--family", "squeezenet", "--grid", f"{work}/grid.json", "--out", f"{work}/sw"],
     ["pareto", "--points", f"{work}/sw.csv", "--objectives", "total_params:min,total_macs:min"],
+    # refused commands: deciding the exit code must not load a first-use module
+    ["describe", "--family", "squeezenet", "--p", "5"],
+    ["describe", "--platform", f"{work}/negative.json", "--family", "squeezenet"],
+    ["describe", "--platform", f"{work}/missing.json", "--family", "squeezenet"],
+    ["sweep", "--grid", f"{work}/collapse.json", "--family", "squeezenet", "--out", f"{work}/x"],
+    ["describe", "--arch", f"{work}/broken.json"],
     ["describe", "--arch", f"{work}/squeezenet.json", "--json"],
     ["compress", "--weights", f"{work}/in.sdnw", "--out", f"{work}/out.sdnc"],
     ["decompress", "--in", f"{work}/out.sdnc", "--out", f"{work}/out.sdnw"],
@@ -62,6 +68,11 @@ def run_fresh(*args: str, cwd=None) -> subprocess.CompletedProcess:
 def test_cost_side_commands_never_import_numpy(tmp_path):
     (tmp_path / "constraints.json").write_text(json.dumps({"max_onchip_bytes": 32 << 20}))
     (tmp_path / "grid.json").write_text(json.dumps({"p": [0.25, 0.5, 1.0]}))
+    (tmp_path / "negative.json").write_text(json.dumps(
+        {"on_chip_bytes": 8 << 20, "e_mac": -1, "macs_per_second": 1e10}))
+    (tmp_path / "collapse.json").write_text(json.dumps(
+        {"pool_placement": ["early"], "pool_count": [8]}))
+    (tmp_path / "broken.json").write_text("[1, 2]")
     (tmp_path / "squeezenet.json").write_text(descriptor.serialize(zoo.squeezenet()))
     rng = np.random.default_rng(5)
     tensors = [weights.WeightTensor("conv.weight", (16, 8, 3, 3),
@@ -78,6 +89,11 @@ def test_cost_side_commands_never_import_numpy(tmp_path):
         ["check --family", 0, False, []],
         ["sweep --family", 0, False, []],
         ["pareto --points", 0, False, []],
+        ["describe --family", 2, False, []],
+        ["describe --platform", 2, False, []],
+        ["describe --platform", 3, False, []],
+        ["sweep --grid", 1, False, []],
+        ["describe --arch", 3, False, ["descriptor"]],
         ["describe --arch", 0, False, ["descriptor"]],
         ["compress --weights", 0, True, codec],
         ["decompress --in", 0, True, codec],
