@@ -340,19 +340,12 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
                         help="batch size for weight-fetch amortization (default 1)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="convdse",
-        description="Cost modeling, design-space exploration, and weight "
-                    "compression for small convolutional networks.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("describe", help="print the metric vector of one architecture")
+def _describe_arguments(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-    p.set_defaults(func=cmd_describe)
 
-    p = sub.add_parser("sweep", help="evaluate a metaparameter grid")
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=sorted(explore.FAMILIES))
     p.add_argument("--grid", required=True, help="JSON file mapping axis -> value list")
     p.add_argument("--platform", help="platform config (JSON)")
@@ -364,23 +357,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.005,
                    help="error improvement threshold for saturation (default 0.005)")
     p.add_argument("--out", required=True, help="output prefix for .csv and .json")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("pareto", help="filter a points CSV down to its Pareto front")
+
+def _pareto_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points", required=True, help="CSV with a header row")
     p.add_argument("--objectives", required=True,
                    help="comma list of metric:min|max, e.g. total_params:min,top5_error:min")
     p.add_argument("--out", help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_pareto)
 
-    p = sub.add_parser("check", help="check one design point against budgets")
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p)
     p.add_argument("--constraints", required=True, help="constraint set (JSON)")
     p.add_argument("--top5-error", type=float,
                    help="recorded top-5 error for the accuracy budget")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("compress", help="prune/quantize/entropy-code a weight file")
+
+def _compress_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights", required=True, help="input SDNW file")
     p.add_argument("--sparsity", type=float, default=0.7,
                    help="fraction of weights to prune (default 0.7)")
@@ -390,29 +383,61 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative-index field width in bits (default 4)")
     p.add_argument("--out", required=True, help="output SDNC file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("decompress", help="decode an SDNC file back to dense SDNW")
+
+def _decompress_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", required=True, help="input SDNC file")
     p.add_argument("--out", required=True, help="output SDNW file")
-    p.set_defaults(func=cmd_decompress)
 
-    p = sub.add_parser("verify", help="run the cross-implementation oracle suite")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
+
+#: name -> (help, handler, argument adder) of every command, in listing order
+_COMMANDS = {
+    "describe": ("print the metric vector of one architecture", cmd_describe,
+                 _describe_arguments),
+    "sweep": ("evaluate a metaparameter grid", cmd_sweep, _sweep_arguments),
+    "pareto": ("filter a points CSV down to its Pareto front", cmd_pareto, _pareto_arguments),
+    "check": ("check one design point against budgets", cmd_check, _check_arguments),
+    "compress": ("prune/quantize/entropy-code a weight file", cmd_compress,
+                 _compress_arguments),
+    "decompress": ("decode an SDNC file back to dense SDNW", cmd_decompress,
+                   _decompress_arguments),
+    "verify": ("run the cross-implementation oracle suite", cmd_verify, _verify_arguments),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every command is listed, but when ``command`` names
+    one, only that command's subparser gets its arguments, since no other
+    is parsed in that run; anything else (None, an option, an unknown name)
+    builds them all."""
+    parser = argparse.ArgumentParser(
+        prog="convdse",
+        description="Cost modeling, design-space exploration, and weight "
+                    "compression for small convolutional networks.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    everything = command not in _COMMANDS
+    for name, (help_text, handler, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if everything or command == name:
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # the class carries the code, so deciding it loads no first-use module
-        if isinstance(exc, (OSError, json.JSONDecodeError, UnicodeDecodeError)):
+        if isinstance(exc, (OSError, UnicodeDecodeError)):
             return 3
         return getattr(exc, "exit_code", 2)
 

@@ -39,19 +39,35 @@ from .graph import (_SHAPE_RULES, ArchGraph, Conv, Dims, FullyConnected, LayerSp
 
 
 class JSONFileError(ValueError):
-    """A JSON file nested too deeply for the parser; the message names it."""
+    """A JSON file that is not UTF-8, not JSON, or nested too deeply for the
+    parser; the message names it."""
 
     exit_code = 3
 
 
-def load_json(path):
-    """The document in the JSON file at ``path``; one nested past the
-    parser's recursion limit raises ``JSONFileError``, not RecursionError."""
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``; any other bytes raise
+    ``JSONFileError`` naming the file and the byte offset."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except RecursionError:
-            raise JSONFileError(f"{path}: JSON nested too deeply") from None
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise JSONFileError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x} "
+                                f"at offset {exc.start})") from None
+
+
+def load_json(path):
+    """The document in the JSON file at ``path``; a syntax error, or nesting
+    past the parser's recursion limit, raises ``JSONFileError`` naming the
+    file."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise JSONFileError(f"{path}: line {exc.lineno}, column {exc.colno}: "
+                            f"{exc.msg}") from None
+    except RecursionError:
+        raise JSONFileError(f"{path}: JSON nested too deeply") from None
 
 
 class NumericConfig:

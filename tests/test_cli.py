@@ -752,12 +752,16 @@ class TestCompressionCommands:
                        "--out", str(tmp_path / "x.sdnw")) == 3
 
 
-@pytest.mark.parametrize("argv", [
+# one command reading each kind of JSON file, the file's name left off
+JSON_FILE_ARGVS = pytest.mark.parametrize("argv", [
     ["describe", "--arch"],
     ["describe", "--family", "squeezenet", "--platform"],
     ["check", "--family", "squeezenet", "--constraints"],
     ["sweep", "--family", "squeezenet", "--out", "x", "--grid"],
 ], ids=["arch", "platform", "constraints", "grid"])
+
+
+@JSON_FILE_ARGVS
 def test_json_nested_past_the_parser_limit_exits_3_naming_the_file(tmp_path, capsys,
                                                                    monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -765,6 +769,26 @@ def test_json_nested_past_the_parser_limit_exits_3_naming_the_file(tmp_path, cap
     assert run_cli(*argv, "deep.json") == 3
     assert capsys.readouterr() == ("", "error: deep.json: JSON nested too deeply\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
+
+
+@JSON_FILE_ARGVS
+def test_json_syntax_error_exits_3_naming_the_file(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text('{\n  "a": 1,\n  bad')
+    assert run_cli(*argv, "bad.json") == 3
+    assert capsys.readouterr() == (
+        "", "error: bad.json: line 3, column 3: "
+            "Expecting property name enclosed in double quotes\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@JSON_FILE_ARGVS
+def test_file_that_is_not_utf8_exits_3_naming_the_file(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    assert run_cli(*argv, "latin1.json") == 3
+    assert capsys.readouterr() == ("", "error: latin1.json: not UTF-8 (byte 0xe9 at offset 13)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.json"]
 
 
 @pytest.mark.parametrize("batch", ["0", "-3", "two"])
@@ -790,3 +814,76 @@ def test_batch_of_two_amortizes_spilled_weights(capsys):
         assert run_cli("describe", "--family", "alexnet", "--json", "--batch", batch) == 0
         energies.append(json.loads(capsys.readouterr().out)["energy_per_frame"])
     assert energies[1] < energies[0]
+
+
+# a representative command line of every command; no file is read
+COMMAND_ARGVS = {
+    "describe": ["describe", "--family", "squeezenet", "--p", "0.5", "--batch", "2", "--json"],
+    "sweep": ["sweep", "--family", "squeezenet", "--grid", "g.json", "--out", "o",
+              "--epsilon", "0.01", "--saturation-axis", "total_macs"],
+    "pareto": ["pareto", "--points", "p.csv", "--objectives", "a:min", "--out", "f.csv"],
+    "check": ["check", "--arch", "a.json", "--constraints", "c.json", "--top5-error", "0.2"],
+    "compress": ["compress", "--weights", "w.sdnw", "--out", "w.sdnc", "--bits", "4"],
+    "decompress": ["decompress", "--in", "w.sdnc", "--out", "w.sdnw"],
+    "verify": ["verify", "--json"],
+}
+
+
+def _help_text(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGVS))
+def test_parser_for_one_command_matches_the_full_parser(command, capsys):
+    argv = COMMAND_ARGVS[command]
+    assert cli.build_parser(command).parse_args(argv) == cli.build_parser().parse_args(argv)
+    assert cli.build_parser(command).format_help() == cli.build_parser().format_help()
+    help_text = _help_text(cli.build_parser(command), [command, "--help"], capsys)
+    assert help_text == _help_text(cli.build_parser(), [command, "--help"], capsys)
+    assert f"usage: convdse {command} [-h]" in help_text
+
+
+USAGE = ("usage: convdse [-h]\n"
+         "               {describe,sweep,pareto,check,compress,decompress,verify} ...\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'describe', 'sweep', "
+                "'pareto', 'check', 'compress', 'decompress', 'verify')"),
+    # an error of the top-level parser prints its usage, which lists every command
+    (["describe", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["no_arguments", "unknown_command", "unknown_option"])
+def test_top_level_usage_error_lists_every_command(monkeypatch, capsys, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"{USAGE}convdse: error: {message}\n")
+
+
+def test_top_level_help_lists_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith(USAGE)
+    listing = [f"    {name.ljust(20)}{help_text}"
+               for name, (help_text, *_) in cli._COMMANDS.items()]
+    assert "\n".join(listing) in out
+
+
+def test_main_without_argv_reads_the_command_from_sys_argv(monkeypatch, capsys):
+    built = []
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or full_parser(command))
+    monkeypatch.setattr("sys.argv", ["convdse", "describe", "--family", "alexnet", "--json"])
+    assert main() == 0
+    assert built == ["describe"]
+    assert json.loads(capsys.readouterr().out)["total_params"] == 60_965_224

@@ -161,7 +161,8 @@ def test_bad_params_name_node_and_field(op, field, params):
         parse(_one_op(op, params))
 
 
-# (descriptor document, exact message); each names the node, or the top level
+# (descriptor document, exact message): one case for every refusal of
+# `parse`, each naming the node or the top level where it has one
 STRUCTURE_REFUSALS = {
     "top_level_list": ([], "top level must be an object"),
     "name_number": ({"name": 3, "nodes": []}, "top level: field 'name' must be a string"),
@@ -185,6 +186,46 @@ STRUCTURE_REFUSALS = {
                     "nodes[0] (in): height must be a positive integer, got 0"),
     "pool_kind_middle": (json.loads(_one_op("pool", VALID["pool"] | {"kind": "middle"})),
                          "nodes[1] (x): Pool.kind must be 'max' or 'avg', got 'middle'"),
+    "top_level_unknown_key": ({"name": "x", "nodes": [], "extra": 1},
+                              "top level: unknown key(s) ['extra']"),
+    "no_nodes": ({"name": "x", "nodes": []}, "missing Input node"),
+    "no_input_node": ({"name": "x", "nodes": [{"id": "r", "op": "relu"}]},
+                      "missing Input node"),
+    # a valid id does not name a node whose keys are refused
+    "node_unknown_key": ({"name": "x", "nodes": [{"id": "q", "op": "input", "extra": 1}]},
+                         "nodes[0]: unknown key(s) ['extra']"),
+    "duplicate_id": ({"name": "x", "nodes": [
+        {"id": "in", "op": "input", "params": VALID["input"]},
+        {"id": "in", "op": "relu", "inputs": ["in"]}]},
+        "nodes[1] (in): duplicate id 'in'"),
+    "unknown_op": ({"name": "x", "nodes": [{"id": "a", "op": "batchnorm"}]},
+                   "nodes[0] (a): unknown op tag 'batchnorm' (expected one of ('input', "
+                   "'conv', 'fc', 'pool', 'gap', 'relu', 'shuffle', 'concat'))"),
+    "unknown_param_key": (json.loads(_one_op("conv", VALID["conv"] | {"depth": 7, "alpha": 1})),
+                          "nodes[1] (x): unknown key(s) ['alpha', 'depth']"),
+    "params_of_a_paramless_op": (json.loads(_one_op("relu", {"filters": 8})),
+                                 "nodes[1] (x): unknown key(s) ['filters']"),
+    "kernel_string": (json.loads(_one_op("conv", VALID["conv"] | {"kernel": "big"})),
+                      "nodes[1] (x): field 'kernel' must be an int or [kh, kw], got 'big'"),
+    "kernel_one_entry": (json.loads(_one_op("conv", VALID["conv"] | {"kernel": [3]})),
+                         "nodes[1] (x): field 'kernel' must be an int or [kh, kw], got [3]"),
+    "kernel_bool_entry": (json.loads(_one_op("conv", VALID["conv"] | {"kernel": [3, True]})),
+                          "nodes[1] (x): field 'kernel' must be an int or [kh, kw], "
+                          "got [3, True]"),
+    "kernel_missing": (json.loads(_one_op("conv", {"filters": 8})),
+                       "nodes[1] (x): field 'kernel' must be an int or [kh, kw], got None"),
+    "missing_field": (json.loads(_one_op("fc", {})), "nodes[1] (x): missing field 'filters'"),
+    # the first bad field in declaration order is the one named
+    "wrong_kind": (json.loads(_one_op("conv", VALID["conv"] | {"bias": 1, "filters": 2.5})),
+                   "nodes[1] (x): field 'filters' must be an integer, got 2.5"),
+    "wrong_kind_bool": (json.loads(_one_op("fc", {"filters": 10, "bias": "yes"})),
+                        "nodes[1] (x): field 'bias' must be a boolean, got 'yes'"),
+    "wrong_kind_string": (json.loads(_one_op("pool", VALID["pool"] | {"kind": None})),
+                          "nodes[1] (x): field 'kind' must be a string, got None"),
+    "conv_kernel_zero": (json.loads(_one_op("conv", VALID["conv"] | {"kernel": [0, 3]})),
+                         "nodes[1] (x): Conv.kernel_h must be a positive integer, got 0"),
+    "conv_pad_negative": (json.loads(_one_op("conv", VALID["conv"] | {"pad": -1})),
+                          "nodes[1] (x): Conv.pad must be a non-negative integer, got -1"),
 }
 
 
