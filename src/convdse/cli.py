@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import compress as compress_mod
 from . import descriptor, explore, weights
-from .costs import DEFAULT_PLATFORM, MetricsReport, PlatformSpec, load_json, report
+from .costs import DEFAULT_PLATFORM, MetricsReport, PlatformSpec, load_json, read_text, report
 from .explore import ConstraintSet, DesignPoint, SweepError
 from .graph import ArchGraph
 
@@ -44,11 +44,10 @@ def human_count(n: int) -> str:
     return str(n)
 
 
-def _print_table(rows: list[tuple[str, str]], stream=None) -> None:
-    stream = stream or sys.stdout
+def _print_table(rows: list[tuple[str, str]]) -> None:
     width = max(len(k) for k, _ in rows)
     for key, value in rows:
-        print(f"{key.ljust(width)}  {value}", file=stream)
+        print(f"{key.ljust(width)}  {value}")
 
 
 def _load_platform(path: Optional[str]) -> PlatformSpec:
@@ -132,8 +131,7 @@ def cmd_sweep(args) -> int:
 
     unmatched: list[dict] = []
     if args.accuracy:
-        with open(args.accuracy, "r", encoding="utf-8") as fh:
-            table = explore.load_accuracy_table(fh.read())
+        table = explore.load_accuracy_table(read_text(args.accuracy))
         points, unmatched = explore.attach_accuracy(points, table)
         for row in unmatched:
             print(f"warning: accuracy row matched no design point: {row}", file=sys.stderr)
@@ -220,10 +218,9 @@ def _parse_objectives(spec: str) -> list[tuple[str, str]]:
 def cmd_pareto(args) -> int:
     objectives = _parse_objectives(args.objectives)
     what = f"points file {args.points}"
-    with open(args.points, "r", encoding="utf-8", newline="") as fh:
-        fieldnames, numbered = explore.read_csv(fh, what)
+    fieldnames, numbered = explore.read_csv(read_text(args.points), what)
     if not fieldnames:
-        raise SweepError("points file has no header row")
+        raise SweepError(f"{what} has no header row")
     for metric, _ in objectives:
         if metric not in fieldnames:
             raise SweepError(f"{what} is missing metric {metric!r}")
@@ -437,7 +434,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # the class carries the code, so deciding it loads no first-use module
-        if isinstance(exc, (OSError, UnicodeDecodeError)):
+        if isinstance(exc, OSError):
             return 3
         return getattr(exc, "exit_code", 2)
 

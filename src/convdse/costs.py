@@ -38,36 +38,39 @@ from .graph import (_SHAPE_RULES, ArchGraph, Conv, Dims, FullyConnected, LayerSp
                     _rule_for)
 
 
-class JSONFileError(ValueError):
-    """A JSON file that is not UTF-8, not JSON, or nested too deeply for the
-    parser; the message names it."""
+class InputFileError(ValueError):
+    """A text input that is not UTF-8, or a JSON one that is not JSON or is
+    nested too deeply for the parser; the message names the file."""
 
     exit_code = 3
 
 
 def read_text(path) -> str:
-    """The text of the UTF-8 file at ``path``; any other bytes raise
-    ``JSONFileError`` naming the file and the byte offset."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The text of the UTF-8 file at ``path``, line endings as written, so
+    a CSV reader sees a quoted line break as it is; any other bytes raise
+    ``InputFileError`` naming the file and the byte offset."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise JSONFileError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x} "
-                                f"at offset {exc.start})") from None
+            raise InputFileError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x} "
+                                 f"at offset {exc.start})") from None
 
 
-def load_json(path):
-    """The document in the JSON file at ``path``; a syntax error, or nesting
-    past the parser's recursion limit, raises ``JSONFileError`` naming the
-    file."""
-    text = read_text(path)
+def parse_json(text: str, source, error: type[ValueError]):
+    """The document in JSON ``text``; a syntax error, or nesting past the
+    parser's recursion limit, raises ``error`` naming ``source``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise JSONFileError(f"{path}: line {exc.lineno}, column {exc.colno}: "
-                            f"{exc.msg}") from None
+        raise error(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
-        raise JSONFileError(f"{path}: JSON nested too deeply") from None
+        raise error(f"{source}: JSON nested too deeply") from None
+
+
+def load_json(path):
+    """The document in the JSON file at ``path``; a refusal names the file."""
+    return parse_json(read_text(path), path, InputFileError)
 
 
 class NumericConfig:

@@ -15,7 +15,7 @@ import json
 from dataclasses import MISSING, fields
 from typing import Any, get_type_hints
 
-from .costs import read_text
+from .costs import parse_json, read_text
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
                     Pool, ReLU, Shuffle, TensorShape, shared_spec)
 
@@ -106,13 +106,7 @@ def _parse_layer(op: str, params: dict) -> LayerSpec:
 def parse(text: str, source: str = "descriptor") -> ArchGraph:
     """The graph in descriptor ``text``; ``source`` names the text in a JSON
     syntax error and when its JSON is nested too deeply for the parser."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DescriptorError(f"{source}: line {exc.lineno}, column {exc.colno}: "
-                              f"{exc.msg}") from exc
-    except RecursionError:
-        raise DescriptorError(f"{source}: JSON nested too deeply") from None
+    doc = parse_json(text, source, DescriptorError)
     if not isinstance(doc, dict):
         raise DescriptorError("top level must be an object")
     if not _TOP_KEYS.issuperset(doc):

@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, fields, replace
-from typing import Callable, ClassVar, Iterable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .costs import MetricsReport, NumericConfig, PlatformSpec, _check_batch, report
 from .graph import ArchGraph, GraphError
@@ -177,12 +177,11 @@ def _norm(value) -> object:
         return str(value)
 
 
-def read_csv(lines: Iterable[str],
-             what: str) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
-    """The header (empty for empty input) and the (line number, row) pairs
-    of a CSV. A header that names a column twice, and a row with more or
-    fewer cells than the header, are refused naming ``what``."""
-    reader = csv.reader(lines)
+def read_csv(text: str, what: str) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+    """The header (empty for empty text) and the (line number, row) pairs
+    of CSV ``text``. A header that names a column twice, and a row with more
+    or fewer cells than the header, are refused naming ``what``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, [])
     seen: set[str] = set()
     for name in header:
@@ -204,7 +203,7 @@ def load_accuracy_table(text: str) -> list[dict[str, object]]:
     """Parse a CSV whose header names metaparams plus ``top5_error``.
     Metaparam cells may be symbolic or finite numbers (a NaN key would
     match no point); the error must be a fraction in [0, 1]."""
-    header, raw_rows = read_csv(io.StringIO(text), "accuracy table")
+    header, raw_rows = read_csv(text, "accuracy table")
     if "top5_error" not in header:
         raise SweepError("accuracy table needs a header row with a top5_error column")
     rows = []

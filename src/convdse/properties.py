@@ -65,7 +65,7 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def random_graph(rng: np.random.Generator, max_layers: int = 8) -> ArchGraph:
+def random_graph(rng: np.random.Generator) -> ArchGraph:
     """Small random valid graph: a chain of conv/pool/relu/shuffle layers
     with at most one fire-style diamond, sometimes finished by GAP or FC.
     Pools draw kernel and stride from 1..3 independently, with or without
@@ -76,7 +76,7 @@ def random_graph(rng: np.random.Generator, max_layers: int = 8) -> ArchGraph:
     x = b.input(TensorShape(h, h, c))
     shape = TensorShape(h, h, c)
     diamond_used = False
-    for _ in range(int(rng.integers(3, max_layers + 1))):
+    for _ in range(int(rng.integers(3, 9))):
         choices = ["conv", "relu"]
         if shape.height >= 2 and shape.width >= 2:
             choices.append("pool")

@@ -70,10 +70,9 @@ def expected_weight_shapes(graph: ArchGraph) -> dict[str, tuple[int, ...]]:
     return expected
 
 
-def random_weights(graph: ArchGraph, rng: np.random.Generator,
-                   scale: float = 0.1) -> list[WeightTensor]:
+def random_weights(graph: ArchGraph, rng: np.random.Generator) -> list[WeightTensor]:
     return [WeightTensor(name, shape,
-                         (rng.standard_normal(int(np.prod(shape))) * scale).astype(np.float32))
+                         (rng.standard_normal(int(np.prod(shape))) * 0.1).astype(np.float32))
             for name, shape in expected_weight_shapes(graph).items()]
 
 
@@ -151,8 +150,9 @@ def shuffle_sources(channels: int, groups: int) -> list[int]:
     return [(j % groups) * n + j // groups for j in range(channels)]
 
 
-def _execute(graph: ArchGraph, weights: Sequence[WeightTensor], input_tensor: Tensor3D,
-             count_macs: bool) -> tuple[dict[str, np.ndarray], int]:
+def _execute(graph: ArchGraph, weights: Sequence[WeightTensor],
+             input_tensor: Tensor3D) -> tuple[dict[str, np.ndarray], int]:
+    """Every node's activation, in topological order, and the MACs done."""
     shapes = infer_shapes(graph)
     by_name = {}
     for t in weights:
@@ -186,13 +186,13 @@ def _execute(graph: ArchGraph, weights: Sequence[WeightTensor], input_tensor: Te
         elif isinstance(spec, Conv):
             w = by_name[f"{nid}.weight"].values.reshape(expected[f"{nid}.weight"])
             bias = by_name[f"{nid}.bias"].values if spec.bias else None
-            out = conv_forward(srcs[0], spec, w, bias, counter if count_macs else None)
+            out = conv_forward(srcs[0], spec, w, bias, counter)
         elif isinstance(spec, FullyConnected):
             c, h, w_ = srcs[0].shape
             as_conv = Conv(h, w_, spec.filters, bias=spec.bias)
             wt = by_name[f"{nid}.weight"].values.reshape(expected[f"{nid}.weight"])
             bias = by_name[f"{nid}.bias"].values if spec.bias else None
-            out = conv_forward(srcs[0], as_conv, wt, bias, counter if count_macs else None)
+            out = conv_forward(srcs[0], as_conv, wt, bias, counter)
         elif isinstance(spec, Pool):
             out = pool_forward(srcs[0], spec)
         elif isinstance(spec, GlobalAvgPool):
@@ -215,30 +215,22 @@ def _execute(graph: ArchGraph, weights: Sequence[WeightTensor], input_tensor: Te
 def run(graph: ArchGraph, weights: Sequence[WeightTensor], input_tensor: Tensor3D) -> Tensor3D:
     """Execute the graph and return the sink activation: the last one in
     topological order, since every node of a one-sink DAG reaches the sink."""
-    acts, _ = _execute(graph, weights, input_tensor, count_macs=False)
+    acts, _ = _execute(graph, weights, input_tensor)
     return Tensor3D.from_chw(next(reversed(acts.values())))
 
 
 def run_all(graph: ArchGraph, weights: Sequence[WeightTensor],
             input_tensor: Tensor3D) -> dict[str, Tensor3D]:
     """Execute the graph and return every node's activation."""
-    acts, _ = _execute(graph, weights, input_tensor, count_macs=False)
+    acts, _ = _execute(graph, weights, input_tensor)
     return {nid: Tensor3D.from_chw(a) for nid, a in acts.items()}
 
 
-def count_macs_instrumented(graph: ArchGraph, weights: Optional[Sequence[WeightTensor]] = None,
-                            input_tensor: Optional[Tensor3D] = None) -> int:
-    """Exact MAC count from an instrumented execution. The count does not
-    depend on values, so zero weights and a zero input are synthesized when
-    none are supplied."""
-    if weights is None:
-        weights = [WeightTensor(name, shape,
-                                np.zeros(int(np.prod(shape)), dtype=np.float32))
-                   for name, shape in expected_weight_shapes(graph).items()]
-    if input_tensor is None:
-        shapes = infer_shapes(graph)
-        in_id = next(nid for nid, spec in graph.nodes if isinstance(spec, Input))
-        s = shapes[in_id]
-        input_tensor = Tensor3D(s, np.zeros(s.elements, dtype=np.float32))
-    _, macs = _execute(graph, weights, input_tensor, count_macs=True)
+def count_macs_instrumented(graph: ArchGraph) -> int:
+    """Exact MAC count from an instrumented execution on zero weights and a
+    zero input: the count does not depend on values."""
+    weights = [WeightTensor(name, shape, np.zeros(int(np.prod(shape)), dtype=np.float32))
+               for name, shape in expected_weight_shapes(graph).items()]
+    shape = next(spec.shape for _, spec in graph.nodes if isinstance(spec, Input))
+    _, macs = _execute(graph, weights, Tensor3D(shape, np.zeros(shape.elements, dtype=np.float32)))
     return macs

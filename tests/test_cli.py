@@ -279,6 +279,22 @@ class TestSweep:
         assert [(p["pareto"], p["saturation"]) for p in points] == [
             (True, False), (True, True), (False, False), (True, False)]
 
+    def test_metaparameter_saturation_axis(self, tmp_path, capsys):
+        # the grid is out of order: points are sorted by p, read from their metaparameters
+        grid = self.write_grid(tmp_path, {"p": [1.0, 0.25, 0.75, 0.5]})
+        acc = tmp_path / "acc.csv"
+        acc.write_text("p,top5_error\n0.25,0.31\n0.5,0.262\n0.75,0.27\n1.0,0.26\n")
+        out = tmp_path / "sat"
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
+                       "--accuracy", str(acc), "--saturation-axis", "p",
+                       "--out", str(out)) == 0
+        assert capsys.readouterr() == (f"4 design points -> {out}.csv, {out}.json\n"
+                                       "pareto front: 3 point(s)\n"
+                                       "saturation: {'p': 0.5}\n", "")
+        doc = json.loads((tmp_path / "sat.json").read_text())
+        assert doc["saturation"] == {"axis": "p", "epsilon": 0.005, "metaparams": {"p": 0.5}}
+        assert [p["saturation"] for p in doc["points"]] == [False, False, False, True]
+
     def test_unsaturated_run_has_no_saturation_column(self, tmp_path, capsys):
         # every point improves on the one before by more than 0.005, and
         # the p = 0.9 row names no grid cell
@@ -367,7 +383,7 @@ class TestPareto:
                        "--objectives", "top5_error:min") == 2
 
     @pytest.mark.parametrize("text, objectives, message", [
-        ("", "total_params:min", "points file has no header row"),
+        ("", "total_params:min", "points file {points} has no header row"),
         ("total_params\n1\n", ",", "no objectives given"),
         ("total_params,top5_error\n1,0.2\nabc,0.1\n", "total_params",
          "points file {points} line 3: metric 'total_params' has non-numeric value 'abc'"),
@@ -403,6 +419,17 @@ class TestPareto:
         captured = capsys.readouterr()
         assert captured.err == f"error: points file {message.format(points=points)}\n"
         assert captured.out == ""
+
+    def test_crlf_file_with_a_quoted_line_break_round_trips(self, tmp_path, capsys):
+        # csv writes \r\n line ends; the quoted cell keeps its \r\n as read
+        text = b'name,a,b\r\n"two\r\nlines",1,2\r\nc,2,1\r\n'
+        points = tmp_path / "points.csv"
+        points.write_bytes(text)
+        out = tmp_path / "front.csv"
+        assert run_cli("pareto", "--points", str(points), "--objectives", "a:min,b:min",
+                       "--out", str(out)) == 0
+        assert capsys.readouterr() == (f"2 of 2 points -> {out}\n", "")
+        assert out.read_bytes() == text
 
     def test_infinite_cell_is_ordered(self, tmp_path, capsys):
         # sweep writes inf as the fps_proxy of a graph with no MACs
@@ -753,12 +780,19 @@ class TestCompressionCommands:
 
 
 # one command reading each kind of JSON file, the file's name left off
-JSON_FILE_ARGVS = pytest.mark.parametrize("argv", [
-    ["describe", "--arch"],
-    ["describe", "--family", "squeezenet", "--platform"],
-    ["check", "--family", "squeezenet", "--constraints"],
-    ["sweep", "--family", "squeezenet", "--out", "x", "--grid"],
-], ids=["arch", "platform", "constraints", "grid"])
+JSON_ARGVS = {
+    "arch": ["describe", "--arch"],
+    "platform": ["describe", "--family", "squeezenet", "--platform"],
+    "constraints": ["check", "--family", "squeezenet", "--constraints"],
+    "grid": ["sweep", "--family", "squeezenet", "--out", "x", "--grid"],
+}
+JSON_FILE_ARGVS = pytest.mark.parametrize("argv", list(JSON_ARGVS.values()), ids=list(JSON_ARGVS))
+# ... and of each kind of CSV file, whose sweep reads grid.json first
+TEXT_ARGVS = JSON_ARGVS | {
+    "accuracy": ["sweep", "--family", "squeezenet", "--out", "x", "--grid", "grid.json",
+                 "--accuracy"],
+    "points": ["pareto", "--objectives", "a:min", "--points"],
+}
 
 
 @JSON_FILE_ARGVS
@@ -782,13 +816,14 @@ def test_json_syntax_error_exits_3_naming_the_file(tmp_path, capsys, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
-@JSON_FILE_ARGVS
+@pytest.mark.parametrize("argv", list(TEXT_ARGVS.values()), ids=list(TEXT_ARGVS))
 def test_file_that_is_not_utf8_exits_3_naming_the_file(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "latin1.json").write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
-    assert run_cli(*argv, "latin1.json") == 3
-    assert capsys.readouterr() == ("", "error: latin1.json: not UTF-8 (byte 0xe9 at offset 13)\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["latin1.json"]
+    (tmp_path / "grid.json").write_text('{"p": [0.5]}')
+    (tmp_path / "latin1.txt").write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    assert run_cli(*argv, "latin1.txt") == 3
+    assert capsys.readouterr() == ("", "error: latin1.txt: not UTF-8 (byte 0xe9 at offset 13)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json", "latin1.txt"]
 
 
 @pytest.mark.parametrize("batch", ["0", "-3", "two"])

@@ -425,6 +425,19 @@ class TestEncodeDecode:
                 f"t: codebook entry 1 is {shown}, not a finite nonzero")):
             encode([qt])
 
+    # kmeans_quantize keeps 13 of the 20 elements of 0..19 mod 3, codebook [1, 2]
+    @pytest.mark.parametrize("field, value, message", [
+        ("positions", 20, "t: nonzero position out of range"),
+        ("assignments", 2, "t: assignment out of codebook range"),
+        ("assignments", -1, "t: assignment out of codebook range"),
+    ], ids=["position_past_the_end", "assignment_past_the_codebook", "negative_assignment"])
+    def test_out_of_range_nonzero_is_refused(self, field, value, message):
+        qt = kmeans_quantize(wt(np.arange(20) % 3), bits=1)
+        column = getattr(qt, field).copy()
+        column[-1] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            encode([replace(qt, **{field: column})])
+
     def test_rel_index_bits_range(self):
         qt = kmeans_quantize(wt([1.0]), bits=1)
         with pytest.raises(ValueError):

@@ -218,6 +218,22 @@ class TestTopologicalOrder:
                 topological_order(ArchGraph("unknown", g.nodes, preds))
 
 
+class TestGraphBuilder:
+    def test_duplicate_id_is_refused(self):
+        b = GraphBuilder("dup")
+        x = b.input(TensorShape(4, 4, 3))
+        with pytest.raises(GraphError, match=r"^duplicate id 'input'$"):
+            b.relu(x, name="input")
+        assert b.build().nodes == (("input", Input(TensorShape(4, 4, 3))),)
+
+    def test_unknown_input_is_refused(self):
+        b = GraphBuilder("ghost")
+        b.input(TensorShape(4, 4, 3))
+        with pytest.raises(GraphError, match=r"^'relu1' references unknown input 'ghost'$"):
+            b.relu("ghost")
+        assert [nid for nid, _ in b.build().nodes] == ["input"]
+
+
 class TestInferShapes:
     def test_alexnet_stem(self):
         g = chain(Conv(11, 11, 96, stride=4), input_shape=TensorShape(227, 227, 3))
