@@ -1,5 +1,5 @@
 """Golden text output: descriptors, CLI tables and JSON, check reports,
-sweep files, config errors.
+sweep files, config errors, --help.
 
 Each output is pinned by the sha256 of its exact text, so any change to a
 key, its order, a number's formatting or a column shows here. The config
@@ -181,3 +181,29 @@ def test_sweep_files(capsys, tmp_path):
     for form in sorted(SWEEP):
         text = (tmp_path / f"out.{form}").read_text(encoding="utf-8")
         assert _sha(text) == SWEEP[form], form
+
+
+# `convdse --help` and each `<command> --help` at 80 columns; the family,
+# codec and batch flags are generated from their fields, so this pins what
+# the generation writes
+HELP = {
+    "": "a4093f67aac6e369fa8614f58d8f86ccfb82a306a3c9f560f233027adb09d72f",
+    "describe": "d907a202aff7a918d3e5cfaf600fa5a1dd66c002fb63b6ef17b215ca810fb72b",
+    "sweep": "0de9c9ecb673d1383d311f6cfa84c4956af1dd85031f282e9ead5e657d890ab2",
+    "pareto": "11f04a2608a537e5492854b8986b4f74fb21c7c6f815ec2b6f2e1c93b84cffd0",
+    "check": "08d991962924f140b0ab1bee6ae01232a5985bbd9740f9c0b3ff73beacfa2f7e",
+    "compress": "f89a1550b0854ebcb09ffe4206757e24713d153a4b46e36b64228ed587380793",
+    "decompress": "426a694d9592c267c0e7fa956b8534e58b99402d702efa72f0d764b4c8b33ebd",
+    "verify": "a37ea0683e056fc95af154ed870e60a7d647aca4b3ad04f5a89c3afc67673665",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _sha(out) == HELP[command]
