@@ -19,7 +19,7 @@ from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
 from . import compress as compress_mod
-from . import descriptor, explore, weights
+from . import costs, descriptor, explore, weights
 from .costs import DEFAULT_PLATFORM, MetricsReport, PlatformSpec, load_json, read_text, report
 from .explore import ConstraintSet, DesignPoint, SweepError
 from .graph import ArchGraph
@@ -58,8 +58,8 @@ def _graph_from_args(args) -> tuple[ArchGraph, dict]:
     if args.arch:
         return descriptor.load(args.arch), {}
     if args.family:
-        params = {m.name: getattr(args, m.name) for family in explore.FAMILIES.values()
-                  for m in family.params if getattr(args, m.name) is not None}
+        params = {f.name: getattr(args, f.name) for family in explore.FAMILIES.values()
+                  for f in family.params if getattr(args, f.name) is not None}
         return explore.build_family(args.family, params), params
     raise SweepError("one of --arch or --family is required")
 
@@ -121,8 +121,7 @@ def _sweep_csv(axes: list[str], points: list[DesignPoint],
 
 
 def cmd_sweep(args) -> int:
-    if not 0.0 <= args.epsilon < math.inf:
-        raise SweepError(f"--epsilon must be finite and non-negative, got {args.epsilon}")
+    explore.EPSILON.check(args.epsilon, SweepError, "--epsilon")
     platform = _load_platform(args.platform)
     grid = load_json(args.grid)
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
@@ -236,9 +235,7 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_check(args) -> int:
-    # the range explore.load_accuracy_table takes for a recorded error
-    if args.top5_error is not None and not 0.0 <= args.top5_error <= 1.0:
-        raise SweepError(f"--top5-error must be in [0, 1], got {args.top5_error}")
+    explore.TOP5_ERROR.check(args.top5_error, SweepError, "--top5-error")
     graph, metaparams = _graph_from_args(args)
     platform = _load_platform(args.platform)
     constraints = ConstraintSet.load(args.constraints)
@@ -310,16 +307,21 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
-def _batch_size(text: str) -> int:
-    """The ``--batch`` type: an integer of at least 1, refused by argparse
-    (exit 2, naming the flag) before any graph is built."""
+def _checked(f: costs.Field, text: str):
+    """``text`` as f's kind, checked by ``f``: refused (exit 2) before any file is read."""
     try:
-        value = int(text)
+        value = f.kind(text)
     except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        value = text
+    f.check(value, argparse.ArgumentTypeError)
     return value
+
+
+def _add_flag(parser: argparse.ArgumentParser, flag: str, f: costs.Field, checked: bool = False):
+    """The flag of ``f``, with its default and help; checked on parsing if ``checked``."""
+    parser.add_argument(flag, type=functools.partial(_checked, f) if checked else f.kind,
+                        default=f.default,
+                        help=f.help if f.default is None else f"{f.help} (default {f.default})")
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
@@ -327,14 +329,13 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=sorted(explore.FAMILIES),
                         help="generate a reference family instead of reading --arch")
     for name, family in explore.FAMILIES.items():
-        for m in family.params:
-            kind = {"choices": m.kind} if isinstance(m.kind, tuple) else {"type": m.kind}
-            default = "" if m.default is None else f", default {m.default}"
-            parser.add_argument(f"--{m.name.replace('_', '-')}", **kind,
-                                help=f"{m.help} ({name}{default})")
+        for f in family.params:
+            kind = {"choices": f.kind} if isinstance(f.kind, tuple) else {"type": f.kind}
+            default = "" if f.default is None else f", default {f.default}"
+            parser.add_argument(f"--{f.name.replace('_', '-')}", **kind,
+                                help=f"{f.help} ({name}{default})")
     parser.add_argument("--platform", help="platform config (JSON)")
-    parser.add_argument("--batch", type=_batch_size, default=1,
-                        help="batch size for weight-fetch amortization (default 1)")
+    _add_flag(parser, "--batch", costs.BATCH, checked=True)
 
 
 def _describe_arguments(p: argparse.ArgumentParser) -> None:
@@ -346,13 +347,11 @@ def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=sorted(explore.FAMILIES))
     p.add_argument("--grid", required=True, help="JSON file mapping axis -> value list")
     p.add_argument("--platform", help="platform config (JSON)")
-    p.add_argument("--batch", type=_batch_size, default=1,
-                   help="batch size for weight-fetch amortization (default 1)")
+    _add_flag(p, "--batch", costs.BATCH, checked=True)
     p.add_argument("--accuracy", help="CSV of recorded accuracy keyed by metaparams")
     p.add_argument("--saturation-axis",
                    help="metric to order points by when detecting saturation")
-    p.add_argument("--epsilon", type=float, default=0.005,
-                   help="error improvement threshold for saturation (default 0.005)")
+    _add_flag(p, "--epsilon", explore.EPSILON)
     p.add_argument("--out", required=True, help="output prefix for .csv and .json")
 
 
@@ -366,18 +365,14 @@ def _pareto_arguments(p: argparse.ArgumentParser) -> None:
 def _check_arguments(p: argparse.ArgumentParser) -> None:
     _add_graph_source(p)
     p.add_argument("--constraints", required=True, help="constraint set (JSON)")
-    p.add_argument("--top5-error", type=float,
-                   help="recorded top-5 error for the accuracy budget")
+    _add_flag(p, "--top5-error", explore.TOP5_ERROR)
 
 
 def _compress_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights", required=True, help="input SDNW file")
-    p.add_argument("--sparsity", type=float, default=0.7,
-                   help="fraction of weights to prune (default 0.7)")
-    p.add_argument("--bits", type=int, default=6,
-                   help="codebook index width in bits (default 6)")
-    p.add_argument("--gap-bits", type=int, default=4,
-                   help="relative-index field width in bits (default 4)")
+    _add_flag(p, "--sparsity", costs.SPARSITY)
+    _add_flag(p, "--bits", costs.BITS)
+    _add_flag(p, "--gap-bits", costs.GAP_BITS)
     p.add_argument("--out", required=True, help="output SDNC file")
     p.add_argument("--json", action="store_true")
 

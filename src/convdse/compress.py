@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import huffman
+from .costs import BITS, GAP_BITS, SPARSITY
 from .weights import (Cursor, WeightTensor, pack_container_head, pack_tensor_header,
                       read_container)
 
@@ -39,11 +40,6 @@ class CompressedFormatError(ValueError):
     exit_code = 3
 
 
-def _check_sparsity(target_sparsity: float) -> None:
-    if not 0.0 <= target_sparsity < 1.0:
-        raise ValueError(f"target_sparsity must be in [0, 1), got {target_sparsity!r}")
-
-
 def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTensor:
     """Zero the floor(sparsity * N) smallest-magnitude entries, ties pruned
     lowest flat index first; a pruned entry becomes +0.0 and a kept one
@@ -54,7 +50,7 @@ def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTenso
     flat order, that the count still needs. The kept mask, negated as int8
     to all-ones or zero, is ANDed into the float32 bits in one pass, with
     no per-element branch."""
-    _check_sparsity(target_sparsity)
+    SPARSITY.check(target_sparsity)
     values = tensor.values
     magnitude = np.abs(values)
     # NaN and infinity propagate through max, so it is finite exactly when
@@ -165,11 +161,6 @@ class _SortedNonzeros:
         return QuantizedTensor(self.name, self.shape, codebook[used], positions, labels)
 
 
-def _check_bits(bits: int) -> None:
-    if not 1 <= bits <= 8:
-        raise ValueError(f"bits must be in [1, 8], got {bits!r}")
-
-
 def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[QuantizedTensor]:
     """Lloyd's k-means over each tensor's nonzero values, k = 2**bits
     centroids initialized evenly over [min, max], run for all tensors in
@@ -190,7 +181,7 @@ def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[Quantized
     centroid moved by ``_KMEANS_TOL`` or after ``_KMEANS_ITERS`` steps; one
     more search gives its final runs, and its state is released as soon as
     its labels are built."""
-    _check_bits(bits)
+    BITS.check(bits)
     k = 1 << bits
     states = [_SortedNonzeros(t) for t in tensors]
     out: list[Optional[QuantizedTensor]] = [None] * len(states)
@@ -298,11 +289,6 @@ def _gap_index_symbols(quantized: QuantizedTensor,
     return gap_symbols, index_symbols
 
 
-def _check_rel_index_bits(rel_index_bits: int) -> None:
-    if not 1 <= rel_index_bits <= 16:
-        raise ValueError(f"rel_index_bits must be in [1, 16], got {rel_index_bits!r}")
-
-
 def _unusable_entry(codebook: np.ndarray) -> Optional[int]:
     """The index of the first zero or non-finite codebook entry, if any: a
     decoded zero would drop a nonzero, and a non-finite one is no weight."""
@@ -310,9 +296,10 @@ def _unusable_entry(codebook: np.ndarray) -> Optional[int]:
     return int(bad[0]) if bad.size else None
 
 
-def encode(quantized: Sequence[QuantizedTensor], rel_index_bits: int = 4) -> CompressedModel:
+def encode(quantized: Sequence[QuantizedTensor],
+           rel_index_bits: int = GAP_BITS.default) -> CompressedModel:
     """Entropy-code pruned+quantized tensors into a compressed model."""
-    _check_rel_index_bits(rel_index_bits)
+    GAP_BITS.check(rel_index_bits)
     records = []
     for qt in quantized:
         codebook = qt.codebook.astype(np.float32)
@@ -446,7 +433,7 @@ def read_sdnc(data: bytes) -> CompressedModel:
 def _parse_record(r: Cursor) -> CompressedTensor:
     name, shape = r.tensor_header()
     rel_index_bits, cb_size = r.unpack("BH")
-    if not 1 <= rel_index_bits <= 16:
+    if GAP_BITS.problem(rel_index_bits):
         r.fail(f"{name}: invalid gap width {rel_index_bits}", r.pos - 3)
     codebook = np.frombuffer(r.take(4 * cb_size), dtype="<f4").astype(np.float32)
     bad = _unusable_entry(codebook)
@@ -484,13 +471,13 @@ def _parse_record(r: Cursor) -> CompressedTensor:
 
 
 def compress_model(tensors: Sequence[WeightTensor], target_sparsity: float, bits: int,
-                   rel_index_bits: int = 4) -> CompressedModel:
+                   rel_index_bits: int = GAP_BITS.default) -> CompressedModel:
     """Full pipeline: prune each tensor, quantize the survivors of all of
     them in one ``quantize_model``, encode. Both widths and the sparsity are
     checked before any work; NaN or infinite weights are refused."""
-    _check_rel_index_bits(rel_index_bits)
-    _check_bits(bits)
-    _check_sparsity(target_sparsity)
+    GAP_BITS.check(rel_index_bits)
+    BITS.check(bits)
+    SPARSITY.check(target_sparsity)
     # pruned one at a time as the quantizer reads them
     pruned = (prune_magnitude(t, target_sparsity) for t in tensors)
     return encode(quantize_model(pruned, bits), rel_index_bits)

@@ -25,12 +25,14 @@ graph is checked by the graph walk first (``graph._bind``).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import accumulate
+from numbers import Integral, Real
 from typing import ClassVar, Optional, get_args, get_type_hints
 
 from .graph import (_SHAPE_RULES, ArchGraph, Conv, Dims, FullyConnected, LayerSpec, ShapeError,
@@ -73,29 +75,74 @@ def load_json(path):
     return parse_json(read_text(path), path, InputFileError)
 
 
+@dataclass(frozen=True)
+class Field:
+    """A typed setting read from outside the program, and its one check.
+    ``kind``: int, float (an int too) or a tuple of choices; numpy scalars
+    count, bools do not. ``bound``: an interval such as "[1, 8]" or "(0, inf)";
+    with an infinite end, or none, NaN is not finite. A None default allows None."""
+
+    name: str
+    kind: type | tuple
+    default: object = None
+    bound: str = ""
+    help: str = ""
+
+    def __post_init__(self):
+        lo, _, hi = self.bound[1:-1].partition(", ")
+        object.__setattr__(self, "_ends", (
+            float(lo or "-inf"), operator.le if self.bound[:1] == "[" else operator.lt,
+            float(hi or "inf"), operator.le if self.bound[-1:] == "]" else operator.lt))
+
+    def problem(self, value) -> Optional[str]:
+        """What is wrong with ``value`` as this setting, or None."""
+        if value is None and self.default is None:
+            return None
+        if isinstance(self.kind, tuple):
+            return None if value in self.kind else f"must be one of {[*self.kind]}, got {value!r}"
+        if isinstance(value, bool) or not isinstance(value, (int, float, Real)):
+            return f"must be a number, got {value!r}"
+        lo, above, hi, below = self._ends
+        # NaN, infinity, or an int no float holds
+        if math.inf in (-lo, hi) and not abs(value) <= sys.float_info.max:
+            return f"must be finite, got {value!r}"
+        if self.kind is int and not isinstance(value, (int, Integral)):
+            return f"must be an integer, got {value!r}"
+        if above(lo, value) and below(value, hi):
+            return None
+        if self.bound == "(0, inf)":  # the words of the platform and constraint files
+            return f"must be {'positive when set' if self.default is None else 'strictly positive'}"
+        return f"must be in {self.bound}, got {value!r}"
+
+    def check(self, value, error: type[Exception] = ValueError, label: Optional[str] = None):
+        """Raise ``error``, naming ``label`` or else the field, at a ``problem``."""
+        if self.problem(value):
+            raise error(f"{label or self.name} {self.problem(value)}")
+
+
+BATCH = Field("batch", int, 1, "(0, inf)", "batch size for weight-fetch amortization")
+# the codec's settings: here, the CLI builds its flags without loading the codec
+SPARSITY = Field("target_sparsity", float, 0.7, "[0, 1)", "fraction of weights to prune")
+BITS = Field("bits", int, 6, "[1, 8]", "codebook index width in bits")
+GAP_BITS = Field("rel_index_bits", int, 4, "[1, 16]", "relative-index field width in bits")
+
+
+@functools.cache
+def config_fields(cls) -> tuple[Field, ...]:
+    """The fields of NumericConfig ``cls``: positive numbers, integers where annotated so."""
+    hints = get_type_hints(cls)
+    return tuple(Field(f.name, int if int in (hints[f.name], *get_args(hints[f.name])) else float,
+                       f.default, "(0, inf)") for f in fields(cls))
+
+
 class NumericConfig:
-    """Base of a frozen dataclass of numbers read from a JSON object. Every
-    field must be a finite positive number, and an integer where it is
-    annotated ``int`` or ``Optional[int]``; one whose default is None may be
-    left unset. ``label`` names the config in key errors."""
+    """Base of a frozen dataclass of JSON numbers checked by ``config_fields``, named ``label``."""
 
     label: ClassVar[str]
 
     def __post_init__(self):
-        hints = get_type_hints(type(self))
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None and f.default is None:
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"{type(self).__name__}.{f.name} must be a number, got {v!r}")
-            if not abs(v) <= sys.float_info.max:  # NaN, infinity, or an int no float holds
-                raise ValueError(f"{type(self).__name__}.{f.name} must be finite, got {v!r}")
-            if not isinstance(v, int) and int in (hints[f.name], *get_args(hints[f.name])):
-                raise ValueError(f"{type(self).__name__}.{f.name} must be an integer, got {v!r}")
-            if not v > 0:
-                when = "positive when set" if f.default is None else "strictly positive"
-                raise ValueError(f"{type(self).__name__}.{f.name} must be {when}")
+        for f in config_fields(type(self)):
+            f.check(getattr(self, f.name), label=f"{type(self).__name__}.{f.name}")
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -371,21 +418,16 @@ def activation_traffic_words(graph: ArchGraph) -> int:
     return _priced(graph)[4][3]
 
 
-def _check_batch(batch, error: type = ValueError) -> None:
-    if not isinstance(batch, int) or isinstance(batch, bool) or batch < 1:
-        raise error(f"batch must be a positive integer, got {batch!r}")
-
-
 def energy_from_counts(total_macs: int, total_params: int, activation_words: int,
                        peak_activation_bytes_: int, platform: PlatformSpec,
-                       batch: int = 1) -> float:
+                       batch: int = BATCH.default) -> float:
     """First-order per-frame energy from aggregate counts.
 
     Weights spill off-chip when they alone exceed on-chip capacity;
     activations spill when weights plus the peak activation footprint do.
     Spilled weight traffic amortizes over the batch (an int >= 1), activations do not.
     """
-    _check_batch(batch)
+    BATCH.check(batch)
     storage = total_params * platform.word_bytes
     param_spill = total_params if storage > platform.on_chip_bytes else 0
     act_spill = (activation_words
@@ -395,7 +437,7 @@ def energy_from_counts(total_macs: int, total_params: int, activation_words: int
 
 
 def report(graph: ArchGraph, platform: PlatformSpec = DEFAULT_PLATFORM,
-           batch: int = 1) -> MetricsReport:
+           batch: int = BATCH.default) -> MetricsReport:
     """Assemble the full metric vector for one architecture. A metric past
     the float range is a ValueError naming the graph."""
     params, macs, peak_words, traffic = _priced(graph)[4]

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Optional, Sequence
 
-from .costs import MetricsReport, NumericConfig, PlatformSpec, _check_batch, report
+from .costs import BATCH, Field, MetricsReport, NumericConfig, PlatformSpec, report
 from .graph import ArchGraph, GraphError
 from .zoo import POOL_STRATEGIES, PoolPlacement, alexnet, mobilenet_like, squeezenet, vgg19
 
@@ -61,31 +61,18 @@ class ConstraintSet(NumericConfig):
     max_energy_per_frame: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class Metaparam:
-    """One metaparameter of a family. ``kind`` is float, int, or a tuple of
-    the allowed choices; a float also takes an int, and a bool is never a
-    number. Ranges are the generator's to check."""
-
-    name: str
-    kind: type | tuple[str, ...]
-    default: object
-    help: str
-
-    def accepts(self, value) -> bool:
-        if isinstance(self.kind, tuple):
-            return value in self.kind
-        numbers = (int, float) if self.kind is float else (int,)
-        return isinstance(value, numbers) and not isinstance(value, bool)
+TOP5_ERROR = Field("top5_error", float, None, "[0, 1]",
+                   "recorded top-5 error for the accuracy budget")
+EPSILON = Field("epsilon", float, 0.005, "[0, inf)", "error improvement threshold for saturation")
 
 
 @dataclass(frozen=True)
 class Family:
-    """A generator and the schema of its metaparameters; ``build`` gets
-    every metaparameter, defaults filled in, as a keyword argument."""
+    """A generator, which checks the ranges, and its metaparameters' fields;
+    ``build`` gets every metaparameter, defaults filled in, by keyword."""
 
     build: Callable[..., ArchGraph]
-    params: tuple[Metaparam, ...] = ()
+    params: tuple[Field, ...] = ()
 
 
 def _squeezenet(p: float, pool_placement: Optional[str], pool_count: Optional[int]) -> ArchGraph:
@@ -99,40 +86,32 @@ FAMILIES: dict[str, Family] = {
     "alexnet": Family(alexnet),
     "vgg19": Family(vgg19),
     "squeezenet": Family(_squeezenet, (
-        Metaparam("p", float, 0.5, "3x3 expand fraction"),
-        Metaparam("pool_placement", POOL_STRATEGIES, None,
-                  "pool placement; canonical pools unless this or pool_count is set"),
-        Metaparam("pool_count", int, None,
-                  "number of pools; canonical pools unless this or pool_placement is set"),
+        Field("p", float, 0.5, help="3x3 expand fraction"),
+        Field("pool_placement", POOL_STRATEGIES,
+              help="pool placement; canonical pools unless this or pool_count is set"),
+        Field("pool_count", int,
+              help="number of pools; canonical pools unless this or pool_placement is set"),
     )),
     "mobilenet": Family(lambda width_mult: mobilenet_like(width_mult), (
-        Metaparam("width_mult", float, 1.0, "width multiplier"),
+        Field("width_mult", float, 1.0, help="width multiplier"),
     )),
 }
 
 
 def build_family(family: str, metaparams: dict) -> ArchGraph:
-    """The one place a family's metaparameters are checked: names and kinds
-    against its schema here, ranges by the generator. Any of these errors
-    is a SweepError naming the family and the metaparameter."""
+    """The one place a family's metaparameters are checked, names and values
+    here, ranges by the generator: a SweepError names family and metaparameter."""
     if family not in FAMILIES:
         raise SweepError(f"unknown family {family!r} (known: {sorted(FAMILIES)})")
-    schema = FAMILIES[family].params
-    allowed = sorted(m.name for m in schema)
-    unknown = set(metaparams) - set(allowed)
+    schema = {f.name: f for f in FAMILIES[family].params}
+    unknown = set(metaparams) - set(schema)
     if unknown:
         raise SweepError(f"family {family!r} does not take metaparameter(s) "
-                         f"{sorted(unknown)} (allowed: {allowed or 'none'})")
-    kwargs = {}
-    for m in schema:
-        value = metaparams.get(m.name, m.default)
-        if m.name in metaparams and not m.accepts(value):
-            kind = f"one of {list(m.kind)}" if isinstance(m.kind, tuple) else m.kind.__name__
-            raise SweepError(f"family {family!r}: metaparameter {m.name!r} must be {kind}, "
-                             f"got {value!r}")
-        kwargs[m.name] = value
+                         f"{sorted(unknown)} (allowed: {sorted(schema) or 'none'})")
+    for name, value in metaparams.items():
+        schema[name].check(value, SweepError, f"family {family!r}: metaparameter {name!r}")
     try:
-        return FAMILIES[family].build(**kwargs)
+        return FAMILIES[family].build(**{f.name: f.default for f in schema.values()} | metaparams)
     except ValueError as exc:
         raise SweepError(f"family {family!r}, metaparameters {metaparams}: {exc}") from exc
 
@@ -142,7 +121,7 @@ _MAX_POINTS = 4096
 
 
 def sweep(family: str, grid: dict[str, Sequence], platform: PlatformSpec,
-          batch: int = 1) -> list[DesignPoint]:
+          batch: int = BATCH.default) -> list[DesignPoint]:
     """One design point per grid cell, in lexicographic order over the grid
     axes as given. Deterministic: same grid and platform, same points. A
     cell whose graph is invalid raises the GraphError (or ShapeError) of
@@ -154,7 +133,7 @@ def sweep(family: str, grid: dict[str, Sequence], platform: PlatformSpec,
     total = math.prod(len(grid[a]) for a in axes) if axes else 1
     if total > _MAX_POINTS:
         raise SweepError(f"grid has {total} cells, exceeding the cap of {_MAX_POINTS}")
-    _check_batch(batch, SweepError)
+    BATCH.check(batch, SweepError)
     points = []
     for combo in itertools.product(*(grid[a] for a in axes)):
         metaparams = dict(zip(axes, combo))
@@ -180,23 +159,22 @@ def _norm(value) -> object:
 def read_csv(text: str, what: str) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
     """The header (empty for empty text) and the (line number, row) pairs
     of CSV ``text``. A header that names a column twice, and a row with more
-    or fewer cells than the header, are refused naming ``what``."""
+    or fewer cells than the header, and a cell longer than the csv module's
+    field size limit, are refused naming ``what``. Blank lines are skipped."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, [])
-    seen: set[str] = set()
-    for name in header:
-        if name in seen:
+    try:
+        lines = [(reader.line_num, cells) for cells in reader]
+    except csv.Error as exc:
+        raise SweepError(f"{what} line {reader.line_num}: {exc}") from None
+    header = lines[0][1] if lines else []
+    for i, name in enumerate(header):
+        if name in header[:i]:
             raise SweepError(f"{what}: column {name!r} appears twice in the header")
-        seen.add(name)
-    rows = []
-    for cells in reader:
-        if not cells:  # a blank line
-            continue
-        if len(cells) != len(header):
-            raise SweepError(f"{what} line {reader.line_num}: ragged row "
+    for line, cells in lines[1:]:
+        if cells and len(cells) != len(header):
+            raise SweepError(f"{what} line {line}: ragged row "
                              f"({len(cells)} cell(s), header has {len(header)})")
-        rows.append((reader.line_num, dict(zip(header, cells))))
-    return header, rows
+    return header, [(line, dict(zip(header, cells))) for line, cells in lines[1:] if cells]
 
 
 def load_accuracy_table(text: str) -> list[dict[str, object]]:
@@ -214,9 +192,9 @@ def load_accuracy_table(text: str) -> list[dict[str, object]]:
             if key != "top5_error" and isinstance(cell, float) and not math.isfinite(cell):
                 raise SweepError(f"accuracy table line {lineno}: column {key!r} "
                                  f"must be finite, got {value!r}")
-        err = row["top5_error"]
-        if not isinstance(err, float) or not 0.0 <= err <= 1.0:
-            raise SweepError(f"accuracy table line {lineno}: top5_error must be in [0, 1]")
+        if TOP5_ERROR.problem(row["top5_error"]):
+            raise SweepError(f"accuracy table line {lineno}: top5_error must be in "
+                             f"{TOP5_ERROR.bound}")
         rows.append(row)
     return rows
 
@@ -253,7 +231,7 @@ def attach_accuracy(points: Sequence[DesignPoint],
     return out, unmatched
 
 
-def find_saturation(points: Sequence[DesignPoint], epsilon: float = 0.005,
+def find_saturation(points: Sequence[DesignPoint], epsilon: float = EPSILON.default,
                     axis: str = "total_params") -> Optional[DesignPoint]:
     """Smallest point (along ``axis``) that no larger point improves on by
     more than ``epsilon`` top-5 error. Returns None when the sequence is

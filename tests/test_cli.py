@@ -244,8 +244,11 @@ class TestSweep:
                        "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == f"error: unknown metric {axis!r}\n"
 
-    @pytest.mark.parametrize("epsilon", ["nan", "-1", "inf"])
-    def test_bad_epsilon_exits_2_naming_it(self, tmp_path, capsys, epsilon):
+    @pytest.mark.parametrize("epsilon, problem", [
+        ("nan", "must be finite, got nan"), ("-1", "must be in [0, inf), got -1.0"),
+        ("inf", "must be finite, got inf"),
+    ], ids=["nan", "-1", "inf"])
+    def test_bad_epsilon_exits_2_naming_it(self, tmp_path, capsys, epsilon, problem):
         # with the default --epsilon 0.005 this grid saturates at p = 0.75
         grid = self.write_grid(tmp_path, {"p": [0.5, 0.75, 1.0]})
         acc = tmp_path / "acc.csv"
@@ -253,8 +256,7 @@ class TestSweep:
         assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
                        "--accuracy", str(acc), "--saturation-axis", "total_macs",
                        "--epsilon", epsilon, "--out", str(tmp_path / "x")) == 2
-        assert capsys.readouterr().err == (
-            f"error: --epsilon must be finite and non-negative, got {float(epsilon)}\n")
+        assert capsys.readouterr().err == f"error: --epsilon {problem}\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_saturating_run_stdout_and_marks(self, tmp_path, capsys):
@@ -826,9 +828,26 @@ def test_file_that_is_not_utf8_exits_3_naming_the_file(tmp_path, capsys, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json", "latin1.txt"]
 
 
-@pytest.mark.parametrize("batch", ["0", "-3", "two"])
+@pytest.mark.parametrize("command, what", [("accuracy", "accuracy table"),
+                                           ("points", "points file big.csv")])
+def test_csv_cell_past_the_field_limit_exits_2_naming_the_line(tmp_path, capsys, monkeypatch,
+                                                                command, what):
+    # the csv module refuses a cell over 131,072 characters
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text('{"p": [0.5]}')
+    (tmp_path / "big.csv").write_text("p,top5_error\n0.5,0.2\n" + "x" * 200_000 + ",0.1\n")
+    assert run_cli(*TEXT_ARGVS[command], "big.csv") == 2
+    assert capsys.readouterr() == (
+        "", f"error: {what} line 3: field larger than field limit (131072)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.csv", "grid.json"]
+
+
+@pytest.mark.parametrize("batch, problem", [
+    ("0", "must be strictly positive"), ("-3", "must be strictly positive"),
+    ("two", "must be a number, got 'two'"),
+], ids=["0", "-3", "two"])
 @pytest.mark.parametrize("command", ["describe", "check", "sweep"])
-def test_batch_below_one_exits_2_naming_the_flag(tmp_path, capsys, command, batch):
+def test_batch_below_one_exits_2_naming_the_flag(tmp_path, capsys, command, batch, problem):
     # the grid and constraint files do not exist: the flag is refused before
     # any file is read or any graph is built
     argv = {"describe": ["describe", "--family", "squeezenet"],
@@ -839,7 +858,7 @@ def test_batch_below_one_exits_2_naming_the_flag(tmp_path, capsys, command, batc
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv, f"--batch={batch}")
     assert exc.value.code == 2
-    assert f"argument --batch: must be an integer >= 1, got '{batch}'" in capsys.readouterr().err
+    assert f"argument --batch: batch {problem}\n" in capsys.readouterr().err
 
 
 def test_batch_of_two_amortizes_spilled_weights(capsys):

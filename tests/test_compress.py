@@ -358,6 +358,37 @@ class TestKmeans:
             quantize_model(tensors(), 0)
 
 
+# each codec entry point with one setting of the wrong kind: a fractional
+# width, a bool width, a string sparsity
+CODEC_CALLS = {
+    "compress_model": lambda target_sparsity=0.5, bits=4, rel_index_bits=4: compress_model(
+        [wt(np.arange(10.0))], target_sparsity, bits, rel_index_bits=rel_index_bits),
+    "quantize_model": lambda bits: quantize_model([wt(np.arange(10.0))], bits),
+    "prune_magnitude": lambda target_sparsity: prune_magnitude(wt(np.arange(10.0)),
+                                                               target_sparsity),
+    "encode": lambda rel_index_bits: encode([], rel_index_bits),
+}
+
+
+def test_codec_settings_may_be_numpy_scalars():
+    tensors = [wt(np.arange(10.0))]
+    assert (write_sdnc(compress_model(tensors, np.float32(0.5), np.int64(4),
+                                      rel_index_bits=np.int64(3)))
+            == write_sdnc(compress_model(tensors, 0.5, 4, rel_index_bits=3)))
+
+
+@pytest.mark.parametrize("function, setting, value", [
+    ("compress_model", "bits", 2.5), ("compress_model", "bits", True),
+    ("compress_model", "rel_index_bits", 2.5), ("compress_model", "target_sparsity", "0.5"),
+    ("quantize_model", "bits", 2.5), ("quantize_model", "bits", True),
+    ("prune_magnitude", "target_sparsity", "0.5"), ("encode", "rel_index_bits", 2.5),
+])
+def test_codec_setting_of_the_wrong_kind_is_refused_naming_it(function, setting, value):
+    with pytest.raises(ValueError, match=f"^{setting} must be an? (integer|number), "
+                                         f"got {re.escape(repr(value))}$"):
+        CODEC_CALLS[function](**{setting: value})
+
+
 class TestEncodeDecode:
     def test_four_value_round_trip(self):
         pruned = prune_magnitude(wt([0.1, -0.5, 0.3, 0.0]), 0.5)

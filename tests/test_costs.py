@@ -1,11 +1,14 @@
+import importlib
 import json
 import math
+import pkgutil
 import re
 from dataclasses import dataclass
 
 import pytest
 
-from convdse import costs, graph, zoo
+import convdse
+from convdse import costs, explore, graph, zoo
 from convdse.costs import (DEFAULT_PLATFORM, PlatformSpec, activation_traffic_words,
                            energy_from_counts, layer_costs, layer_macs, layer_params,
                            model_macs, model_params, peak_activation_bytes, report)
@@ -239,11 +242,16 @@ class TestEnergy:
         assert e4 == pytest.approx(100e-6 + 25e-6, rel=1e-9)
         assert e4 < e1
 
-    @pytest.mark.parametrize("batch", [0, -1, 2.5, 2.0, True, math.inf, math.nan, "2"])
-    def test_batch_that_is_not_a_positive_int_is_refused(self, batch):
+    @pytest.mark.parametrize("batch, problem", [
+        (0, "must be strictly positive"), (-1, "must be strictly positive"),
+        (2.5, "must be an integer, got 2.5"), (2.0, "must be an integer, got 2.0"),
+        (True, "must be a number, got True"), (math.inf, "must be finite, got inf"),
+        (math.nan, "must be finite, got nan"), ("2", "must be a number, got '2'"),
+    ], ids=["0", "-1", "2.5", "2.0", "True", "inf", "nan", "2"])
+    def test_batch_that_is_not_a_positive_int_is_refused(self, batch, problem):
         # an infinite batch would drop alexnet's spilled-weight traffic, and a
         # NaN one read as an overflow in report
-        message = f"^batch must be a positive integer, got {re.escape(repr(batch))}$"
+        message = f"^batch {re.escape(problem)}$"
         with pytest.raises(ValueError, match=message):
             energy_from_counts(100_000_000, 1_000_000, 0, 0, PLATFORM, batch=batch)
         with pytest.raises(ValueError, match=message):
@@ -289,3 +297,38 @@ class TestReport:
         with pytest.raises(ValueError, match="unknown key"):
             PlatformSpec.from_dict({"on_chip_bytes": 1, "e_mac": 1e-12,
                                     "macs_per_second": 1e9, "dram_banks": 4})
+
+
+def every_field():
+    """Every ``costs.Field`` of the package: those bound to a module-level
+    name (keyed by the field's name), each family's metaparameters and each
+    numeric config's fields."""
+    modules = [importlib.import_module(f"convdse.{m.name}")
+               for m in pkgutil.iter_modules(convdse.__path__)]
+    found = {f.name: f for module in modules for f in vars(module).values()
+             if isinstance(f, costs.Field)}
+    for family, spec in explore.FAMILIES.items():
+        found.update({f"{family}.{f.name}": f for f in spec.params})
+    for config in costs.NumericConfig.__subclasses__():
+        found.update({f"{config.__name__}.{f.name}": f for f in costs.config_fields(config)})
+    return found
+
+
+FIELDS = every_field()
+
+
+def test_every_field_is_walked():
+    assert {"batch", "target_sparsity", "bits", "rel_index_bits", "top5_error", "epsilon",
+            "squeezenet.p",
+            "squeezenet.pool_placement", "squeezenet.pool_count", "mobilenet.width_mult",
+            "PlatformSpec.on_chip_bytes", "ConstraintSet.max_onchip_bytes"} <= set(FIELDS)
+
+
+@pytest.mark.parametrize("where, value", [
+    (where, value) for where, f in FIELDS.items()
+    for value in (True, "0.5", math.nan) + ((2.5,) if f.kind is int else ())])
+def test_every_field_refuses_a_bool_a_string_nan_and_a_fraction_for_an_int(where, value):
+    f = FIELDS[where]
+    assert f.problem(value) is not None
+    with pytest.raises(ValueError, match=f"^{re.escape(f.name)} must be "):
+        f.check(value)

@@ -46,6 +46,11 @@ class TestBuildFamily:
         assert (build_family("squeezenet", {"pool_placement": "late"}).nodes
                 == squeezenet(0.5, PoolPlacement("late", 3)).nodes)
 
+    def test_null_optional_metaparameter_is_left_unset(self):
+        # as for a constraint set's optional fields; p, whose default is a number, refuses it
+        assert (build_family("squeezenet", {"pool_placement": None, "pool_count": None}).nodes
+                == squeezenet(0.5).nodes)
+
     def test_int_passes_as_float_and_is_kept_as_given(self):
         assert build_family("squeezenet", {"p": 1}).nodes == squeezenet(1.0).nodes
         [only] = sweep("squeezenet", {"p": [1]}, PLATFORM)
@@ -109,13 +114,16 @@ class TestSweep:
         grid = {"p": [0.5, 1.0], "pool_placement": ["even", "late"]}
         assert sweep("squeezenet", grid, PLATFORM) == sweep("squeezenet", grid, PLATFORM)
 
-    @pytest.mark.parametrize("batch", [0, -1, 2.0, True, "2", None])
-    def test_bad_batch_is_refused_before_any_cell_is_built(self, monkeypatch, batch):
+    @pytest.mark.parametrize("batch, problem", [
+        (0, "must be strictly positive"), (-1, "must be strictly positive"),
+        (2.0, "must be an integer, got 2.0"), (True, "must be a number, got True"),
+        ("2", "must be a number, got '2'"), (None, "must be a number, got None"),
+    ], ids=["0", "-1", "2.0", "True", "2", "None"])
+    def test_bad_batch_is_refused_before_any_cell_is_built(self, monkeypatch, batch, problem):
         def build_family(family, metaparams):
             raise AssertionError("a cell was built")
         monkeypatch.setattr(explore, "build_family", build_family)
-        with pytest.raises(SweepError, match=re.escape(f"batch must be a positive integer, "
-                                                       f"got {batch!r}")):
+        with pytest.raises(SweepError, match=re.escape(f"batch {problem}")):
             sweep("squeezenet", {"p": [0.5]}, PLATFORM, batch=batch)
 
     def test_batch_above_one_is_taken(self):
