@@ -130,7 +130,7 @@ def cmd_sweep(args) -> int:
 
     unmatched: list[dict] = []
     if args.accuracy:
-        table = explore.load_accuracy_table(read_text(args.accuracy))
+        table = explore.load_accuracy_table(read_text(args.accuracy), args.accuracy)
         points, unmatched = explore.attach_accuracy(points, table)
         for row in unmatched:
             print(f"warning: accuracy row matched no design point: {row}", file=sys.stderr)

@@ -182,7 +182,7 @@ def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[Quantized
     more search gives its final runs, and its state is released as soon as
     its labels are built."""
     BITS.check(bits)
-    k = 1 << bits
+    k = 1 << int(bits)  # a numpy width would overflow the shift
     states = [_SortedNonzeros(t) for t in tensors]
     out: list[Optional[QuantizedTensor]] = [None] * len(states)
     none = np.zeros(0, dtype=np.int64)
@@ -300,6 +300,7 @@ def encode(quantized: Sequence[QuantizedTensor],
            rel_index_bits: int = GAP_BITS.default) -> CompressedModel:
     """Entropy-code pruned+quantized tensors into a compressed model."""
     GAP_BITS.check(rel_index_bits)
+    rel_index_bits = int(rel_index_bits)  # a numpy width would overflow 1 << width
     records = []
     for qt in quantized:
         codebook = qt.codebook.astype(np.float32)

@@ -41,8 +41,9 @@ from .graph import (_SHAPE_RULES, ArchGraph, Conv, Dims, FullyConnected, LayerSp
 
 
 class InputFileError(ValueError):
-    """A text input that is not UTF-8, or a JSON one that is not JSON or is
-    nested too deeply for the parser; the message names the file."""
+    """A text input that is not UTF-8, or a JSON one that is not JSON, is
+    nested too deeply for the parser or repeats a key in one object; the
+    message names the file."""
 
     exit_code = 3
 
@@ -59,11 +60,12 @@ def read_text(path) -> str:
                                  f"at offset {exc.start})") from None
 
 
-def parse_json(text: str, source, error: type[ValueError]):
+def parse_json(text: str, source, error: type[ValueError], object_pairs_hook=None):
     """The document in JSON ``text``; a syntax error, or nesting past the
-    parser's recursion limit, raises ``error`` naming ``source``."""
+    parser's recursion limit, raises ``error`` naming ``source``. An
+    ``object_pairs_hook`` builds each object, as in ``json.loads``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise error(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
@@ -71,8 +73,18 @@ def parse_json(text: str, source, error: type[ValueError]):
 
 
 def load_json(path):
-    """The document in the JSON file at ``path``; a refusal names the file."""
-    return parse_json(read_text(path), path, InputFileError)
+    """The document in the JSON file at ``path``; a refusal names the file,
+    and a key given twice in one object is refused naming the key."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise InputFileError(f"{path}: key {key!r} appears twice in one object")
+        return obj
+
+    return parse_json(read_text(path), path, InputFileError, unique_keys)
 
 
 @dataclass(frozen=True)

@@ -177,23 +177,25 @@ def read_csv(text: str, what: str) -> tuple[list[str], list[tuple[int, dict[str,
     return header, [(line, dict(zip(header, cells))) for line, cells in lines[1:] if cells]
 
 
-def load_accuracy_table(text: str) -> list[dict[str, object]]:
+def load_accuracy_table(text: str, source) -> list[dict[str, object]]:
     """Parse a CSV whose header names metaparams plus ``top5_error``.
     Metaparam cells may be symbolic or finite numbers (a NaN key would
-    match no point); the error must be a fraction in [0, 1]."""
-    header, raw_rows = read_csv(text, "accuracy table")
+    match no point); the error must be a fraction in [0, 1]. A refusal
+    names the table as ``accuracy table <source>``."""
+    what = f"accuracy table {source}"
+    header, raw_rows = read_csv(text, what)
     if "top5_error" not in header:
-        raise SweepError("accuracy table needs a header row with a top5_error column")
+        raise SweepError(f"{what} needs a header row with a top5_error column")
     rows = []
     for lineno, raw in raw_rows:
         row: dict[str, object] = {}
         for key, value in raw.items():
             cell = row[key] = _norm(value)
             if key != "top5_error" and isinstance(cell, float) and not math.isfinite(cell):
-                raise SweepError(f"accuracy table line {lineno}: column {key!r} "
+                raise SweepError(f"{what} line {lineno}: column {key!r} "
                                  f"must be finite, got {value!r}")
         if TOP5_ERROR.problem(row["top5_error"]):
-            raise SweepError(f"accuracy table line {lineno}: top5_error must be in "
+            raise SweepError(f"{what} line {lineno}: top5_error must be in "
                              f"{TOP5_ERROR.bound}")
         rows.append(row)
     return rows

@@ -12,7 +12,9 @@ to the previous word. Decoding works on bounded chunks and gives every bit
 position of a chunk the code word that would start there: a table over the
 first (at most 12) bits of its window, and for the prefixes of longer
 codes a search over the left-justified canonical interval ends (Moffat &
-Turpin, IEEE Trans. Commun. 1997). Each position's successor (the start of
+Turpin, IEEE Trans. Commun. 1997), run only when the table is shorter than
+the longest code. A chunk starts on a byte, so its positions and their bit
+offsets are module constants. Each position's successor (the start of
 the next code word) is composed with itself three times, so the only Python
 loop walks the chunk 8 code words per step; the composed successors then
 fill in the 7 starts between its steps.
@@ -32,6 +34,13 @@ MAX_CODE_LENGTH = 57
 
 _CHUNK_BITS = 1 << 14  # decode: bits whose successor is found per step
 _TABLE_BITS = 12       # decode: window bits looked up in one table
+
+# decode: every chunk starts on a byte, so a chunk's bit positions and their
+# offsets in their bytes are the same arrays; a shorter chunk uses a prefix
+_POSITIONS = np.arange(_CHUNK_BITS, dtype=np.intp)
+_BIT_IN_BYTE = (_POSITIONS & 7).astype(np.uint32)
+_POSITIONS.setflags(write=False)
+_BIT_IN_BYTE.setflags(write=False)
 
 
 def code_lengths(symbols: Sequence[int]) -> dict[int, int]:
@@ -88,7 +97,7 @@ def check_lengths(lengths: dict[int, int]) -> None:
     if min(lengths.values()) < 1 or longest > MAX_CODE_LENGTH:
         raise ValueError(f"code lengths must be in 1..{MAX_CODE_LENGTH}, "
                          f"got {min(lengths.values())}..{longest}")
-    if sum(1 << (longest - n) for n in lengths.values()) > 1 << longest:
+    if sum(map((1 << longest).__rshift__, lengths.values())) > 1 << longest:
         raise ValueError("code lengths over-subscribe the Kraft sum")
 
 
@@ -165,31 +174,31 @@ def decode(data: bytes, bit_count: int, lengths: dict[int, int], count: int) -> 
     # big-endian 4 and 8 bytes from every byte of the stream, without a copy
     quads = np.ndarray((len(padded) - 7,), dtype=">u4", buffer=padded, strides=(1,))
     octets = np.ndarray((len(padded) - 7,), dtype=">u8", buffer=padded, strides=(1,))
-    # brings the ``short`` bits from bit offset k of a quad down, k = 0..7
-    shifts = np.tile(np.arange(32 - short, 24 - short, -1, dtype=np.uint32), _CHUNK_BITS // 8)
-    base = np.arange(_CHUNK_BITS, dtype=np.intp)
     done = pos = 0
     while done < count and pos < bit_count:
         first = pos & ~7
         span = min(_CHUNK_BITS, bit_count - first)
-        # the ``short``-bit window at every bit of the chunk, and its length
+        # the ``short``-bit window at every bit of the chunk: the bit's quad,
+        # its leading bits shifted out, then the ``short`` bits brought down
         window = quads[first // 8:(first + span + 7) // 8].astype(np.uint32).repeat(8)[:span]
-        np.right_shift(window, shifts[:span], out=window)
-        window &= np.uint32((1 << short) - 1)
+        window <<= _BIT_IN_BYTE[:span]
+        window >>= np.uint32(32 - short)
         step = prefix_lengths.take(window)
-        longs = np.flatnonzero(step == -1)
-        bits = first + longs
-        full = (octets[bits >> 3].astype(np.uint64) << (bits & 7).astype(np.uint64)
-                ) >> np.uint64(64 - width)
-        which = np.searchsorted(interval_ends, full, side="right")
-        step[longs] = slot_lengths[which]
-        window[longs] = which + (1 << short)
+        # only a code longer than the table has a prefix marked -1
+        if width > short:
+            longs = np.flatnonzero(step == -1)
+            bits = first + longs
+            full = (octets[bits >> 3].astype(np.uint64) << (bits & 7).astype(np.uint64)
+                    ) >> np.uint64(64 - width)
+            which = np.searchsorted(interval_ends, full, side="right")
+            step[longs] = slot_lengths[which]
+            window[longs] = which + (1 << short)
         # successor of every bit: the start of the next code word, or the
         # bit itself at an invalid code word and at one leaving the chunk
-        hop = step + base[:span]
+        hop = step + _POSITIONS[:span]
         tail = hop[-width:]
         leaves = tail >= span
-        tail[leaves] = base[span - tail.size:span][leaves]
+        tail[leaves] = _POSITIONS[span - tail.size:span][leaves]
         hop2 = hop.take(hop)
         hop4 = hop2.take(hop2)
         hop8 = hop4.take(hop4)

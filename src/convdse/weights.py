@@ -119,12 +119,18 @@ def read_container(data: bytes, magic: bytes, version: int, error: type[ValueErr
     return items
 
 
-def write_sdnw(tensors: list[WeightTensor]) -> bytes:
+def _sdnw_parts(tensors: list[WeightTensor]) -> list:
+    """The SDNW container as consecutive buffers; a payload is the tensor's
+    own array wherever it is already little-endian float32."""
     parts = [pack_container_head(SDNW_MAGIC, SDNW_VERSION, len(tensors))]
     for t in tensors:
         parts += (pack_tensor_header(t.name, t.shape), struct.pack("<B", _DTYPE_F32),
                   t.values.astype("<f4", copy=False))
-    return b"".join(parts)
+    return parts
+
+
+def write_sdnw(tensors: list[WeightTensor]) -> bytes:
+    return b"".join(_sdnw_parts(tensors))
 
 
 def _read_tensor(r: Cursor) -> WeightTensor:
@@ -141,8 +147,9 @@ def read_sdnw(data: bytes) -> list[WeightTensor]:
 
 
 def save_sdnw(tensors: list[WeightTensor], path) -> None:
+    """Write ``write_sdnw``'s bytes part by part, never joined in memory."""
     with open(path, "wb") as fh:
-        fh.write(write_sdnw(tensors))
+        fh.writelines(_sdnw_parts(tensors))
 
 
 def load_sdnw(path) -> list[WeightTensor]:

@@ -348,7 +348,7 @@ class TestSweep:
         assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
                        "--accuracy", str(acc), "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == (
-            "error: accuracy table line 4: column 'p' must be finite, got 'nan'\n")
+            f"error: accuracy table {acc} line 4: column 'p' must be finite, got 'nan'\n")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("grid", [[0.5], {"p": 0.5}, None], ids=["list", "scalar", "null"])
@@ -818,6 +818,28 @@ def test_json_syntax_error_exits_3_naming_the_file(tmp_path, capsys, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
+@pytest.mark.parametrize("kind", ["platform", "constraints", "grid"])
+def test_json_key_given_twice_exits_3_naming_the_file_and_key(tmp_path, capsys, monkeypatch,
+                                                              kind):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "twice.json").write_text('{"a": {"b": 1, "c": 2, "b": 3}}')
+    assert run_cli(*JSON_ARGVS[kind], "twice.json") == 3
+    assert capsys.readouterr() == (
+        "", "error: twice.json: key 'b' appears twice in one object\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["twice.json"]
+
+
+def test_descriptor_key_given_twice_takes_the_last_value(tmp_path, capsys):
+    # descriptors keep json's last-wins: a refusing hook slows their parse
+    arch = tmp_path / "arch.json"
+    arch.write_text('{"name": "n", "nodes": [{"id": "in", "op": "input", "inputs": [], '
+                    '"params": {"height": 8, "width": 8, "channels": 3}}, '
+                    '{"id": "c", "op": "conv", "inputs": ["in"], '
+                    '"params": {"kernel": 1, "filters": 16, "filters": 32}}]}')
+    assert run_cli("describe", "--arch", str(arch), "--json") == 0
+    assert json.loads(capsys.readouterr().out)["total_params"] == 3 * 32 + 32
+
+
 @pytest.mark.parametrize("argv", list(TEXT_ARGVS.values()), ids=list(TEXT_ARGVS))
 def test_file_that_is_not_utf8_exits_3_naming_the_file(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -828,7 +850,7 @@ def test_file_that_is_not_utf8_exits_3_naming_the_file(tmp_path, capsys, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json", "latin1.txt"]
 
 
-@pytest.mark.parametrize("command, what", [("accuracy", "accuracy table"),
+@pytest.mark.parametrize("command, what", [("accuracy", "accuracy table big.csv"),
                                            ("points", "points file big.csv")])
 def test_csv_cell_past_the_field_limit_exits_2_naming_the_line(tmp_path, capsys, monkeypatch,
                                                                 command, what):

@@ -12,7 +12,8 @@ from convdse.cli import main
 from convdse.compress import (CompressedFormatError, compress_model, compression_report,
                               decode_model, encode, kmeans_quantize, prune_magnitude,
                               quantization_mse, quantize_model, read_sdnc, write_sdnc)
-from convdse.weights import (WeightFormatError, WeightTensor, read_sdnw, write_sdnw)
+from convdse.weights import (WeightFormatError, WeightTensor, read_sdnw, save_sdnw,
+                             write_sdnw)
 
 
 def wt(values, name="t", shape=None):
@@ -375,6 +376,15 @@ def test_codec_settings_may_be_numpy_scalars():
     assert (write_sdnc(compress_model(tensors, np.float32(0.5), np.int64(4),
                                       rel_index_bits=np.int64(3)))
             == write_sdnc(compress_model(tensors, 0.5, 4, rel_index_bits=3)))
+
+
+def test_uint8_widths_code_like_python_ints():
+    # 1 << np.uint8(8) is a uint8 0: each width must become an int first
+    tensors = [wt(np.random.default_rng(15).standard_normal(3000), "a"),
+               wt(np.arange(1.0, 41.0), "b", (5, 8))]
+    assert (write_sdnc(compress_model(tensors, 0.5, np.uint8(8),
+                                      rel_index_bits=np.uint8(16)))
+            == write_sdnc(compress_model(tensors, 0.5, 8, rel_index_bits=16)))
 
 
 @pytest.mark.parametrize("function, setting, value", [
@@ -884,6 +894,50 @@ class TestHuffman:
             with pytest.raises(ValueError):
                 huffman.decode(data, bits, lengths, count)
 
+    @staticmethod
+    def long_code_lengths(symbols: np.ndarray, alphabet: int) -> dict[int, int]:
+        """A prefix code whose most frequent symbol takes an 18-bit code and
+        the others 1, 2, ... bits by falling frequency (Kraft sum below 1)."""
+        ranked = np.argsort(-np.bincount(symbols, minlength=alphabet), kind="stable")
+        return {int(ranked[0]): 18} | {int(sym): n for n, sym in enumerate(ranked[1:], 1)}
+
+    def test_container_streams_match_the_per_bit_reference_on_both_sides_of_the_table(self):
+        # every stream of a multi-tensor SDNC, decoded intact and one bit
+        # short; a stream whose longest code fits the 12-bit table skips the
+        # full-width search, one with an 18-bit code needs it
+        rng = np.random.default_rng(16)
+        tensors = [wt(rng.standard_normal(n) * rng.uniform(0.1, 3), f"t{i}")
+                   for i, n in enumerate((700, 3000, 9000, 24000))]
+        model = compress_model(tensors, 0.6, 4, rel_index_bits=4)
+        records = list(model.records)
+        for i in (1, 3):
+            gaps = huffman.decode(records[i].gap_payload, records[i].gap_bits,
+                                  records[i].gap_lengths, records[i].record_count)
+            lengths = self.long_code_lengths(gaps, 1 << 4)
+            payload, bits = huffman.encode(gaps, lengths)
+            records[i] = replace(records[i], gap_lengths=lengths, gap_payload=payload,
+                                 gap_bits=bits)
+        model = read_sdnc(write_sdnc(compress.CompressedModel(tuple(records))))
+        widths = set()
+        for rec in model.records:
+            for data, bits, lengths in ((rec.gap_payload, rec.gap_bits, rec.gap_lengths),
+                                        (rec.index_payload, rec.index_bits,
+                                         rec.index_lengths)):
+                width = max(lengths.values())
+                widths.add(width > huffman._TABLE_BITS)
+                want = properties.huffman_decode_reference(data, bits, lengths,
+                                                           rec.record_count)
+                got = huffman.decode(data, bits, lengths, rec.record_count)
+                assert got.tolist() == want, (rec.name, width)
+                for cut_bits, count in ((bits - 1, rec.record_count),
+                                        (bits, rec.record_count + 1)):
+                    with pytest.raises(ValueError) as reference:
+                        properties.huffman_decode_reference(data, cut_bits, lengths, count)
+                    with pytest.raises(ValueError) as table:
+                        huffman.decode(data, cut_bits, lengths, count)
+                    assert str(table.value) == str(reference.value) == "bit stream exhausted"
+        assert widths == {False, True}
+
 
 class TestSdnw:
     def test_round_trip(self):
@@ -911,6 +965,14 @@ class TestSdnw:
         data = write_sdnw([WeightTensor("w", (4,), np.zeros(4, dtype=np.float32))])
         with pytest.raises(WeightFormatError, match="trailing"):
             read_sdnw(data + b"\x00")
+
+    def test_save_writes_exactly_the_serialized_bytes(self, tmp_path):
+        rng = np.random.default_rng(17)
+        tensors = [WeightTensor("conv1.weight", (4, 3, 3, 3), rng.standard_normal(108)),
+                   WeightTensor("fc.b\u00efas", (5,), np.arange(5, dtype=np.float32)[::-1])]
+        for chosen in ([], tensors[:1], tensors):
+            save_sdnw(chosen, tmp_path / "w.sdnw")
+            assert (tmp_path / "w.sdnw").read_bytes() == write_sdnw(chosen)
 
 
 class TestContainerRobustness:

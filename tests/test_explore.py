@@ -176,26 +176,28 @@ class TestAttachAccuracy:
             attach_accuracy([point(1, None, p=0.5)], [{"q": 1.0, "top5_error": 0.1}])
 
     def test_csv_loader(self):
-        rows = load_accuracy_table("p,top5_error\n0.5,0.15\n1.0,0.15\n")
+        rows = load_accuracy_table("p,top5_error\n0.5,0.15\n1.0,0.15\n", "a.csv")
         assert rows == [{"p": 0.5, "top5_error": 0.15}, {"p": 1.0, "top5_error": 0.15}]
-        with pytest.raises(SweepError, match="top5_error"):
-            load_accuracy_table("p,err\n0.5,0.15\n")
-        with pytest.raises(SweepError, match=r"\[0, 1\]"):
-            load_accuracy_table("p,top5_error\n0.5,15\n")
+        with pytest.raises(SweepError, match=r"^accuracy table a.csv needs a header row "
+                                             r"with a top5_error column$"):
+            load_accuracy_table("p,err\n0.5,0.15\n", "a.csv")
+        with pytest.raises(SweepError, match=r"^accuracy table a.csv line 2: top5_error "
+                                             r"must be in \[0, 1\]$"):
+            load_accuracy_table("p,top5_error\n0.5,15\n", "a.csv")
         # a NaN key matches no point; an infinite one is no metaparameter value
         for cell in ("nan", "inf", "-Infinity"):
-            with pytest.raises(SweepError, match=f"line 3: column 'p' must be finite, "
-                                                 f"got '{cell}'"):
-                load_accuracy_table(f"p,top5_error\n0.5,0.15\n{cell},0.2\n")
+            with pytest.raises(SweepError, match=f"^accuracy table a.csv line 3: column 'p' "
+                                                 f"must be finite, got '{cell}'$"):
+                load_accuracy_table(f"p,top5_error\n0.5,0.15\n{cell},0.2\n", "a.csv")
 
     def test_csv_loader_refuses_duplicate_columns_and_ragged_rows(self):
-        with pytest.raises(SweepError, match=r"^accuracy table: column 'p' appears "
+        with pytest.raises(SweepError, match=r"^accuracy table a.csv: column 'p' appears "
                                              r"twice in the header$"):
-            load_accuracy_table("p,p,top5_error\n0.1,0.2,0.3\n")
+            load_accuracy_table("p,p,top5_error\n0.1,0.2,0.3\n", "a.csv")
         for row, cells in (("0.5,0.3", 2), ("0.5,0.3,0.2,0.1", 4)):
-            with pytest.raises(SweepError, match=rf"^accuracy table line 3: ragged row "
+            with pytest.raises(SweepError, match=rf"^accuracy table a.csv line 3: ragged row "
                                                  rf"\({cells} cell\(s\), header has 3\)$"):
-                load_accuracy_table(f"p,q,top5_error\n0.1,0.2,0.3\n{row}\n")
+                load_accuracy_table(f"p,q,top5_error\n0.1,0.2,0.3\n{row}\n", "a.csv")
 
 
 class TestFindSaturation:
