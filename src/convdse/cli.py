@@ -121,7 +121,6 @@ def _sweep_csv(axes: list[str], points: list[DesignPoint],
 
 
 def cmd_sweep(args) -> int:
-    explore.EPSILON.check(args.epsilon, SweepError, "--epsilon")
     platform = _load_platform(args.platform)
     grid = load_json(args.grid)
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
@@ -131,7 +130,8 @@ def cmd_sweep(args) -> int:
     unmatched: list[dict] = []
     if args.accuracy:
         table = explore.load_accuracy_table(read_text(args.accuracy), args.accuracy)
-        points, unmatched = explore.attach_accuracy(points, table)
+        points, unmatched = explore.attach_accuracy(points, table,
+                                                    f"accuracy table {args.accuracy}")
         for row in unmatched:
             print(f"warning: accuracy row matched no design point: {row}", file=sys.stderr)
 
@@ -235,7 +235,6 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_check(args) -> int:
-    explore.TOP5_ERROR.check(args.top5_error, SweepError, "--top5-error")
     graph, metaparams = _graph_from_args(args)
     platform = _load_platform(args.platform)
     constraints = ConstraintSet.load(args.constraints)
@@ -308,19 +307,26 @@ def cmd_verify(args) -> int:
 
 
 def _checked(f: costs.Field, text: str):
-    """``text`` as f's kind, checked by ``f``: refused (exit 2) before any file is read."""
-    try:
-        value = f.kind(text)
-    except ValueError:
-        value = text
+    """``text`` as f's kind, or else as a float, checked by ``f``: refused
+    (exit 2) before any file is read."""
+    value = text
+    for kind in (float, f.kind):  # the kind's reading wins
+        with contextlib.suppress(ValueError):
+            value = kind(text)
     f.check(value, argparse.ArgumentTypeError)
     return value
 
 
-def _add_flag(parser: argparse.ArgumentParser, flag: str, f: costs.Field, checked: bool = False):
-    """The flag of ``f``, with its default and help; checked on parsing if ``checked``."""
-    parser.add_argument(flag, type=functools.partial(_checked, f) if checked else f.kind,
-                        default=f.default,
+def _typed(f: costs.Field) -> dict:
+    """The argparse keywords reading a flag as ``f``: its choices, or ``_checked``."""
+    if isinstance(f.kind, tuple):
+        return {"choices": f.kind}
+    return {"type": functools.partial(_checked, f)}
+
+
+def _add_flag(parser: argparse.ArgumentParser, flag: str, f: costs.Field):
+    """The flag of ``f``, with its default and help."""
+    parser.add_argument(flag, **_typed(f), default=f.default,
                         help=f.help if f.default is None else f"{f.help} (default {f.default})")
 
 
@@ -330,12 +336,11 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
                         help="generate a reference family instead of reading --arch")
     for name, family in explore.FAMILIES.items():
         for f in family.params:
-            kind = {"choices": f.kind} if isinstance(f.kind, tuple) else {"type": f.kind}
             default = "" if f.default is None else f", default {f.default}"
-            parser.add_argument(f"--{f.name.replace('_', '-')}", **kind,
+            parser.add_argument(f"--{f.name.replace('_', '-')}", **_typed(f),
                                 help=f"{f.help} ({name}{default})")
     parser.add_argument("--platform", help="platform config (JSON)")
-    _add_flag(parser, "--batch", costs.BATCH, checked=True)
+    _add_flag(parser, "--batch", costs.BATCH)
 
 
 def _describe_arguments(p: argparse.ArgumentParser) -> None:
@@ -347,7 +352,7 @@ def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=sorted(explore.FAMILIES))
     p.add_argument("--grid", required=True, help="JSON file mapping axis -> value list")
     p.add_argument("--platform", help="platform config (JSON)")
-    _add_flag(p, "--batch", costs.BATCH, checked=True)
+    _add_flag(p, "--batch", costs.BATCH)
     p.add_argument("--accuracy", help="CSV of recorded accuracy keyed by metaparams")
     p.add_argument("--saturation-axis",
                    help="metric to order points by when detecting saturation")

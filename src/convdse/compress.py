@@ -353,10 +353,8 @@ def decode_model(model: CompressedModel) -> list[WeightTensor]:
             gaps = _decode_stream(rec, "gap")
             indices = _decode_stream(rec, "index")
             filler = int(rec.codebook.size)
-            # every record, filler or not, takes the slot after its gap; a
-            # gap is below 2**b, so int32 holds every sum when this fits
-            wide = rec.record_count << rec.rel_index_bits >= 2**31
-            slots = gaps.astype(np.int64 if wide else np.int32)
+            # every record, filler or not, takes the slot after its gap
+            slots = gaps.astype(np.int64)
             slots += 1
             np.cumsum(slots, out=slots)
             slots -= 1

@@ -194,26 +194,25 @@ def load_accuracy_table(text: str, source) -> list[dict[str, object]]:
             if key != "top5_error" and isinstance(cell, float) and not math.isfinite(cell):
                 raise SweepError(f"{what} line {lineno}: column {key!r} "
                                  f"must be finite, got {value!r}")
-        if TOP5_ERROR.problem(row["top5_error"]):
-            raise SweepError(f"{what} line {lineno}: top5_error must be in "
-                             f"{TOP5_ERROR.bound}")
+        TOP5_ERROR.check(row["top5_error"], SweepError, f"{what} line {lineno}: top5_error")
         rows.append(row)
     return rows
 
 
-def attach_accuracy(points: Sequence[DesignPoint],
-                    table: Sequence[dict[str, object]]) -> tuple[list[DesignPoint], list[dict]]:
+def attach_accuracy(points: Sequence[DesignPoint], table: Sequence[dict[str, object]],
+                    what: str = "accuracy table") -> tuple[list[DesignPoint], list[dict]]:
     """Join recorded accuracy onto matching points. Returns the new points
     plus any table rows that matched nothing. Conflicting duplicate rows
-    are an error; identical duplicates are tolerated."""
+    are an error; identical duplicates are tolerated. A refusal names the
+    table as ``what``."""
     keys = tuple(sorted(table[0].keys() - {"top5_error"})) if table else ()
     seen: dict[tuple, float] = {}
     for row in table:
         if tuple(sorted(row.keys() - {"top5_error"})) != keys:
-            raise SweepError("accuracy table rows disagree on metaparam columns")
+            raise SweepError(f"{what} rows disagree on metaparam columns")
         key = tuple(_norm(row[k]) for k in keys)
         if key in seen and seen[key] != row["top5_error"]:
-            raise SweepError(f"accuracy table has conflicting rows for {dict(zip(keys, key))}")
+            raise SweepError(f"{what} has conflicting rows for {dict(zip(keys, key))}")
         seen[key] = row["top5_error"]  # type: ignore[assignment]
 
     out = []
@@ -221,7 +220,7 @@ def attach_accuracy(points: Sequence[DesignPoint],
     for point in points:
         missing = [k for k in keys if k not in point.metaparams]
         if missing:
-            raise SweepError(f"accuracy table column(s) {missing} are not "
+            raise SweepError(f"{what} column(s) {missing} are not "
                              f"metaparameters of the swept points")
         key = tuple(_norm(point.metaparams[k]) for k in keys)
         if key in seen:

@@ -23,7 +23,6 @@ fill in the 7 starts between its steps.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -234,8 +233,3 @@ def decode(data: bytes, bit_count: int, lengths: dict[int, int], count: int) -> 
         raise ValueError("bit stream exhausted")
     return out
 
-
-def encoded_bits(symbols: Sequence[int], lengths: dict[int, int]) -> int:
-    """Exact payload size in bits without materializing the stream."""
-    counts = Counter(symbols)
-    return sum(lengths[s] * n for s, n in counts.items())

@@ -1,3 +1,5 @@
+import argparse
+import functools
 import json
 import math
 import struct
@@ -24,6 +26,16 @@ def platform_file(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def usage_error(capsys, *argv) -> str:
+    """The last stderr line of a command line argparse refuses (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err.splitlines()[-1]
 
 
 class TestDescribe:
@@ -253,10 +265,10 @@ class TestSweep:
         grid = self.write_grid(tmp_path, {"p": [0.5, 0.75, 1.0]})
         acc = tmp_path / "acc.csv"
         acc.write_text("p,top5_error\n0.5,0.31\n0.75,0.262\n1.0,0.26\n")
-        assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
-                       "--accuracy", str(acc), "--saturation-axis", "total_macs",
-                       "--epsilon", epsilon, "--out", str(tmp_path / "x")) == 2
-        assert capsys.readouterr().err == f"error: --epsilon {problem}\n"
+        assert usage_error(capsys, "sweep", "--family", "squeezenet", "--grid", grid,
+                           "--accuracy", str(acc), "--saturation-axis", "total_macs",
+                           "--epsilon", epsilon, "--out", str(tmp_path / "x")) == (
+            f"convdse sweep: error: argument --epsilon: epsilon {problem}")
         assert not (tmp_path / "x.csv").exists()
 
     def test_saturating_run_stdout_and_marks(self, tmp_path, capsys):
@@ -357,6 +369,20 @@ class TestSweep:
         assert run_cli("sweep", "--family", "squeezenet", "--grid", path,
                        "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == "error: grid file must map axis names to value lists\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("rows, problem", [
+        ("p,top5_error\n0.5,0.2\n0.5,0.3\n", "has conflicting rows for {'p': 0.5}"),
+        ("q,top5_error\n1,0.2\n", "column(s) ['q'] are not metaparameters of the swept points"),
+        ("p,top5_error\n0.5,abc\n", "line 2: top5_error must be a number, got 'abc'"),
+    ], ids=["conflicting_rows", "unknown_column", "non_numeric_error"])
+    def test_accuracy_refusal_exits_2_naming_the_table(self, tmp_path, capsys, rows, problem):
+        grid = self.write_grid(tmp_path, {"p": [0.5]})
+        acc = tmp_path / "acc.csv"
+        acc.write_text(rows)
+        assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
+                       "--accuracy", str(acc), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err == f"error: accuracy table {acc} {problem}\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_saturation_axis_without_accuracy_exits_2(self, tmp_path, capsys):
@@ -473,11 +499,10 @@ class TestCheck:
     def test_top5_error_outside_unit_interval_exits_2(self, tmp_path, capsys, error):
         constraints = tmp_path / "constraints.json"
         constraints.write_text(json.dumps({"max_top5_error": 0.2}))
-        assert run_cli("check", "--family", "squeezenet", "--constraints", str(constraints),
-                       "--top5-error", error) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: --top5-error must be in [0, 1], got {float(error)}\n"
-        assert captured.out == ""
+        assert usage_error(capsys, "check", "--family", "squeezenet",
+                           "--constraints", str(constraints), "--top5-error", error) == (
+            f"convdse check: error: argument --top5-error: "
+            f"top5_error must be in [0, 1], got {float(error)}")
 
     @pytest.mark.parametrize("value", ["8M", True], ids=["string", "bool"])
     def test_non_numeric_platform_value_exits_2_naming_it(self, tmp_path, capsys, value):
@@ -634,17 +659,17 @@ class TestCompressionCommands:
             raise AssertionError("pruned before the gap width was checked")
         monkeypatch.setattr(compress, "prune_magnitude", no_pruning)
         sdnc = tmp_path / "w.sdnc"
-        assert run_cli("compress", "--weights", str(sdnw), "--out", str(sdnc),
-                       "--gap-bits", gap_bits) == 2
-        assert (f"rel_index_bits must be in [1, 16], got {gap_bits}"
-                in capsys.readouterr().err)
+        assert usage_error(capsys, "compress", "--weights", str(sdnw), "--out", str(sdnc),
+                           "--gap-bits", gap_bits) == (
+            f"convdse compress: error: argument --gap-bits: "
+            f"rel_index_bits must be in [1, 16], got {gap_bits}")
         assert not sdnc.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--sparsity", "5"], "target_sparsity must be in [0, 1), got 5.0"),
-        (["--sparsity", "nan"], "target_sparsity must be in [0, 1), got nan"),
-        (["--sparsity", "1"], "target_sparsity must be in [0, 1), got 1.0"),
-        (["--sparsity", "5", "--bits", "0"], "bits must be in [1, 8], got 0"),
+        (["--sparsity", "5"], "--sparsity: target_sparsity must be in [0, 1), got 5.0"),
+        (["--sparsity", "nan"], "--sparsity: target_sparsity must be in [0, 1), got nan"),
+        (["--sparsity", "1"], "--sparsity: target_sparsity must be in [0, 1), got 1.0"),
+        (["--bits", "0", "--sparsity", "5"], "--bits: bits must be in [1, 8], got 0"),
     ], ids=["five", "nan", "one", "bits_first"])
     @pytest.mark.parametrize("count", [0, 1], ids=["no_tensor", "one_tensor"])
     def test_bad_sparsity_exits_2_even_without_tensors(self, tmp_path, capsys, argv, message,
@@ -652,8 +677,8 @@ class TestCompressionCommands:
         sdnw = tmp_path / "w.sdnw"
         weights.save_sdnw([weights.WeightTensor("t", (10,), np.arange(10.0))][:count], sdnw)
         sdnc = tmp_path / "w.sdnc"
-        assert run_cli("compress", "--weights", str(sdnw), "--out", str(sdnc), *argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert usage_error(capsys, "compress", "--weights", str(sdnw), "--out", str(sdnc),
+                           *argv) == f"convdse compress: error: argument {message}"
         assert not sdnc.exists()
 
     @pytest.mark.parametrize("values, change, message", [
@@ -881,6 +906,51 @@ def test_batch_below_one_exits_2_naming_the_flag(tmp_path, capsys, command, batc
         run_cli(*argv, f"--batch={batch}")
     assert exc.value.code == 2
     assert f"argument --batch: batch {problem}\n" in capsys.readouterr().err
+
+
+def _typed_flags() -> list[tuple[str, argparse.Action]]:
+    """(command, action) of every flag that converts its value."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action) for command, sub in commands.choices.items()
+            for action in sub._actions if action.type is not None]
+
+
+def _bad_values(f) -> list[tuple[str, str]]:
+    """(text, problem) pairs ``f`` refuses: a word, a fraction for an
+    integer, and each finite end of its bound, or one past it if closed."""
+    bad = [("two", "must be a number, got 'two'")]
+    if f.kind is int:
+        bad.append(("2.5", "must be an integer, got 2.5"))
+    if f.bound:
+        lo, hi = f.bound[1:-1].split(", ")
+        for end, step in ((lo, -(f.bound[0] == "[")), (hi, f.bound[-1] == "]")):
+            if math.isfinite(float(end)):
+                text = f"{float(end) + step:g}"
+                bad.append((text, f.problem(f.kind(text))))
+    return bad
+
+
+@pytest.mark.parametrize("command, action", _typed_flags(), ids=lambda v: (
+    v.option_strings[0].lstrip("-") if isinstance(v, argparse.Action) else v))
+def test_every_typed_flag_is_refused_by_its_field_before_any_file_is_read(tmp_path, capsys,
+                                                                        command, action):
+    # every input is a missing file, so a refusal after a read would exit 3
+    missing = str(tmp_path / "missing")
+    argv = {"describe": ["--arch", missing, "--platform", missing],
+            "check": ["--arch", missing, "--platform", missing, "--constraints", missing],
+            "sweep": ["--family", "squeezenet", "--grid", missing, "--platform", missing,
+                      "--accuracy", missing, "--out", str(tmp_path / "x")],
+            "compress": ["--weights", missing, "--out", str(tmp_path / "x.sdnc")]}[command]
+    assert run_cli(command, *argv) == 3
+    capsys.readouterr()
+    assert isinstance(action.type, functools.partial) and action.type.func is cli._checked
+    f, option = action.type.args[0], action.option_strings[0]
+    for text, problem in _bad_values(f):
+        assert problem is not None, text
+        assert usage_error(capsys, command, *argv, option, text) == (
+            f"convdse {command}: error: argument {option}: {f.name} {problem}")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_batch_of_two_amortizes_spilled_weights(capsys):

@@ -758,12 +758,12 @@ class TestHuffman:
     def test_uniform_distribution_gains_nothing(self):
         symbols = list(range(64)) * 10
         lengths = huffman.code_lengths(symbols)
-        assert huffman.encoded_bits(symbols, lengths) == len(symbols) * 6
+        assert sum(lengths[s] for s in symbols) == len(symbols) * 6
 
     def test_skewed_distribution_strictly_shrinks(self):
         symbols = [0] * 1000 + list(range(1, 64)) * 10
         lengths = huffman.code_lengths(symbols)
-        assert huffman.encoded_bits(symbols, lengths) < len(symbols) * 6
+        assert sum(lengths[s] for s in symbols) < len(symbols) * 6
 
     def test_never_beats_fixed_width_plus_table(self):
         rng = np.random.default_rng(10)
@@ -775,7 +775,7 @@ class TestHuffman:
             symbols = rng.choice(alphabet, size=n, p=probs).tolist()
             lengths = huffman.code_lengths(symbols)
             fixed = n * max(1, (alphabet - 1).bit_length())
-            assert huffman.encoded_bits(symbols, lengths) <= fixed + alphabet * 8
+            assert sum(lengths[s] for s in symbols) <= fixed + alphabet * 8
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)
@@ -809,7 +809,7 @@ class TestHuffman:
         symbols = np.minimum(rng.geometric(0.3, size=200_000), 40).astype(np.uint16)
         lengths = huffman.code_lengths(symbols)
         payload, bits = huffman.encode(symbols, lengths)
-        assert bits == huffman.encoded_bits(symbols.tolist(), lengths)
+        assert bits == sum(lengths[s] for s in symbols.tolist())
         assert np.array_equal(huffman.decode(payload, bits, lengths, symbols.size), symbols)
 
     @pytest.mark.parametrize("lengths, message", [

@@ -181,9 +181,11 @@ class TestAttachAccuracy:
         with pytest.raises(SweepError, match=r"^accuracy table a.csv needs a header row "
                                              r"with a top5_error column$"):
             load_accuracy_table("p,err\n0.5,0.15\n", "a.csv")
-        with pytest.raises(SweepError, match=r"^accuracy table a.csv line 2: top5_error "
-                                             r"must be in \[0, 1\]$"):
-            load_accuracy_table("p,top5_error\n0.5,15\n", "a.csv")
+        for cell, problem in (("15", r"must be in \[0, 1\], got 15.0"),
+                              ("abc", "must be a number, got 'abc'")):
+            with pytest.raises(SweepError, match=rf"^accuracy table a.csv line 2: top5_error "
+                                                 rf"{problem}$"):
+                load_accuracy_table(f"p,top5_error\n0.5,{cell}\n", "a.csv")
         # a NaN key matches no point; an infinite one is no metaparameter value
         for cell in ("nan", "inf", "-Infinity"):
             with pytest.raises(SweepError, match=f"^accuracy table a.csv line 3: column 'p' "
