@@ -55,11 +55,14 @@ def _load_platform(path: Optional[str]) -> PlatformSpec:
 
 
 def _graph_from_args(args) -> tuple[ArchGraph, dict]:
+    params = {f.name: getattr(args, f.name) for family in explore.FAMILIES.values()
+              for f in family.params if getattr(args, f.name) is not None}
     if args.arch:
+        given = ["--family"] * bool(args.family) + [f"--{n.replace('_', '-')}" for n in params]
+        if given:  # a descriptor takes no family, so these would be dropped
+            raise SweepError(f"--arch cannot be combined with {', '.join(given)}")
         return descriptor.load(args.arch), {}
     if args.family:
-        params = {f.name: getattr(args, f.name) for family in explore.FAMILIES.values()
-                  for f in family.params if getattr(args, f.name) is not None}
         return explore.build_family(args.family, params), params
     raise SweepError("one of --arch or --family is required")
 
@@ -90,41 +93,9 @@ def cmd_describe(args) -> int:
     return 0
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return repr(value)
-    return str(value)
-
-
-def _sweep_csv(axes: list[str], points: list[DesignPoint],
-               marks: list[tuple[bool, bool]]) -> str:
-    metrics = [f.name for f in fields(MetricsReport) if f.metadata]
-    # a saturation column only when some point is the saturation point
-    saturated = any(is_saturation for _, is_saturation in marks)
-    header = list(axes) + metrics + ["top5_error", "pareto"]
-    if saturated:
-        header.append("saturation")
-    lines = [",".join(header)]
-    for point, (on_front, is_saturation) in zip(points, marks):
-        cells = [_format_cell(point.metaparams.get(a)) for a in axes]
-        cells += [_format_cell(getattr(point.metrics, m)) for m in metrics]
-        cells.append(_format_cell(point.top5_error))
-        cells.append("1" if on_front else "0")
-        if saturated:
-            cells.append("1" if is_saturation else "0")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_sweep(args) -> int:
     platform = _load_platform(args.platform)
     grid = load_json(args.grid)
-    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
-        raise SweepError("grid file must map axis names to value lists")
     points = explore.sweep(args.family, grid, platform, batch=args.batch)
 
     unmatched: list[dict] = []
@@ -174,8 +145,17 @@ def cmd_sweep(args) -> int:
     json_text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     csv_path = f"{args.out}.csv"
     json_path = f"{args.out}.json"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(_sweep_csv(list(grid), points, marks))
+    metrics = [f.name for f in fields(MetricsReport) if f.metadata]
+    header = [*grid, *metrics, "top5_error", "pareto", "saturation"]
+    if saturation_point is None:  # a saturation column only when some point is the one
+        header.pop()
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # None an empty cell, a float its repr
+        writer.writerow(header)
+        for p, (on_front, is_saturation) in zip(points, marks):
+            writer.writerow([*map(p.metaparams.get, grid),
+                             *(getattr(p.metrics, m) for m in metrics),
+                             p.top5_error, int(on_front), int(is_saturation)][:len(header)])
     with open(json_path, "w", encoding="utf-8") as fh:
         fh.write(json_text)
     print(f"{len(points)} design points -> {csv_path}, {json_path}")

@@ -120,17 +120,20 @@ def build_family(family: str, metaparams: dict) -> ArchGraph:
 _MAX_POINTS = 4096
 
 
-def sweep(family: str, grid: dict[str, Sequence], platform: PlatformSpec,
+def sweep(family: str, grid: dict[str, list], platform: PlatformSpec,
           batch: int = BATCH.default) -> list[DesignPoint]:
     """One design point per grid cell, in lexicographic order over the grid
     axes as given. Deterministic: same grid and platform, same points. A
-    cell whose graph is invalid raises the GraphError (or ShapeError) of
-    ``report``, prefixed with the family and the cell's metaparameters."""
+    grid that does not map axis names to lists is refused. A cell whose
+    graph is invalid raises the GraphError (or ShapeError) of ``report``,
+    prefixed with the family and the cell's metaparameters."""
+    if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+        raise SweepError("grid file must map axis names to value lists")
     axes = list(grid.keys())
     for axis in axes:
         if not grid[axis]:
             raise SweepError(f"grid axis {axis!r} has no values")
-    total = math.prod(len(grid[a]) for a in axes) if axes else 1
+    total = math.prod(len(grid[a]) for a in axes)
     if total > _MAX_POINTS:
         raise SweepError(f"grid has {total} cells, exceeding the cap of {_MAX_POINTS}")
     BATCH.check(batch, SweepError)

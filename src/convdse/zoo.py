@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import ArchGraph, GraphBuilder, TensorShape
+from .graph import ArchGraph, GraphBuilder, TensorShape, _require_positive
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class PoolPlacement:
         if self.strategy not in POOL_STRATEGIES:
             raise ValueError(f"strategy must be {'/'.join(POOL_STRATEGIES)}, "
                              f"got {self.strategy!r}")
-        if self.pool_count < 1:
-            raise ValueError(f"pool_count must be >= 1, got {self.pool_count!r}")
+        _require_positive(self, "pool_count", self.pool_count)
 
 
 def _round_half_up(x: float) -> int:

@@ -4,13 +4,14 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from convdse import cli, compress, explore, refexec, weights, zoo
 from convdse.cli import main
+from convdse.costs import MetricsReport
 from convdse.descriptor import serialize
 
 
@@ -84,6 +85,22 @@ class TestDescribe:
         ]}))
         assert run_cli("describe", "--arch", str(arch)) == 1
         assert "groups must divide filters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("describe", ["--p", "0.9", "--pool-count", "3"], "--p, --pool-count"),
+        ("describe", ["--family", "squeezenet"], "--family"),
+        ("check", ["--width-mult", "0.5"], "--width-mult"),
+        ("check", ["--family", "mobilenet", "--pool-placement", "late"],
+         "--family, --pool-placement"),
+    ], ids=["describe_flags", "describe_family", "check_flag", "check_family_and_flag"])
+    def test_arch_with_family_flags_exits_2_naming_them(self, tmp_path, capsys, command, flags,
+                                                        named):
+        arch = tmp_path / "net.json"
+        arch.write_text(serialize(zoo.squeezenet(0.5)))
+        (tmp_path / "c.json").write_text("{}")
+        extra = ["--constraints", str(tmp_path / "c.json")] if command == "check" else []
+        assert run_cli(command, "--arch", str(arch), *flags, *extra) == 2
+        assert capsys.readouterr() == ("", f"error: --arch cannot be combined with {named}\n")
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -362,6 +379,38 @@ class TestSweep:
         assert capsys.readouterr().err == (
             f"error: accuracy table {acc} line 4: column 'p' must be finite, got 'nan'\n")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("grid, accuracy", [
+        # p = 0.5 saturates: a saturation column and recorded errors
+        ({"p": [0.25, 0.5, 0.75, 1.0], "pool_placement": ["even"]},
+         "p,pool_placement,top5_error\n0.25,even,0.31\n0.5,even,0.262\n"
+         "0.75,even,0.27\n1.0,even,0.26\n"),
+        # no accuracy: blank errors, no saturation column, early pools dominated
+        ({"p": [0.5, 1.0], "pool_placement": ["early", "late"], "pool_count": [2]}, None),
+    ], ids=["saturation_column", "no_saturation_column"])
+    def test_csv_reads_back_and_pareto_selects_the_marked_rows(self, tmp_path, grid, accuracy):
+        argv = ["sweep", "--family", "squeezenet", "--grid", self.write_grid(tmp_path, grid),
+                "--out", str(tmp_path / "s")]
+        if accuracy:
+            (tmp_path / "acc.csv").write_text(accuracy)
+            argv += ["--accuracy", str(tmp_path / "acc.csv"), "--saturation-axis", "total_macs"]
+        assert run_cli(*argv) == 0
+        doc = json.loads((tmp_path / "s.json").read_text())
+        header, rows = explore.read_csv((tmp_path / "s.csv").read_text(), "sweep CSV")
+        metrics = [f.name for f in fields(MetricsReport) if f.metadata]
+        marks = ["pareto", "saturation"] if accuracy else ["pareto"]
+        assert header == [*grid, *metrics, "top5_error", *marks]
+        assert [row for _, row in rows] == [dict(zip(header, (
+            "" if v is None else str(int(v) if isinstance(v, bool) else v)
+            for v in [*p["metaparams"].values(), *map(p["metrics"].get, metrics),
+                      p["top5_error"], p["pareto"], p["saturation"]]))) for p in doc["points"]]
+        assert 0 < sum(p["pareto"] for p in doc["points"]) < len(rows)
+
+        objectives = ",".join(f"{m}:{sense}" for m, sense in doc["objectives"])
+        assert run_cli("pareto", "--points", str(tmp_path / "s.csv"), "--objectives", objectives,
+                       "--out", str(tmp_path / "front.csv")) == 0
+        _, front = explore.read_csv((tmp_path / "front.csv").read_text(), "front CSV")
+        assert [row for _, row in front] == [row for _, row in rows if row["pareto"] == "1"]
 
     @pytest.mark.parametrize("grid", [[0.5], {"p": 0.5}, None], ids=["list", "scalar", "null"])
     def test_grid_that_is_not_axis_lists_exits_2(self, tmp_path, capsys, grid):

@@ -88,6 +88,13 @@ class TestSweep:
         with pytest.raises(SweepError, match="no values"):
             sweep("squeezenet", {"p": []}, PLATFORM)
 
+    @pytest.mark.parametrize("grid", [{"p": 0.5}, [0.5], None, {"pool_placement": "early"}],
+                             ids=["scalar", "list", "null", "string"])
+    def test_grid_that_is_not_axis_lists_is_refused(self, grid):
+        with pytest.raises(SweepError) as exc:
+            sweep("squeezenet", grid, PLATFORM)
+        assert str(exc.value) == "grid file must map axis names to value lists"
+
     def test_grid_of_one_equals_direct_report(self):
         points = sweep("squeezenet", {"p": [0.5]}, PLATFORM)
         assert len(points) == 1

@@ -167,6 +167,13 @@ class TestPlaceDownsampling:
         assert place_downsampling(10, PoolPlacement("early", 3)) == [1, 2, 3]
         assert place_downsampling(10, PoolPlacement("late", 3)) == [8, 9, 10]
 
+    @pytest.mark.parametrize("count", [2.5, True, 0], ids=["float", "bool", "zero"])
+    def test_pool_count_that_is_not_a_positive_integer_is_refused(self, count):
+        with pytest.raises(ValueError) as exc:
+            PoolPlacement("even", count)
+        assert str(exc.value) == (
+            f"PoolPlacement.pool_count must be a positive integer, got {count!r}")
+
     def test_too_many_pools(self):
         with pytest.raises(ValueError):
             place_downsampling(3, PoolPlacement("even", 3))
