@@ -293,8 +293,7 @@ def _checked(f: costs.Field, text: str):
     for kind in (float, f.kind):  # the kind's reading wins
         with contextlib.suppress(ValueError):
             value = kind(text)
-    f.check(value, argparse.ArgumentTypeError)
-    return value
+    return f.check(value, argparse.ArgumentTypeError)
 
 
 def _typed(f: costs.Field) -> dict:

@@ -181,8 +181,7 @@ def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[Quantized
     centroid moved by ``_KMEANS_TOL`` or after ``_KMEANS_ITERS`` steps; one
     more search gives its final runs, and its state is released as soon as
     its labels are built."""
-    BITS.check(bits)
-    k = 1 << int(bits)  # a numpy width would overflow the shift
+    k = 1 << BITS.check(bits)
     states = [_SortedNonzeros(t) for t in tensors]
     out: list[Optional[QuantizedTensor]] = [None] * len(states)
     none = np.zeros(0, dtype=np.int64)
@@ -299,8 +298,7 @@ def _unusable_entry(codebook: np.ndarray) -> Optional[int]:
 def encode(quantized: Sequence[QuantizedTensor],
            rel_index_bits: int = GAP_BITS.default) -> CompressedModel:
     """Entropy-code pruned+quantized tensors into a compressed model."""
-    GAP_BITS.check(rel_index_bits)
-    rel_index_bits = int(rel_index_bits)  # a numpy width would overflow 1 << width
+    rel_index_bits = GAP_BITS.check(rel_index_bits)
     records = []
     for qt in quantized:
         codebook = qt.codebook.astype(np.float32)

@@ -115,8 +115,9 @@ class Field:
         if isinstance(value, bool) or not isinstance(value, (int, float, Real)):
             return f"must be a number, got {value!r}"
         lo, above, hi, below = self._ends
-        # NaN, infinity, or an int no float holds
-        if math.inf in (-lo, hi) and not abs(value) <= sys.float_info.max:
+        number = value.item() if hasattr(value, "item") else value
+        # NaN, infinity, or an int no float holds (a numpy scalar compared as its Python number)
+        if math.inf in (-lo, hi) and not abs(number) <= sys.float_info.max:
             return f"must be finite, got {value!r}"
         if self.kind is int and not isinstance(value, (int, Integral)):
             return f"must be an integer, got {value!r}"
@@ -127,9 +128,11 @@ class Field:
         return f"must be in {self.bound}, got {value!r}"
 
     def check(self, value, error: type[Exception] = ValueError, label: Optional[str] = None):
-        """Raise ``error``, naming ``label`` or else the field, at a ``problem``."""
+        """Raise ``error``, naming ``label`` or else the field, at a ``problem``;
+        else return ``value``, a number as a Python int or float by the kind."""
         if self.problem(value):
             raise error(f"{label or self.name} {self.problem(value)}")
+        return value if value is None or isinstance(self.kind, tuple) else self.kind(value)
 
 
 BATCH = Field("batch", int, 1, "(0, inf)", "batch size for weight-fetch amortization")

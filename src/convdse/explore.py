@@ -108,10 +108,10 @@ def build_family(family: str, metaparams: dict) -> ArchGraph:
     if unknown:
         raise SweepError(f"family {family!r} does not take metaparameter(s) "
                          f"{sorted(unknown)} (allowed: {sorted(schema) or 'none'})")
-    for name, value in metaparams.items():
-        schema[name].check(value, SweepError, f"family {family!r}: metaparameter {name!r}")
+    checked = {k: schema[k].check(v, SweepError, f"family {family!r}: metaparameter {k!r}")
+               for k, v in metaparams.items()}
     try:
-        return FAMILIES[family].build(**{f.name: f.default for f in schema.values()} | metaparams)
+        return FAMILIES[family].build(**{f.name: f.default for f in schema.values()} | checked)
     except ValueError as exc:
         raise SweepError(f"family {family!r}, metaparameters {metaparams}: {exc}") from exc
 

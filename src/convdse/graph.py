@@ -49,10 +49,7 @@ class TensorShape:
     channels: int
 
     def __post_init__(self):
-        for name, v in (("height", self.height), ("width", self.width),
-                        ("channels", self.channels)):
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        _require_positive(self, "height width channels", self.height, self.width, self.channels)
 
     @property
     def elements(self) -> int:
@@ -66,13 +63,16 @@ class TensorShape:
 Dims = tuple[int, int, int]
 
 
-def _require_positive(obj, names: str, *values) -> None:
-    """Raise ValueError naming the first field of ``obj`` that is not a
-    positive integer (a bool is not one). ``names`` lists the fields, space
-    separated, in the order of ``values``."""
-    for name, v in zip(names.split(), values):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{type(obj).__name__}.{name} must be a positive integer, got {v!r}")
+def _require_positive(obj, names: str, *values, least: int = 1) -> None:
+    """The one count check of the IR and the zoo: raise ValueError naming
+    the first field of ``obj`` that is not an int (a bool, a float or a
+    numpy integer is not one) of at least ``least``, 1 or 0. ``names``, the
+    fields space separated in the order of ``values``, is read only on a refusal."""
+    for v in values:
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)) or v < least:
+            name = next(n for n, w in zip(names.split(), values) if w is v)
+            raise ValueError(f"{type(obj).__name__}.{name} must be a "
+                             f"{'non-negative' if least < 1 else 'positive'} integer, got {v!r}")
 
 
 def _require_bool(obj, name: str, value) -> None:
@@ -106,8 +106,7 @@ class Conv(LayerSpec):
     def __post_init__(self):
         _require_positive(self, "kernel_h kernel_w filters groups stride", self.kernel_h,
                           self.kernel_w, self.filters, self.groups, self.stride)
-        if not isinstance(self.pad, int) or isinstance(self.pad, bool) or self.pad < 0:
-            raise ValueError(f"Conv.pad must be a non-negative integer, got {self.pad!r}")
+        _require_positive(self, "pad", self.pad, least=0)
         _require_bool(self, "bias", self.bias)
 
 
@@ -159,9 +158,9 @@ class Concat(LayerSpec):
 
 
 #: The most distinct specs ``shared_spec`` keeps; past it the least recently
-#: used one is dropped. The bench sweep of 240 squeezenet cells builds 105
-#: distinct specs and its 2,103-node descriptor about 117, so a sweep over
-#: thousands of distinct widths cannot grow the cache without limit.
+#: used one is dropped. The bench sweep of 240 squeezenet cells builds 185
+#: distinct specs (80 FireSpecs) and its 2,103-node descriptor about 117, so
+#: a sweep over thousands of distinct widths cannot grow the cache without limit.
 SPEC_CACHE_BOUND = 1024
 
 
@@ -223,7 +222,8 @@ class GraphBuilder:
 
     def conv(self, src: str, kernel, filters: int, *, groups: int = 1, stride: int = 1,
              pad: int = 0, bias: bool = True, name: Optional[str] = None) -> str:
-        kh, kw = (kernel, kernel) if isinstance(kernel, int) else kernel
+        kh, kw = ((kernel, kernel) if type(kernel) is int or not isinstance(kernel, (tuple, list))
+                  or len(kernel) != 2 else kernel)
         return self.add(shared_spec(Conv, kh, kw, filters, groups, stride, pad, bias), (src,),
                         name)
 

@@ -37,11 +37,13 @@ class WeightTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
+        shape = tuple(self.shape)
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+                   for d in shape):
+            raise ValueError(f"{self.name}: dimensions must be positive integers, got {shape}")
+        object.__setattr__(self, "shape", tuple(map(int, shape)))
         v = np.ascontiguousarray(self.values, dtype=np.float32).reshape(-1)
         object.__setattr__(self, "values", v)
-        if any(d < 1 for d in self.shape):
-            raise ValueError(f"{self.name}: dimensions must be positive, got {self.shape}")
         if v.size != math.prod(self.shape):
             raise ValueError(f"{self.name}: {v.size} values do not fill shape {self.shape}")
 

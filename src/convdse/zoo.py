@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import ArchGraph, GraphBuilder, TensorShape, _require_positive
+from .graph import ArchGraph, GraphBuilder, TensorShape, _require_positive, shared_spec
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,8 @@ class FireSpec:
     expand_3x3: int
 
     def __post_init__(self):
-        if self.squeeze_1x1 < 1:
-            raise ValueError("squeeze_1x1 must be >= 1")
-        if self.expand_1x1 < 0 or self.expand_3x3 < 0:
-            raise ValueError("expand filter counts must be non-negative")
+        _require_positive(self, "squeeze_1x1", self.squeeze_1x1)
+        _require_positive(self, "expand_1x1 expand_3x3", self.expand_1x1, self.expand_3x3, least=0)
         if self.expand_1x1 + self.expand_3x3 < 1:
             raise ValueError("expand_1x1 + expand_3x3 must be >= 1")
 
@@ -132,7 +130,7 @@ def squeezenet(p: float = 0.5, pooling: Optional[PoolPlacement] = None) -> ArchG
         x = b.maxpool(x, 3, 2, ceil_mode=True, name=f"pool{position}")
     for i, (s, e_total) in enumerate(zip(_FIRE_SQUEEZE, _FIRE_EXPAND_TOTAL), start=2):
         e3 = _round_half_up(p * e_total)
-        spec = FireSpec(s, e_total - e3, e3)
+        spec = shared_spec(FireSpec, s, e_total - e3, e3)
         x = fire_module(b, x, spec, name=f"fire{i}")
         position += 1
         if position in pool_after:

@@ -952,6 +952,20 @@ class TestSdnw:
             assert a.shape == b.shape
             assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2", None, 0, -2, np.int64(0)],
+                             ids=["fraction", "float", "bool", "string", "none", "zero",
+                                  "negative", "numpy_zero"])
+    def test_a_dimension_that_is_not_a_positive_integer_is_refused_naming_the_tensor(self, dim):
+        with pytest.raises(ValueError) as exc:
+            WeightTensor("conv1.weight", (dim, 2), np.zeros(4, dtype=np.float32))
+        assert str(exc.value) == (
+            f"conv1.weight: dimensions must be positive integers, got {(dim, 2)}")
+
+    def test_numpy_integer_dimensions_are_stored_as_python_ints(self):
+        t = WeightTensor("w", (np.int64(2), np.uint8(3)), np.zeros(6, dtype=np.float32))
+        assert t.shape == (2, 3) and all(type(d) is int for d in t.shape)
+        assert read_sdnw(write_sdnw([t]))[0].shape == (2, 3)
+
     def test_bad_magic(self):
         with pytest.raises(WeightFormatError, match="magic"):
             read_sdnw(b"NOPE" + bytes(8))

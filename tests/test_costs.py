@@ -5,6 +5,7 @@ import pkgutil
 import re
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 import convdse
@@ -332,3 +333,31 @@ def test_every_field_refuses_a_bool_a_string_nan_and_a_fraction_for_an_int(where
     assert f.problem(value) is not None
     with pytest.raises(ValueError, match=f"^{re.escape(f.name)} must be "):
         f.check(value)
+
+
+@pytest.mark.parametrize("where", sorted(FIELDS))
+def test_check_hands_on_a_python_number_of_the_fields_kind(where):
+    f = FIELDS[where]
+    if f.default is None:
+        assert f.check(None) is None
+    if isinstance(f.kind, tuple):
+        assert all(f.check(choice) is choice for choice in f.kind)
+        return
+    value = next(v for v in (1, 0) if f.problem(v) is None)
+    given = [value, np.int64(value), np.uint8(value)]
+    if f.kind is float:
+        given += [float(value), np.float32(value), np.float64(value)]
+    for v in given:
+        checked = f.check(v)
+        assert type(checked) is f.kind and checked == v
+
+
+@pytest.mark.parametrize("where", sorted(w for w, f in FIELDS.items() if f.kind is float))
+def test_a_numpy_float32_infinity_or_nan_is_refused_without_a_warning(where):
+    # in float32 the largest float overflows to infinity, with a RuntimeWarning
+    f = FIELDS[where]
+    for value in (np.float32(np.inf), np.float32(np.nan)):
+        if "inf" in f.bound or not f.bound:
+            assert f.problem(value) == f"must be finite, got {value!r}"
+        else:
+            assert f.problem(value) is not None

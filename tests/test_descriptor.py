@@ -183,7 +183,7 @@ STRUCTURE_REFUSALS = {
         {"id": "q", "op": "input", "params": VALID["input"], "inputs": [1]}]},
         "nodes[0] (q): field 'inputs' must be a list of node ids"),
     "height_zero": (json.loads(_one_op("input", VALID["input"] | {"height": 0})),
-                    "nodes[0] (in): height must be a positive integer, got 0"),
+                    "nodes[0] (in): TensorShape.height must be a positive integer, got 0"),
     "pool_kind_middle": (json.loads(_one_op("pool", VALID["pool"] | {"kind": "middle"})),
                          "nodes[1] (x): Pool.kind must be 'max' or 'avg', got 'middle'"),
     "top_level_unknown_key": ({"name": "x", "nodes": [], "extra": 1},

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from convdse import explore
+from convdse import descriptor, explore
 from convdse.costs import MetricsReport, PlatformSpec, report
 from convdse.explore import (ConstraintSet, DesignPoint, SweepError, attach_accuracy,
                              build_family, check_constraints, find_saturation,
@@ -55,6 +55,24 @@ class TestBuildFamily:
         assert build_family("squeezenet", {"p": 1}).nodes == squeezenet(1.0).nodes
         [only] = sweep("squeezenet", {"p": [1]}, PLATFORM)
         assert type(only.metaparams["p"]) is int
+
+    # a Python value of every numeric family field, and a numpy scalar equal to it
+    NUMPY_VALUES = {("squeezenet", "p"): 0.75, ("squeezenet", "pool_count"): 2,
+                    ("mobilenet", "width_mult"): 0.5}
+
+    def test_every_numeric_family_field_has_a_numpy_case(self):
+        assert set(self.NUMPY_VALUES) == {
+            (family, f.name) for family, spec in explore.FAMILIES.items()
+            for f in spec.params if not isinstance(f.kind, tuple)}
+
+    @pytest.mark.parametrize("family, name", sorted(NUMPY_VALUES))
+    def test_numpy_scalar_builds_the_graph_of_the_python_value(self, family, name):
+        value = self.NUMPY_VALUES[family, name]
+        scalar = (np.int64 if type(value) is int else np.float32)(value)
+        assert scalar == value
+        graph, expected = build_family(family, {name: scalar}), build_family(family, {name: value})
+        assert graph == expected
+        assert descriptor.serialize(graph) == descriptor.serialize(expected)
 
     @pytest.mark.parametrize("family, name, value", [
         ("squeezenet", "p", "0.5"), ("squeezenet", "p", None), ("squeezenet", "p", True),

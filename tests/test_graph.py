@@ -43,7 +43,7 @@ class TestTensorShape:
         assert Conv(3, 3, value).filters == value
         assert Pool("max", 2, value).stride == value
 
-    @pytest.mark.parametrize("value", [0, -2, True, False, 2.0, "2", None, Size(0)])
+    @pytest.mark.parametrize("value", [0, -2, True, False, 2.0, "2", None, Size(0), np.int64(2)])
     def test_rejects_anything_else_naming_the_field(self, value):
         with pytest.raises(ValueError, match=re.escape(f"width must be a positive integer, "
                                                        f"got {value!r}")):
@@ -54,6 +54,21 @@ class TestTensorShape:
         with pytest.raises(ValueError, match=re.escape(f"Shuffle.groups must be a positive "
                                                        f"integer, got {value!r}")):
             Shuffle(value)
+
+    def test_a_refused_value_equal_to_an_earlier_field_names_its_own_field(self):
+        with pytest.raises(ValueError, match=r"^Conv\.kernel_w must be a positive integer, "
+                                             r"got 2\.0$"):
+            Conv(2, 2.0, 8)
+
+    @pytest.mark.parametrize("pad, accepted", [(0, True), (2, True), (-1, False), (True, False),
+                                               (1.0, False), (np.int64(1), False)])
+    def test_conv_pad_is_a_non_negative_python_int(self, pad, accepted):
+        if accepted:
+            assert Conv(3, 3, 8, pad=pad).pad == pad
+            return
+        with pytest.raises(ValueError) as exc:
+            Conv(3, 3, 8, pad=pad)
+        assert str(exc.value) == f"Conv.pad must be a non-negative integer, got {pad!r}"
 
 
 class TestValidate:
@@ -232,6 +247,23 @@ class TestGraphBuilder:
         with pytest.raises(GraphError, match=r"^'relu1' references unknown input 'ghost'$"):
             b.relu("ghost")
         assert [nid for nid, _ in b.build().nodes] == ["input"]
+
+    @pytest.mark.parametrize("kernel", [np.int64(3), 2.0, None, [3], (3, 3, 3), True],
+                             ids=["numpy_int", "float", "none", "one_entry", "triple", "bool"])
+    def test_a_kernel_neither_an_int_nor_a_pair_is_refused_naming_the_field(self, kernel):
+        b = GraphBuilder("kernel")
+        x = b.input(TensorShape(8, 8, 4))
+        with pytest.raises(ValueError) as exc:
+            b.conv(x, kernel, 8)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"Conv.kernel_h must be a positive integer, got {kernel!r}"
+
+    @pytest.mark.parametrize("kernel", [(3, 1), [3, 1]], ids=["tuple", "list"])
+    def test_a_kernel_pair_gives_height_and_width(self, kernel):
+        b = GraphBuilder("kernel")
+        x = b.input(TensorShape(8, 8, 4))
+        b.conv(x, kernel, 8, name="c")
+        assert dict(b.build().nodes)["c"] == Conv(3, 1, 8)
 
 
 class TestInferShapes:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from convdse import costs
@@ -47,6 +48,26 @@ class TestFireModule:
             FireSpec(0, 64, 64)
         with pytest.raises(ValueError):
             FireSpec(16, 0, 0)
+
+    @pytest.mark.parametrize("value", [2.0, True, "16", np.int64(16)],
+                             ids=["float", "bool", "string", "numpy_int"])
+    @pytest.mark.parametrize("field", ["squeeze_1x1", "expand_1x1", "expand_3x3"])
+    def test_a_width_that_is_not_a_python_int_is_refused_naming_it(self, field, value):
+        widths = {"squeeze_1x1": 16, "expand_1x1": 64, "expand_3x3": 64} | {field: value}
+        with pytest.raises(ValueError) as exc:
+            FireSpec(**widths)
+        kind = "positive" if field == "squeeze_1x1" else "non-negative"
+        assert str(exc.value) == f"FireSpec.{field} must be a {kind} integer, got {value!r}"
+
+    @pytest.mark.parametrize("widths, message", [
+        ((0, 64, 64), "FireSpec.squeeze_1x1 must be a positive integer, got 0"),
+        ((16, -1, 64), "FireSpec.expand_1x1 must be a non-negative integer, got -1"),
+        ((16, 64, -1), "FireSpec.expand_3x3 must be a non-negative integer, got -1"),
+    ], ids=["zero_squeeze", "negative_expand_1x1", "negative_expand_3x3"])
+    def test_a_width_out_of_range_is_refused_naming_it(self, widths, message):
+        with pytest.raises(ValueError) as exc:
+            FireSpec(*widths)
+        assert str(exc.value) == message
 
 
 class TestSqueezenet:
