@@ -50,14 +50,14 @@ def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTenso
     flat order, that the count still needs. The kept mask, negated as int8
     to all-ones or zero, is ANDed into the float32 bits in one pass, with
     no per-element branch."""
-    SPARSITY.check(target_sparsity)
+    target_sparsity = SPARSITY.check(target_sparsity)
     values = tensor.values
     magnitude = np.abs(values)
     # NaN and infinity propagate through max, so it is finite exactly when
     # every value is
     if not math.isfinite(magnitude.max()):
         raise ValueError(f"{tensor.name}: weights contain NaN or infinity")
-    n_prune = int(np.floor(target_sparsity * values.size))
+    n_prune = math.floor(target_sparsity * values.size)
     if not n_prune:
         return WeightTensor(tensor.name, tensor.shape, values.copy())
     threshold = np.partition(magnitude, n_prune - 1)[n_prune - 1]

@@ -135,6 +135,23 @@ class Field:
         return value if value is None or isinstance(self.kind, tuple) else self.kind(value)
 
 
+def check_record(record, fields: tuple[Field, ...], label: str,
+                 error: type[Exception] = ValueError) -> dict:
+    """Each field's value in ``record`` as ``Field.check`` hands it on, or its default; a
+    non-object, an unknown or missing key or a refused value raises ``error`` naming ``label``."""
+    if not isinstance(record, dict):
+        raise error(f"{label}: top level must be an object")
+    unknown = record.keys() - {f.name for f in fields}
+    if unknown:
+        raise error(f"{label}: unknown key(s) {sorted(unknown)} "
+                    f"(allowed: {sorted(f.name for f in fields) or 'none'})")
+    missing = [f.name for f in fields if f.default is MISSING and f.name not in record]
+    if missing:
+        raise error(f"{label}: missing key(s) {sorted(missing)}")
+    return {f.name: f.check(record[f.name], error, f"{label}: {f.name}") if f.name in record
+            else f.default for f in fields}
+
+
 BATCH = Field("batch", int, 1, "(0, inf)", "batch size for weight-fetch amortization")
 # the codec's settings: here, the CLI builds its flags without loading the codec
 SPARSITY = Field("target_sparsity", float, 0.7, "[0, 1)", "fraction of weights to prune")
@@ -156,24 +173,13 @@ class NumericConfig:
     label: ClassVar[str]
 
     def __post_init__(self):
-        for f in config_fields(type(self)):
-            f.check(getattr(self, f.name), label=f"{type(self).__name__}.{f.name}")
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        if not isinstance(d, dict):
-            raise ValueError(f"{cls.label}: top level must be an object")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"{cls.label}: unknown key(s) {sorted(unknown)}")
-        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
-        if missing:
-            raise ValueError(f"{cls.label}: missing key(s) {sorted(missing)}")
-        return cls(**d)
+        cls = type(self)
+        for name, value in check_record(vars(self), config_fields(cls), cls.__name__).items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def load(cls, path):
-        return cls.from_dict(load_json(path))
+        return cls(**check_record(load_json(path), config_fields(cls), f"{cls.label} {path}"))
 
 
 @dataclass(frozen=True)

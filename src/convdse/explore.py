@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Optional, Sequence
 
-from .costs import BATCH, Field, MetricsReport, NumericConfig, PlatformSpec, report
+from .costs import BATCH, Field, MetricsReport, NumericConfig, PlatformSpec, check_record, report
 from .graph import ArchGraph, GraphError
 from .zoo import POOL_STRATEGIES, PoolPlacement, alexnet, mobilenet_like, squeezenet, vgg19
 
@@ -100,18 +100,13 @@ FAMILIES: dict[str, Family] = {
 
 def build_family(family: str, metaparams: dict) -> ArchGraph:
     """The one place a family's metaparameters are checked, names and values
-    here, ranges by the generator: a SweepError names family and metaparameter."""
+    by ``check_record``, ranges by the generator: a SweepError names family
+    and metaparameter."""
     if family not in FAMILIES:
         raise SweepError(f"unknown family {family!r} (known: {sorted(FAMILIES)})")
-    schema = {f.name: f for f in FAMILIES[family].params}
-    unknown = set(metaparams) - set(schema)
-    if unknown:
-        raise SweepError(f"family {family!r} does not take metaparameter(s) "
-                         f"{sorted(unknown)} (allowed: {sorted(schema) or 'none'})")
-    checked = {k: schema[k].check(v, SweepError, f"family {family!r}: metaparameter {k!r}")
-               for k, v in metaparams.items()}
+    checked = check_record(metaparams, FAMILIES[family].params, f"family {family!r}", SweepError)
     try:
-        return FAMILIES[family].build(**{f.name: f.default for f in schema.values()} | checked)
+        return FAMILIES[family].build(**checked)
     except ValueError as exc:
         raise SweepError(f"family {family!r}, metaparameters {metaparams}: {exc}") from exc
 

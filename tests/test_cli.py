@@ -16,6 +16,8 @@ from convdse.descriptor import serialize
 
 
 PLATFORM = {"on_chip_bytes": 8 * 1024 * 1024, "e_mac": 1e-12, "macs_per_second": 1e10}
+#: config option -> the label its refusals give before the file's path
+CONFIG_LABELS = {"--platform": "platform config", "--constraints": "constraint config"}
 
 
 @pytest.fixture
@@ -246,20 +248,22 @@ class TestSweep:
         assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
                        "--out", str(tmp_path / "x")) == 2
 
-    @pytest.mark.parametrize("family, grid, name", [
-        ("squeezenet", {"p": ["0.5"]}, "'p'"),
-        ("squeezenet", {"p": [None]}, "'p'"),
-        ("squeezenet", {"pool_count": [0]}, "'pool_count'"),
-        ("squeezenet", {"pool_count": [2.7]}, "'pool_count'"),
-        ("mobilenet", {"width_mult": [True]}, "'width_mult'"),
+    @pytest.mark.parametrize("family, grid, message", [
+        ("squeezenet", {"p": ["0.5"]}, "family 'squeezenet': p must be a number, got '0.5'"),
+        ("squeezenet", {"p": [None]}, "family 'squeezenet': p must be a number, got None"),
+        ("squeezenet", {"pool_count": [0]},
+         "family 'squeezenet', metaparameters {'pool_count': 0}: "),
+        ("squeezenet", {"pool_count": [2.7]},
+         "family 'squeezenet': pool_count must be an integer, got 2.7"),
+        ("mobilenet", {"width_mult": [True]},
+         "family 'mobilenet': width_mult must be a number, got True"),
     ], ids=["p_string", "p_null", "pool_count_zero", "pool_count_fraction",
             "width_mult_bool"])
-    def test_bad_grid_value_exits_2_naming_it(self, tmp_path, capsys, family, grid, name):
+    def test_bad_grid_value_exits_2_naming_it(self, tmp_path, capsys, family, grid, message):
         path = self.write_grid(tmp_path, grid)
         assert run_cli("sweep", "--family", family, "--grid", path,
                        "--out", str(tmp_path / "x")) == 2
-        err = capsys.readouterr().err
-        assert "metaparameter" in err and name in err
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("axis", ["recorded_top5_error", "recorded_training_latency"])
@@ -559,7 +563,8 @@ class TestCheck:
         platform.write_text(json.dumps({"on_chip_bytes": value, "e_mac": 1e-12,
                                         "macs_per_second": 1e10}))
         assert run_cli("describe", "--family", "alexnet", "--platform", str(platform)) == 2
-        assert "PlatformSpec.on_chip_bytes must be a number" in capsys.readouterr().err
+        assert (f"error: platform config {platform}: on_chip_bytes must be a number"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("value", ["0.2", False], ids=["string", "bool"])
     def test_non_numeric_constraint_exits_2_naming_it(self, tmp_path, capsys, value):
@@ -567,38 +572,39 @@ class TestCheck:
         constraints.write_text(json.dumps({"max_top5_error": value}))
         assert run_cli("check", "--family", "squeezenet", "--constraints",
                        str(constraints)) == 2
-        assert "ConstraintSet.max_top5_error must be a number" in capsys.readouterr().err
+        assert (f"error: constraint config {constraints}: max_top5_error must be a number"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, option, config, message", [
         ("describe", "--platform", {**PLATFORM, "word_bytes": 2.5},
-         "PlatformSpec.word_bytes must be an integer, got 2.5"),
+         "word_bytes must be an integer, got 2.5"),
         ("describe", "--platform", {**PLATFORM, "on_chip_bytes": 8388608.0},
-         "PlatformSpec.on_chip_bytes must be an integer, got 8388608.0"),
+         "on_chip_bytes must be an integer, got 8388608.0"),
         ("check", "--constraints", {"max_onchip_bytes": 1e6},
-         "ConstraintSet.max_onchip_bytes must be an integer, got 1000000.0"),
+         "max_onchip_bytes must be an integer, got 1000000.0"),
     ], ids=["word_bytes", "on_chip_bytes", "max_onchip_bytes"])
     def test_float_in_integer_field_exits_2_naming_it(self, tmp_path, capsys, command, option,
                                                        config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert run_cli(command, "--family", "squeezenet", option, str(path)) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {CONFIG_LABELS[option]} {path}: {message}\n"
 
     @pytest.mark.parametrize("command, option, text, message", [
         ("describe", "--platform",
          '{"on_chip_bytes": 8388608, "e_mac": Infinity, "macs_per_second": 1e10}',
-         "PlatformSpec.e_mac must be finite, got inf"),
+         "e_mac must be finite, got inf"),
         ("check", "--constraints", '{"min_fps_required": 1e400}',
-         "ConstraintSet.min_fps_required must be finite, got inf"),
+         "min_fps_required must be finite, got inf"),
         ("check", "--constraints", '{"max_energy_per_frame": NaN}',
-         "ConstraintSet.max_energy_per_frame must be finite, got nan"),
+         "max_energy_per_frame must be finite, got nan"),
     ], ids=["e_mac_infinity", "min_fps_required_overflow", "max_energy_per_frame_nan"])
     def test_non_finite_value_exits_2_naming_it(self, tmp_path, capsys, command, option,
                                                 text, message):
         path = tmp_path / "config.json"
         path.write_text(text)
         assert run_cli(command, "--family", "squeezenet", option, str(path)) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {CONFIG_LABELS[option]} {path}: {message}\n"
 
     @pytest.mark.parametrize("command, option, label", [
         ("describe", "--platform", "platform config"),
@@ -611,26 +617,26 @@ class TestCheck:
         config = tmp_path / "config.json"
         config.write_text(text)
         assert run_cli(command, "--family", "alexnet", option, str(config)) == 2
-        assert f"error: {label}: top level must be an object" in capsys.readouterr().err
+        assert f"error: {label} {config}: top level must be an object" in capsys.readouterr().err
 
     def test_missing_platform_key_exits_2_naming_it(self, tmp_path, capsys):
         platform = tmp_path / "platform.json"
         platform.write_text(json.dumps({"e_mac": 1e-12, "macs_per_second": 1e10}))
         assert run_cli("describe", "--family", "alexnet", "--platform", str(platform)) == 2
         assert capsys.readouterr().err == (
-            "error: platform config: missing key(s) ['on_chip_bytes']\n")
+            f"error: platform config {platform}: missing key(s) ['on_chip_bytes']\n")
 
     @pytest.mark.parametrize("command, option, config, field", [
         ("describe", "--platform", {**PLATFORM, "macs_per_second": 10**400},
-         "PlatformSpec.macs_per_second"),
+         "macs_per_second"),
         ("describe", "--platform", {**PLATFORM, "offchip_ratio": 10**400},
-         "PlatformSpec.offchip_ratio"),
+         "offchip_ratio"),
         ("describe", "--platform", {**PLATFORM, "word_bytes": 10**400},
-         "PlatformSpec.word_bytes"),
+         "word_bytes"),
         ("check", "--constraints", {"max_energy_per_frame": 10**400},
-         "ConstraintSet.max_energy_per_frame"),
+         "max_energy_per_frame"),
         ("check", "--constraints", {"max_onchip_bytes": 10**400},
-         "ConstraintSet.max_onchip_bytes"),
+         "max_onchip_bytes"),
     ], ids=["macs_per_second", "offchip_ratio", "word_bytes", "max_energy_per_frame",
             "max_onchip_bytes"])
     def test_integer_past_float_range_exits_2_naming_it(self, tmp_path, capsys, command,
@@ -639,7 +645,8 @@ class TestCheck:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         assert run_cli(command, "--family", "squeezenet", option, str(path)) == 2
-        assert capsys.readouterr().err == f"error: {field} must be finite, got {10**400}\n"
+        assert capsys.readouterr().err == (
+            f"error: {CONFIG_LABELS[option]} {path}: {field} must be finite, got {10**400}\n")
 
 
 class TestCompressionCommands:

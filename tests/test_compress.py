@@ -269,6 +269,12 @@ class TestPrune:
         twice = prune_magnitude(once, 0.7)
         assert np.array_equal(once.values, twice.values)
 
+    def test_float32_sparsity_prunes_the_count_of_the_python_value(self):
+        # floor(np.float32(0.7) * 90) is 63 in float32 arithmetic, floor(0.7 * 90) is 62
+        t = wt(np.arange(1.0, 91.0))
+        for sparsity in (np.float32(0.7), 0.7):
+            assert int((prune_magnitude(t, sparsity).values == 0).sum()) == 62
+
     def test_sparsity_range(self):
         with pytest.raises(ValueError):
             prune_magnitude(wt([1.0]), 1.0)

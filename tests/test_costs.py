@@ -293,11 +293,48 @@ class TestReport:
         assert m.to_dict()["fps_proxy"] is None
 
     def test_platform_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^PlatformSpec: on_chip_bytes must be strictly "):
             PlatformSpec(on_chip_bytes=0, e_mac=1e-12, macs_per_second=1e9)
-        with pytest.raises(ValueError, match="unknown key"):
-            PlatformSpec.from_dict({"on_chip_bytes": 1, "e_mac": 1e-12,
-                                    "macs_per_second": 1e9, "dram_banks": 4})
+
+    @pytest.mark.parametrize("name", ["word_bytes", "on_chip_bytes"])
+    def test_numpy_integer_platform_reports_as_the_python_one(self, name):
+        given = {"on_chip_bytes": 1 << 20, "e_mac": 1e-12, "macs_per_second": 1e9,
+                 "word_bytes": 4}
+        platform = PlatformSpec(**given | {name: np.int64(given[name])})
+        m, expected = report(zoo.alexnet(), platform), report(zoo.alexnet(), PlatformSpec(**given))
+        assert m == expected
+        assert json.dumps(m.to_dict()) == json.dumps(expected.to_dict())
+
+
+class TestCheckRecord:
+    FIELDS = costs.config_fields(PlatformSpec)
+    REQUIRED = {"on_chip_bytes": 1, "e_mac": 1e-12, "macs_per_second": 1e9}
+
+    def test_absent_keys_take_their_defaults(self):
+        assert costs.check_record(self.REQUIRED, self.FIELDS, "p.json") == {
+            **self.REQUIRED, "offchip_ratio": 100.0, "word_bytes": 4}
+
+    @pytest.mark.parametrize("record, message", [
+        ([], "p.json: top level must be an object"),
+        ({**REQUIRED, "dram_banks": 4}, "p.json: unknown key(s) ['dram_banks'] (allowed: "
+         "['e_mac', 'macs_per_second', 'offchip_ratio', 'on_chip_bytes', 'word_bytes'])"),
+        ({"e_mac": 1e-12}, "p.json: missing key(s) ['macs_per_second', 'on_chip_bytes']"),
+        ({**REQUIRED, "e_mac": 0}, "p.json: e_mac must be strictly positive"),
+    ], ids=["not_an_object", "unknown_key", "missing_key", "refused_value"])
+    def test_each_refusal_names_the_label(self, record, message):
+        with pytest.raises(ValueError) as exc:
+            costs.check_record(record, self.FIELDS, "p.json")
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+@pytest.mark.parametrize("config", costs.NumericConfig.__subclasses__(),
+                         ids=lambda config: config.__name__)
+def test_a_numpy_config_value_is_stored_as_a_python_number(config):
+    given = {f.name: np.int64(2) if f.kind is int else np.float32(0.5)
+             for f in costs.config_fields(config)}
+    stored = config(**given)
+    for f in costs.config_fields(config):
+        assert type(getattr(stored, f.name)) is f.kind and getattr(stored, f.name) == given[f.name]
 
 
 def every_field():

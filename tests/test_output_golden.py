@@ -106,32 +106,37 @@ def test_verify_json(capsys):
 
 _PLATFORM = {"on_chip_bytes": 8388608, "e_mac": 1e-12, "macs_per_second": 1e10}
 
-# (command, config option, config, exact stderr)
+_PLATFORM_KEYS = "['e_mac', 'macs_per_second', 'offchip_ratio', 'on_chip_bytes', 'word_bytes']"
+_CONSTRAINT_KEYS = ("['max_energy_per_frame', 'max_onchip_bytes', 'max_top5_error', "
+                    "'min_fps_desired', 'min_fps_required']")
+
+# (command, config option, config, exact stderr with the file's path as {path})
 CONFIG_ERRORS = {
     "platform_unknown_key": (
         "describe", "--platform", {**_PLATFORM, "sram": 1},
-        "error: platform config: unknown key(s) ['sram']\n"),
+        f"error: platform config {{path}}: unknown key(s) ['sram'] (allowed: {_PLATFORM_KEYS})\n"),
     "platform_non_number": (
         "describe", "--platform", {**_PLATFORM, "on_chip_bytes": "8M"},
-        "error: PlatformSpec.on_chip_bytes must be a number, got '8M'\n"),
+        "error: platform config {path}: on_chip_bytes must be a number, got '8M'\n"),
     "platform_bool": (
         "describe", "--platform", {**_PLATFORM, "word_bytes": True},
-        "error: PlatformSpec.word_bytes must be a number, got True\n"),
+        "error: platform config {path}: word_bytes must be a number, got True\n"),
     "platform_non_positive": (
         "describe", "--platform", {**_PLATFORM, "e_mac": 0},
-        "error: PlatformSpec.e_mac must be strictly positive\n"),
+        "error: platform config {path}: e_mac must be strictly positive\n"),
     "constraint_unknown_key": (
         "check", "--constraints", {"max_onchip_bytes": 1, "max_latency": 2},
-        "error: constraint config: unknown key(s) ['max_latency']\n"),
+        f"error: constraint config {{path}}: unknown key(s) ['max_latency'] "
+        f"(allowed: {_CONSTRAINT_KEYS})\n"),
     "constraint_non_number": (
         "check", "--constraints", {"max_energy_per_frame": "1mJ"},
-        "error: ConstraintSet.max_energy_per_frame must be a number, got '1mJ'\n"),
+        "error: constraint config {path}: max_energy_per_frame must be a number, got '1mJ'\n"),
     "constraint_bool": (
         "check", "--constraints", {"min_fps_required": False},
-        "error: ConstraintSet.min_fps_required must be a number, got False\n"),
+        "error: constraint config {path}: min_fps_required must be a number, got False\n"),
     "constraint_non_positive": (
         "check", "--constraints", {"max_onchip_bytes": -1},
-        "error: ConstraintSet.max_onchip_bytes must be positive when set\n"),
+        "error: constraint config {path}: max_onchip_bytes must be positive when set\n"),
 }
 
 
@@ -141,7 +146,7 @@ def test_config_error_text(capsys, tmp_path, case):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main([command, "--family", "alexnet", option, str(path)]) == 2
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == message.replace("{path}", str(path))
 
 
 # (constraint set, exit code); the passing set checks every budget but the error
