@@ -96,7 +96,10 @@ def cmd_describe(args) -> int:
 def cmd_sweep(args) -> int:
     platform = _load_platform(args.platform)
     grid = load_json(args.grid)
-    points = explore.sweep(args.family, grid, platform, batch=args.batch)
+    try:
+        points = explore.sweep(args.family, grid, platform, batch=args.batch)
+    except SweepError as exc:  # a cell's GraphError keeps its text and exit code
+        raise SweepError(f"grid file {args.grid}: {exc}") from None
 
     unmatched: list[dict] = []
     if args.accuracy:
@@ -220,6 +223,9 @@ def cmd_check(args) -> int:
     constraints = ConstraintSet.load(args.constraints)
     point = DesignPoint(metaparams, report(graph, platform, batch=args.batch),
                         top5_error=args.top5_error)
+    if constraints.max_top5_error is not None and args.top5_error is None:
+        raise SweepError(f"{ConstraintSet.label} {args.constraints}: max_top5_error is set, "
+                         "but no --top5-error was given")
     result = explore.check_constraints(point, constraints)
     for check in result.checks:
         if check.hard:

@@ -123,7 +123,7 @@ def sweep(family: str, grid: dict[str, list], platform: PlatformSpec,
     graph is invalid raises the GraphError (or ShapeError) of ``report``,
     prefixed with the family and the cell's metaparameters."""
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
-        raise SweepError("grid file must map axis names to value lists")
+        raise SweepError("grid must map axis names to value lists")
     axes = list(grid.keys())
     for axis in axes:
         if not grid[axis]:

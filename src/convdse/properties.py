@@ -66,35 +66,33 @@ def _divisors(n: int) -> list[int]:
 
 
 def random_graph(rng: np.random.Generator) -> ArchGraph:
-    """Small random valid graph: a chain of conv/pool/relu/shuffle layers
-    with at most one fire-style diamond, sometimes finished by GAP or FC.
-    Pools draw kernel and stride from 1..3 independently, with or without
-    ceil_mode, so stride > kernel and trailing partial windows occur."""
+    """Small random valid graph: a chain of conv, relu, pool, shuffle and fire
+    blocks, sometimes finished by GAP or FC, each size drawn from the shape
+    the block meets. A conv draws kernel height and width apart (1..5, at most
+    the padded input), stride 1..3, pad 0..2 and groups dividing its input; a
+    pool draws kernel and stride from 1..3 apart, with or without ceil_mode,
+    so stride > kernel and trailing partial windows occur; a fire block
+    squeezes into 2..5 expand branches of kernel 1, 3 or 5, padded to keep
+    the size, joined by one concat."""
     b = GraphBuilder(f"fuzz{rng.integers(1 << 30)}")
     h = int(rng.integers(6, 13))
     c = int(rng.choice([2, 3, 4, 6, 8]))
     x = b.input(TensorShape(h, h, c))
     shape = TensorShape(h, h, c)
-    diamond_used = False
     for _ in range(int(rng.integers(3, 9))):
-        choices = ["conv", "relu"]
+        choices = ["conv", "relu", "fire"]
         if shape.height >= 2 and shape.width >= 2:
             choices.append("pool")
         if shape.channels > 1:
             choices.append("shuffle")
-        if not diamond_used and shape.height >= 3 and shape.width >= 3:
-            choices.append("diamond")
         op = rng.choice(choices)
         if op == "conv":
             groups = int(rng.choice(_divisors(shape.channels)))
-            filters = groups * int(rng.integers(1, 5))
-            if shape.height >= 3 and shape.width >= 3 and rng.random() < 0.5:
-                kernel, pad = 3, int(rng.integers(0, 2))
-            else:
-                kernel, pad = 1, 0
-            stride = int(rng.choice([1, 1, 2]))
-            x = b.conv(x, kernel, filters, groups=groups, stride=stride, pad=pad,
-                       bias=bool(rng.random() < 0.5))
+            pad = int(rng.integers(0, 3))
+            kernel = [int(rng.integers(1, min(5, side + 2 * pad) + 1))
+                      for side in (shape.height, shape.width)]
+            x = b.conv(x, kernel, groups * int(rng.integers(1, 5)), groups=groups,
+                       stride=int(rng.integers(1, 4)), pad=pad, bias=bool(rng.random() < 0.5))
         elif op == "relu":
             x = b.relu(x)
         elif op == "pool":
@@ -105,12 +103,10 @@ def random_graph(rng: np.random.Generator) -> ArchGraph:
         elif op == "shuffle":
             g = int(rng.choice([d for d in _divisors(shape.channels) if d > 1]))
             x = b.shuffle(x, g)
-        else:  # diamond
+        else:  # fire
             squeeze = b.conv(x, 1, int(rng.integers(1, 4)))
-            left = b.conv(squeeze, 1, int(rng.integers(1, 5)))
-            right = b.conv(squeeze, 3, int(rng.integers(1, 5)), pad=1)
-            x = b.concat([left, right])
-            diamond_used = True
+            x = b.concat([b.conv(squeeze, k, int(rng.integers(1, 5)), pad=k // 2)
+                          for k in map(int, rng.choice([1, 3, 5], int(rng.integers(2, 6))))])
         shape = infer_shapes(b.build())[x]
     if rng.random() < 0.3:
         x = b.gap(x)

@@ -263,7 +263,7 @@ class TestSweep:
         path = self.write_grid(tmp_path, grid)
         assert run_cli("sweep", "--family", family, "--grid", path,
                        "--out", str(tmp_path / "x")) == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: grid file {path}: {message}")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("axis", ["recorded_top5_error", "recorded_training_latency"])
@@ -421,7 +421,8 @@ class TestSweep:
         path = self.write_grid(tmp_path, grid)
         assert run_cli("sweep", "--family", "squeezenet", "--grid", path,
                        "--out", str(tmp_path / "x")) == 2
-        assert capsys.readouterr().err == "error: grid file must map axis names to value lists\n"
+        assert (capsys.readouterr().err
+                == f"error: grid file {path}: grid must map axis names to value lists\n")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("rows, problem", [
@@ -556,6 +557,15 @@ class TestCheck:
                            "--constraints", str(constraints), "--top5-error", error) == (
             f"convdse check: error: argument --top5-error: "
             f"top5_error must be in [0, 1], got {float(error)}")
+
+    def test_error_budget_without_recorded_error_exits_2_naming_file_and_flag(self, tmp_path,
+                                                                               capsys):
+        constraints = tmp_path / "constraints.json"
+        constraints.write_text(json.dumps({"max_top5_error": 0.3}))
+        assert run_cli("check", "--family", "squeezenet", "--constraints",
+                       str(constraints)) == 2
+        assert capsys.readouterr().err == (f"error: constraint config {constraints}: "
+                                           "max_top5_error is set, but no --top5-error was given\n")
 
     @pytest.mark.parametrize("value", ["8M", True], ids=["string", "bool"])
     def test_non_numeric_platform_value_exits_2_naming_it(self, tmp_path, capsys, value):

@@ -111,7 +111,7 @@ class TestSweep:
     def test_grid_that_is_not_axis_lists_is_refused(self, grid):
         with pytest.raises(SweepError) as exc:
             sweep("squeezenet", grid, PLATFORM)
-        assert str(exc.value) == "grid file must map axis names to value lists"
+        assert str(exc.value) == "grid must map axis names to value lists"
 
     def test_grid_of_one_equals_direct_report(self):
         points = sweep("squeezenet", {"p": [0.5]}, PLATFORM)

@@ -32,9 +32,9 @@ SERIALIZE = {
     "mobilenet": "9ddfe07c8322362cbed86599ef2d0ff142877555304493e10ccb6e119091d511",
     "squeezenet": "ae62276ef6284a3615951101a31abeaf8adbe084c7e06bb5d75c761a28ee9c09",
     "vgg19": "6e9d0c3a277b241b373f03c76cf0f268a574349483b9aee77a358d30fee1bcd1",
-    "random1": "670d0eb5d8aeb8bb194dfce164399c5be931846122bcb0cec1b8272d30ee2321",
-    "random2": "40359a44e1d6fa78fdf3e7ea9c9eb1b255302c71b734efe3be6b67cca6c82239",
-    "random3": "c327b44a8fde7817fbd38678aea01a895fe1024bd7c68d829a1abd03ea1c76c1",
+    "random1": "a54d8edea8d24a8e477d374d7ae0d1fe71a8a9b7d6085b52a2709b5eb82a2693",
+    "random2": "4a0a600f1050a6c8d002097dd50a29be19a272197f182ab9ff7b9e7cf0c23d32",
+    "random3": "aea3a1c33a97987118c166726613c4673307d2fa27092a629ebf4a69dc8814d4",
 }
 
 

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from convdse import costs
-from convdse.graph import Conv, GraphBuilder, Pool, TensorShape, infer_shapes
+from convdse import costs, properties
+from convdse.graph import Concat, Conv, GraphBuilder, Pool, TensorShape, infer_shapes, validate
 from convdse.properties import check_mac_counts, conv_scalar_reference, random_graph
 from convdse.refexec import (ExecutionError, Tensor3D, conv_forward, count_macs_instrumented,
                              expected_weight_shapes, pool_forward, random_weights, run,
@@ -249,3 +249,16 @@ def test_mac_counts_oracle_checks_report_totals(monkeypatch, field):
     monkeypatch.setattr(costs, "report", off_by_one)
     result = check_mac_counts(seed=0, trials=3)
     assert not result.passed and "report has" in result.detail
+
+
+def test_verify_draws_rectangular_strided_convs_and_wide_concats(monkeypatch):
+    # the executor oracles of verify see every block kind of random_graph
+    drawn = []
+    monkeypatch.setattr(properties, "random_graph",
+                        lambda rng: drawn.append(random_graph(rng)) or drawn[-1])
+    assert properties.check_mac_counts().passed and properties.check_run_shapes().passed
+    assert len(drawn) == 32 and all(validate(g) == [] for g in drawn)
+    nodes = [(g, nid, s) for g in drawn for nid, s in g.nodes]
+    assert any(isinstance(s, Conv) and s.kernel_h != s.kernel_w and s.stride > 1 and s.pad > 0
+               for *_, s in nodes)
+    assert any(isinstance(s, Concat) and len(g.preds[nid]) >= 3 for g, nid, s in nodes)

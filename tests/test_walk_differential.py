@@ -12,29 +12,27 @@ model's one-pass loop (``costs._price``) must accept exactly the graphs
 that ``validate`` accepts and that declare every predecessor before its
 consumer, and decline every other graph to the walk.
 
-The corpus has the ``properties.random_graph`` draws, the zoo graphs, and
-shapes ``random_graph`` never makes: rectangular kernels with stride and
-pad, fully-connected layers on spatial input, concats of three to five
-branches, and grouped convolutions followed by a shuffle; then seeded
-structural mutations of all of these, which mostly break them (rewired
-and unknown inputs, cycles, duplicate ids, swapped or unregistered layer
-types, extra or missing Input nodes, nodes declared out of order).
+The corpus has the zoo graphs and ``properties.random_graph`` draws, then
+seeded mutations of these. Most break a graph: rewired and unknown inputs,
+cycles, duplicate ids, swapped or unregistered layer types, extra or missing
+Input nodes, or a size no valid generator draws (a window past its input, a
+strided concat branch, groups that divide neither filters nor channels).
+The rest keep it valid: nodes declared out of order, or subclass specs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from convdse import costs, explore, zoo
-from convdse.graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool,
-                           GraphBuilder, GraphError, Input, LayerSpec, Pool, ReLU, ShapeError,
-                           Shuffle, TensorShape, _spatial_size, infer_shapes,
-                           topological_order, validate)
+from convdse.graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, GraphError,
+                           Input, LayerSpec, Pool, ReLU, ShapeError, Shuffle, TensorShape,
+                           _spatial_size, infer_shapes, topological_order, validate)
 from convdse.properties import random_graph
 
 
@@ -217,53 +215,19 @@ class Mystery(LayerSpec):
     """A layer type no rule knows."""
 
 
-def extra_graph(rng: np.random.Generator, name: str) -> ArchGraph:
-    """A chain of blocks ``random_graph`` never draws. Sizes are drawn
-    without checks, so some graphs collapse a dimension, mismatch a concat
-    or miscount groups."""
-    b = GraphBuilder(name)
-    c = int(rng.choice([2, 3, 4, 6, 8, 12]))
-    x = b.input(TensorShape(int(rng.integers(4, 19)), int(rng.integers(4, 19)), c))
-    for _ in range(int(rng.integers(2, 6))):
-        block = rng.choice(["rect_conv", "branches", "grouped_shuffle", "pool", "relu"])
-        if block == "rect_conv":
-            kernel = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
-            cls = WideConv if rng.random() < 0.2 else Conv
-            x = b.add(cls(*kernel, int(rng.integers(1, 9)), stride=int(rng.integers(1, 4)),
-                          pad=int(rng.integers(0, 3)), bias=bool(rng.random() < 0.5)), (x,))
-        elif block == "branches":
-            branches = []
-            for _ in range(int(rng.integers(3, 6))):
-                k = int(rng.choice([1, 3, 5]))
-                pad = k // 2 if rng.random() < 0.9 else 0
-                branches.append(b.conv(x, k, int(rng.integers(1, 6)), pad=pad))
-            x = b.concat(branches)
-        elif block == "grouped_shuffle":
-            g = int(rng.choice([1, 2, 3, 4]))
-            filters = g * int(rng.integers(1, 4)) + int(rng.random() < 0.1)
-            x = b.conv(x, int(rng.choice([1, 3])), filters, groups=g, pad=1)
-            x = b.shuffle(x, int(rng.choice([1, 2, 3, 4])))
-        elif block == "pool":
-            cls = SlowPool if rng.random() < 0.2 else Pool
-            x = b.add(cls(str(rng.choice(["max", "avg"])), int(rng.integers(1, 4)),
-                          int(rng.integers(1, 4)), bool(rng.random() < 0.5)), (x,))
-        else:
-            x = b.relu(x)
-    if rng.random() < 0.7:
-        x = b.fc(x, int(rng.integers(1, 10)), bias=bool(rng.random() < 0.5))
-    if rng.random() < 0.3:
-        b.gap(x)
-    return b.build()
+SUBCLASS = {Conv: WideConv, Pool: SlowPool}
 
 
 def mutate(graph: ArchGraph, rng: np.random.Generator) -> ArchGraph:
-    """One seeded structural break of ``graph``."""
+    """One seeded change of the valid ``graph``: mostly a break of its structure
+    or of a size; one kind swaps each Conv and Pool for a subclass."""
     nodes = list(graph.nodes)
     preds = dict(graph.preds)
     ids = [nid for nid, _ in nodes]
     i = int(rng.integers(len(nodes)))
     nid, spec = nodes[i]
-    kind = int(rng.integers(9))
+    sized = [j for j, (_, s) in enumerate(nodes) if isinstance(s, (Conv, Pool, Shuffle, Concat))]
+    kind = int(rng.integers(13 if sized else 10))
     if kind == 0:  # rewire to any nodes, later ones and itself included
         preds[nid] = tuple(str(rng.choice(ids)) for _ in range(int(rng.integers(0, 4))))
     elif kind == 1:
@@ -282,8 +246,24 @@ def mutate(graph: ArchGraph, rng: np.random.Generator) -> ArchGraph:
         nodes = [(n, ReLU() if isinstance(s, Input) else s) for n, s in nodes]
     elif kind == 7:
         nodes.reverse()
-    else:
+    elif kind == 8:
         preds[nid] = ()
+    elif kind == 9:
+        nodes = [(n, SUBCLASS[type(s)](**vars(s)) if type(s) in SUBCLASS else s) for n, s in nodes]
+    else:  # a size random_graph never draws, at a node that has one
+        j = int(rng.choice(sized))
+        nid, spec = nodes[j]
+        src = infer_shapes(graph)[preds[nid][0]]
+        if isinstance(spec, Concat):  # a strided branch
+            j = ids.index(preds[nid][0])
+            nid, spec, change = *nodes[j], {"stride": 2}
+        elif isinstance(spec, Shuffle) or kind == 10 and isinstance(spec, Conv):
+            # groups that divide neither the filters nor the input channels
+            change = {"groups": src.channels + getattr(spec, "filters", 0) + 1}
+        else:  # a window past its padded input
+            key = "kernel_h" if isinstance(spec, Conv) else "kernel"
+            change = {key: src.height + 2 * getattr(spec, "pad", 0) + spec.stride}
+        nodes[j] = (nid, replace(spec, **change))
     return ArchGraph(graph.name, tuple(nodes), preds)
 
 
@@ -292,8 +272,7 @@ def corpus() -> list[ArchGraph]:
                                                      "mobilenet")]
     graphs += [zoo.squeezenet(p) for p in (0.125, 0.75)]
     rng = np.random.default_rng(20140)
-    graphs += [random_graph(rng) for _ in range(60)]
-    graphs += [extra_graph(rng, f"extra{k}") for k in range(120)]
+    graphs += [random_graph(rng) for _ in range(180)]
     graphs += [mutate(graphs[int(rng.integers(len(graphs)))], rng) for _ in range(240)]
     return graphs
 
