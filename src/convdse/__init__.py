@@ -3,13 +3,12 @@ a typed layer-graph IR, analytical cost metrics, parametric model
 generators, grid sweeps with Pareto/saturation analysis, a weight
 compression codec, and a naive reference executor as the semantic oracle.
 
-The codec (``weights``, ``huffman``, ``compress``), the descriptor reader
-and the reference executor are executed on first attribute access, so a
-command that prices a generated family does not compile them. They are in
-``sys.modules`` and are attributes of this package from the start, so
-``import convdse.compress``, ``from convdse import compress`` and lookups in
-``sys.modules`` all find them; their re-exported names resolve through the
-module ``__getattr__``.
+Every module but the command line and the oracle suite is executed on
+first attribute access, so ``import convdse`` executes none of them and a
+command only those it reads. They are in ``sys.modules`` and are attributes
+of this package from the start, so ``import convdse.compress``, ``from
+convdse import compress`` and lookups in ``sys.modules`` all find them; the
+re-exported names resolve through the module ``__getattr__``.
 """
 
 import importlib.util
@@ -26,45 +25,44 @@ def _register_lazy(name: str):
     return module
 
 
-# Registered before the eager imports below, so that each precedes every
-# eagerly loaded module in sys.modules: code that walks sys.modules and
-# touches each module in turn (bench/tracing.py, which swaps functions by
-# identity) executes these before it has swapped a function they import.
-weights = _register_lazy("weights")
-huffman = _register_lazy("huffman")
-compress = _register_lazy("compress")
-descriptor = _register_lazy("descriptor")
-refexec = _register_lazy("refexec")
-
-from .costs import (DEFAULT_PLATFORM, MetricsReport, PlatformSpec, layer_macs, layer_params,
-                    model_macs, model_params, peak_activation_bytes, report)
-from .explore import (ConstraintSet, DesignPoint, SweepError, attach_accuracy,
-                      check_constraints, find_saturation, pareto_front, sweep)
-from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, GraphBuilder,
-                    GraphError, Input, Pool, ReLU, ShapeError, Shuffle, TensorShape,
-                    infer_shapes, lower_fc, validate)
-from .zoo import (FireSpec, PoolPlacement, alexnet, fire_module, mobilenet_like,
-                  place_downsampling, squeezenet, vgg19)
+compress, costs, descriptor, explore, graph, huffman, refexec, settings, weights, zoo = map(
+    _register_lazy, ("compress", "costs", "descriptor", "explore", "graph", "huffman",
+                     "refexec", "settings", "weights", "zoo"))
 
 if TYPE_CHECKING:
     from .compress import (CompressedModel, CompressionReport, QuantizedTensor, compress_model,
                            compression_report, decode_model, encode, kmeans_quantize,
                            prune_magnitude, quantize_model)
+    from .costs import (DEFAULT_PLATFORM, MetricsReport, PlatformSpec, layer_macs, layer_params,
+                        model_macs, model_params, peak_activation_bytes, report)
     from .descriptor import DescriptorError, parse, serialize
+    from .explore import (ConstraintSet, DesignPoint, SweepError, attach_accuracy,
+                          check_constraints, find_saturation, pareto_front, sweep)
+    from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, GraphBuilder,
+                        GraphError, Input, Pool, ReLU, ShapeError, Shuffle, TensorShape,
+                        infer_shapes, lower_fc, validate)
     from .refexec import Tensor3D, count_macs_instrumented, run
     from .weights import WeightTensor, load_sdnw, read_sdnw, save_sdnw, write_sdnw
+    from .zoo import (FireSpec, PoolPlacement, alexnet, fire_module, mobilenet_like,
+                      place_downsampling, squeezenet, vgg19)
 
-# re-exported name -> the first-use module that defines it; the same names
-# as the TYPE_CHECKING imports above
-_LAZY_NAMES = {
-    **dict.fromkeys(("CompressedModel", "CompressionReport", "QuantizedTensor",
-                     "compress_model", "compression_report", "decode_model", "encode",
-                     "kmeans_quantize", "prune_magnitude", "quantize_model"), compress),
-    **dict.fromkeys(("DescriptorError", "parse", "serialize"), descriptor),
-    **dict.fromkeys(("Tensor3D", "count_macs_instrumented", "run"), refexec),
-    **dict.fromkeys(("WeightTensor", "load_sdnw", "read_sdnw", "save_sdnw", "write_sdnw"),
-                    weights),
-}
+# re-exported name -> its module: the names the TYPE_CHECKING block imports
+_LAZY_NAMES = {name: module for module, names in [
+    (compress, "CompressedModel CompressionReport QuantizedTensor compress_model "
+               "compression_report decode_model encode kmeans_quantize prune_magnitude "
+               "quantize_model"),
+    (costs, "DEFAULT_PLATFORM MetricsReport PlatformSpec layer_macs layer_params model_macs "
+            "model_params peak_activation_bytes report"),
+    (descriptor, "DescriptorError parse serialize"),
+    (explore, "ConstraintSet DesignPoint SweepError attach_accuracy check_constraints "
+              "find_saturation pareto_front sweep"),
+    (graph, "ArchGraph Concat Conv FullyConnected GlobalAvgPool GraphBuilder GraphError Input "
+            "Pool ReLU ShapeError Shuffle TensorShape infer_shapes lower_fc validate"),
+    (refexec, "Tensor3D count_macs_instrumented run"),
+    (weights, "WeightTensor load_sdnw read_sdnw save_sdnw write_sdnw"),
+    (zoo, "FireSpec PoolPlacement alexnet fire_module mobilenet_like place_downsampling "
+          "squeezenet vgg19"),
+] for name in names.split()}
 
 
 def __getattr__(name: str):

@@ -19,10 +19,7 @@ from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
 from . import compress as compress_mod
-from . import costs, descriptor, explore, weights
-from .costs import DEFAULT_PLATFORM, MetricsReport, PlatformSpec, load_json, read_text, report
-from .explore import ConstraintSet, DesignPoint, SweepError
-from .graph import ArchGraph
+from . import costs, descriptor, explore, graph, settings, weights
 
 
 def human_bytes(n: int) -> str:
@@ -50,21 +47,27 @@ def _print_table(rows: list[tuple[str, str]]) -> None:
         print(f"{key.ljust(width)}  {value}")
 
 
-def _load_platform(path: Optional[str]) -> PlatformSpec:
-    return PlatformSpec.load(path) if path else DEFAULT_PLATFORM
+@contextlib.contextmanager
+def _platform(path: Optional[str]):
+    """The platform of ``--platform`` or the default; a cost overflow on a file names it."""
+    try:
+        yield costs.PlatformSpec.load(path) if path else costs.DEFAULT_PLATFORM
+    except costs.CostOverflowError as exc:
+        exc.platform = f" on {costs.PlatformSpec.label} {path}" if path else ""
+        raise
 
 
-def _graph_from_args(args) -> tuple[ArchGraph, dict]:
+def _graph_from_args(args) -> tuple[graph.ArchGraph, dict]:
     params = {f.name: getattr(args, f.name) for family in explore.FAMILIES.values()
               for f in family.params if getattr(args, f.name) is not None}
     if args.arch:
         given = ["--family"] * bool(args.family) + [f"--{n.replace('_', '-')}" for n in params]
         if given:  # a descriptor takes no family, so these would be dropped
-            raise SweepError(f"--arch cannot be combined with {', '.join(given)}")
+            raise explore.SweepError(f"--arch cannot be combined with {', '.join(given)}")
         return descriptor.load(args.arch), {}
     if args.family:
         return explore.build_family(args.family, params), params
-    raise SweepError("one of --arch or --family is required")
+    raise explore.SweepError("one of --arch or --family is required")
 
 
 def _format_metric(value, unit: str) -> str:
@@ -76,7 +79,7 @@ def _format_metric(value, unit: str) -> str:
     return f"{value:,} {unit} ({human})"
 
 
-def _report_rows(m: MetricsReport) -> list[tuple[str, str]]:
+def _report_rows(m: costs.MetricsReport) -> list[tuple[str, str]]:
     return [("architecture", m.name)] + [
         (f.metadata["label"], _format_metric(getattr(m, f.name), f.metadata["unit"]))
         for f in fields(m) if f.metadata]
@@ -84,8 +87,8 @@ def _report_rows(m: MetricsReport) -> list[tuple[str, str]]:
 
 def cmd_describe(args) -> int:
     graph, _ = _graph_from_args(args)
-    platform = _load_platform(args.platform)
-    m = report(graph, platform, batch=args.batch)
+    with _platform(args.platform) as platform:
+        m = costs.report(graph, platform, batch=args.batch)
     if args.json:
         print(json.dumps(m.to_dict(), indent=2, allow_nan=False))
     else:
@@ -94,16 +97,16 @@ def cmd_describe(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    platform = _load_platform(args.platform)
-    grid = load_json(args.grid)
-    try:
-        points = explore.sweep(args.family, grid, platform, batch=args.batch)
-    except SweepError as exc:  # a cell's GraphError keeps its text and exit code
-        raise SweepError(f"grid file {args.grid}: {exc}") from None
+    with _platform(args.platform) as platform:
+        grid = costs.load_json(args.grid)
+        try:
+            points = explore.sweep(args.family, grid, platform, batch=args.batch)
+        except explore.SweepError as exc:  # a cell's GraphError keeps its text and exit code
+            raise explore.SweepError(f"grid file {args.grid}: {exc}") from None
 
     unmatched: list[dict] = []
     if args.accuracy:
-        table = explore.load_accuracy_table(read_text(args.accuracy), args.accuracy)
+        table = explore.load_accuracy_table(costs.read_text(args.accuracy), args.accuracy)
         points, unmatched = explore.attach_accuracy(points, table,
                                                     f"accuracy table {args.accuracy}")
         for row in unmatched:
@@ -115,7 +118,8 @@ def cmd_sweep(args) -> int:
     saturation_point = None
     if args.saturation_axis:
         if not have_error:
-            raise SweepError("--saturation-axis needs an accuracy table covering every point")
+            raise explore.SweepError("--saturation-axis needs an accuracy table covering "
+                                     "every point")
         ordered = sorted(points, key=lambda p: p.value_of(args.saturation_axis))
         saturation_point = explore.find_saturation(ordered, args.epsilon,
                                                    args.saturation_axis)
@@ -148,7 +152,7 @@ def cmd_sweep(args) -> int:
     json_text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     csv_path = f"{args.out}.csv"
     json_path = f"{args.out}.json"
-    metrics = [f.name for f in fields(MetricsReport) if f.metadata]
+    metrics = [f.name for f in fields(costs.MetricsReport) if f.metadata]
     header = [*grid, *metrics, "top5_error", "pareto", "saturation"]
     if saturation_point is None:  # a saturation column only when some point is the one
         header.pop()
@@ -181,7 +185,7 @@ def _row_value(what: str, numbered_row: tuple[int, dict[str, str]], metric: str)
         return float(value)
     except ValueError:
         problem = "is empty" if value == "" else f"has non-numeric value {value!r}"
-        raise SweepError(f"{what} line {line}: metric {metric!r} {problem}") from None
+        raise explore.SweepError(f"{what} line {line}: metric {metric!r} {problem}") from None
 
 
 def _parse_objectives(spec: str) -> list[tuple[str, str]]:
@@ -193,19 +197,19 @@ def _parse_objectives(spec: str) -> list[tuple[str, str]]:
         name, _, sense = item.partition(":")
         objectives.append((name.strip(), (sense or "min").strip()))
     if not objectives:
-        raise SweepError("no objectives given")
+        raise explore.SweepError("no objectives given")
     return objectives
 
 
 def cmd_pareto(args) -> int:
     objectives = _parse_objectives(args.objectives)
     what = f"points file {args.points}"
-    fieldnames, numbered = explore.read_csv(read_text(args.points), what)
+    fieldnames, numbered = explore.read_csv(costs.read_text(args.points), what)
     if not fieldnames:
-        raise SweepError(f"{what} has no header row")
+        raise explore.SweepError(f"{what} has no header row")
     for metric, _ in objectives:
         if metric not in fieldnames:
-            raise SweepError(f"{what} is missing metric {metric!r}")
+            raise explore.SweepError(f"{what} is missing metric {metric!r}")
     front = explore.pareto_front(numbered, objectives, functools.partial(_row_value, what))
     with (open(args.out, "w", encoding="utf-8", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:
@@ -219,13 +223,13 @@ def cmd_pareto(args) -> int:
 
 def cmd_check(args) -> int:
     graph, metaparams = _graph_from_args(args)
-    platform = _load_platform(args.platform)
-    constraints = ConstraintSet.load(args.constraints)
-    point = DesignPoint(metaparams, report(graph, platform, batch=args.batch),
-                        top5_error=args.top5_error)
+    with _platform(args.platform) as platform:
+        constraints = explore.ConstraintSet.load(args.constraints)
+        point = explore.DesignPoint(metaparams, costs.report(graph, platform, batch=args.batch),
+                                    top5_error=args.top5_error)
     if constraints.max_top5_error is not None and args.top5_error is None:
-        raise SweepError(f"{ConstraintSet.label} {args.constraints}: max_top5_error is set, "
-                         "but no --top5-error was given")
+        raise explore.SweepError(f"{constraints.label} {args.constraints}: max_top5_error is "
+                                 "set, but no --top5-error was given")
     result = explore.check_constraints(point, constraints)
     for check in result.checks:
         if check.hard:
@@ -292,7 +296,7 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
-def _checked(f: costs.Field, text: str):
+def _checked(f: settings.Field, text: str):
     """``text`` as f's kind, or else as a float, checked by ``f``: refused
     (exit 2) before any file is read."""
     value = text
@@ -302,14 +306,14 @@ def _checked(f: costs.Field, text: str):
     return f.check(value, argparse.ArgumentTypeError)
 
 
-def _typed(f: costs.Field) -> dict:
+def _typed(f: settings.Field) -> dict:
     """The argparse keywords reading a flag as ``f``: its choices, or ``_checked``."""
     if isinstance(f.kind, tuple):
         return {"choices": f.kind}
     return {"type": functools.partial(_checked, f)}
 
 
-def _add_flag(parser: argparse.ArgumentParser, flag: str, f: costs.Field):
+def _add_flag(parser: argparse.ArgumentParser, flag: str, f: settings.Field):
     """The flag of ``f``, with its default and help."""
     parser.add_argument(flag, **_typed(f), default=f.default,
                         help=f.help if f.default is None else f"{f.help} (default {f.default})")
@@ -325,7 +329,7 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(f"--{f.name.replace('_', '-')}", **_typed(f),
                                 help=f"{f.help} ({name}{default})")
     parser.add_argument("--platform", help="platform config (JSON)")
-    _add_flag(parser, "--batch", costs.BATCH)
+    _add_flag(parser, "--batch", settings.BATCH)
 
 
 def _describe_arguments(p: argparse.ArgumentParser) -> None:
@@ -337,7 +341,7 @@ def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=sorted(explore.FAMILIES))
     p.add_argument("--grid", required=True, help="JSON file mapping axis -> value list")
     p.add_argument("--platform", help="platform config (JSON)")
-    _add_flag(p, "--batch", costs.BATCH)
+    _add_flag(p, "--batch", settings.BATCH)
     p.add_argument("--accuracy", help="CSV of recorded accuracy keyed by metaparams")
     p.add_argument("--saturation-axis",
                    help="metric to order points by when detecting saturation")
@@ -360,9 +364,9 @@ def _check_arguments(p: argparse.ArgumentParser) -> None:
 
 def _compress_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights", required=True, help="input SDNW file")
-    _add_flag(p, "--sparsity", costs.SPARSITY)
-    _add_flag(p, "--bits", costs.BITS)
-    _add_flag(p, "--gap-bits", costs.GAP_BITS)
+    _add_flag(p, "--sparsity", settings.SPARSITY)
+    _add_flag(p, "--bits", settings.BITS)
+    _add_flag(p, "--gap-bits", settings.GAP_BITS)
     p.add_argument("--out", required=True, help="output SDNC file")
     p.add_argument("--json", action="store_true")
 

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import huffman
-from .costs import BITS, GAP_BITS, SPARSITY
+from .settings import BITS, GAP_BITS, SPARSITY
 from .weights import (Cursor, WeightTensor, pack_container_head, pack_tensor_header,
                       read_container)
 

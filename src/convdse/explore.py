@@ -16,8 +16,9 @@ import operator
 from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Optional, Sequence
 
-from .costs import BATCH, Field, MetricsReport, NumericConfig, PlatformSpec, check_record, report
+from .costs import MetricsReport, NumericConfig, PlatformSpec, report
 from .graph import ArchGraph, GraphError
+from .settings import BATCH, Field, check_record
 from .zoo import POOL_STRATEGIES, PoolPlacement, alexnet, mobilenet_like, squeezenet, vgg19
 
 

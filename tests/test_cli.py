@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from convdse import cli, compress, explore, refexec, weights, zoo
+from convdse import cli, compress, costs, explore, refexec, weights, zoo
 from convdse.cli import main
 from convdse.costs import MetricsReport
 from convdse.descriptor import serialize
@@ -148,28 +148,39 @@ class TestDescribe:
     ], ids=["filters_1e310", "word_bytes_1e301", "e_mac_1e300"])
     def test_costs_past_float_range_exit_2_naming_the_graph(self, tmp_path, capsys, arch,
                                                             platform, name):
-        (tmp_path / "platform.json").write_text(json.dumps(platform))
+        path = tmp_path / "platform.json"
+        path.write_text(json.dumps(platform))
+        (tmp_path / "constraints.json").write_text("{}")
+        (tmp_path / "grid.json").write_text("{}")  # one cell: the family's only graph
         source = ["--family", "alexnet"]
+        commands = [["describe"], ["describe", "--json"],
+                    ["check", "--constraints", str(tmp_path / "constraints.json")],
+                    ["sweep", "--grid", str(tmp_path / "grid.json"), "--out", str(tmp_path / "x")]]
         if arch is not None:
             (tmp_path / "arch.json").write_text(json.dumps(arch))
             source = ["--arch", str(tmp_path / "arch.json")]
-        for output in ([], ["--json"]):
-            assert run_cli("describe", *source, "--platform", str(tmp_path / "platform.json"),
-                           *output) == 2
+            commands.pop()  # a sweep prices only a family's graphs
+            # the default platform is read from no file, and the refusal names none
+            assert run_cli("describe", *source) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: graph {name!r}: cost metrics overflow a float (")
+        for command in commands:
+            assert run_cli(*command, *source, "--platform", str(path)) == 2
             captured = capsys.readouterr()
             assert captured.err.startswith(
-                f"error: graph {name!r}: cost metrics overflow a float (")
+                f"error: graph {name!r} on platform config {path}: cost metrics overflow a float (")
             assert captured.out == ""
+            assert not (tmp_path / "x.csv").exists()
 
     def test_non_finite_json_is_refused(self, monkeypatch, tmp_path, capsys):
         # should a metric escape report's checks, no JSON writer prints
         # Infinity, and a sweep writes neither of its files
-        real_report = cli.report
+        real_report = costs.report
 
         def infinite_energy(*args, **kwargs):
             return replace(real_report(*args, **kwargs), energy_per_frame=math.inf)
 
-        monkeypatch.setattr(cli, "report", infinite_energy)
+        monkeypatch.setattr(costs, "report", infinite_energy)
         monkeypatch.setattr(explore, "report", infinite_energy)
         assert run_cli("describe", "--family", "alexnet", "--json") == 2
         assert capsys.readouterr().out == ""
@@ -367,8 +378,8 @@ class TestSweep:
         assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
                        "--platform", str(platform), "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == (
-            "error: graph 'squeezenet(p=0.5)': cost metrics overflow a float "
-            "(energy per frame is inf)\n")
+            f"error: graph 'squeezenet(p=0.5)' on platform config {platform}: cost metrics "
+            "overflow a float (energy per frame is inf)\n")
         assert not (tmp_path / "x.csv").exists()
         assert not (tmp_path / "x.json").exists()
 

@@ -1,6 +1,7 @@
-"""Start-up cost: the cost-side commands start without numpy, and the codec,
-the descriptor reader and the reference executor are executed on first use.
-Checked in fresh interpreters, because this process has all of them loaded."""
+"""Start-up cost: ``import convdse`` executes no package module, each
+command executes only the modules it reads, and the cost-side commands start
+without numpy. Checked in fresh interpreters, because this process has all of
+them loaded."""
 
 import json
 import os
@@ -17,47 +18,40 @@ from convdse import compress, descriptor, weights, zoo
 SRC = str(Path(convdse.__file__).resolve().parent.parent)
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
-FIRST_USE = ("compress", "descriptor", "huffman", "refexec", "weights")
+COST = ["costs", "explore", "graph", "settings", "zoo"]
+CODEC = ["compress", "huffman", "settings", "weights"]
 
-# Runs each step in order and prints, as its last line, one JSON list of
-# [step, exit code or None, whether numpy is loaded after it, the first-use
-# modules executed after it].
+# Runs the CLI commands of the JSON list argv[2] in order and prints, as its
+# last line, one JSON list of [step, exit code or None, whether numpy is
+# loaded after it, the registered modules executed after it].
 SCRIPT = r"""
 import contextlib, io, json, sys
-work = sys.argv[1]
+work, commands = sys.argv[1], json.loads(sys.argv[2])
 steps = []
 def loaded():
     return "numpy" in sys.modules
+import convdse
+registered = [n for n in sys.modules if n.startswith("convdse.")]
 def executed():
     # a module's raw __dict__ gains __builtins__ when its body runs; reading
     # it through the module would run the body
-    return [m for m in ("compress", "descriptor", "huffman", "refexec", "weights")
-            if "__builtins__" in object.__getattribute__(sys.modules["convdse." + m], "__dict__")]
-import convdse
+    return sorted(n[len("convdse."):] for n in registered
+                  if "__builtins__" in object.__getattribute__(sys.modules[n], "__dict__"))
 steps.append(["import convdse", None, loaded(), executed()])
 import convdse.cli
 steps.append(["import convdse.cli", None, loaded(), executed()])
-commands = [
-    ["describe", "--family", "squeezenet", "--json"],
-    ["check", "--family", "squeezenet", "--constraints", f"{work}/constraints.json"],
-    ["sweep", "--family", "squeezenet", "--grid", f"{work}/grid.json", "--out", f"{work}/sw"],
-    ["pareto", "--points", f"{work}/sw.csv", "--objectives", "total_params:min,total_macs:min"],
-    # refused commands: deciding the exit code must not load a first-use module
-    ["describe", "--family", "squeezenet", "--p", "5"],
-    ["describe", "--platform", f"{work}/negative.json", "--family", "squeezenet"],
-    ["describe", "--platform", f"{work}/missing.json", "--family", "squeezenet"],
-    ["sweep", "--grid", f"{work}/collapse.json", "--family", "squeezenet", "--out", f"{work}/x"],
-    ["describe", "--arch", f"{work}/broken.json"],
-    ["describe", "--arch", f"{work}/squeezenet.json", "--json"],
-    ["compress", "--weights", f"{work}/in.sdnw", "--out", f"{work}/out.sdnc"],
-    ["decompress", "--in", f"{work}/out.sdnc", "--out", f"{work}/out.sdnw"],
-]
 for argv in commands:
+    argv = [a.replace("{work}", work) for a in argv]
     with contextlib.redirect_stdout(io.StringIO()):
         code = convdse.cli.main(argv)
     steps.append([" ".join(argv[:2]), code, loaded(), executed()])
 print(json.dumps(steps))
 """
+
+CODEC_COMMANDS = [
+    ["compress", "--weights", "{work}/in.sdnw", "--out", "{work}/out.sdnc"],
+    ["decompress", "--in", "{work}/out.sdnc", "--out", "{work}/out.sdnw"],
+]
 
 
 def run_fresh(*args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -65,7 +59,15 @@ def run_fresh(*args: str, cwd=None) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
-def test_cost_side_commands_never_import_numpy(tmp_path):
+def run_steps(work: Path, commands: list[list[str]]) -> list:
+    done = run_fresh("-c", SCRIPT, str(work), json.dumps(commands))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def work(tmp_path):
+    """Input files of the commands below, and the weights in in.sdnw."""
     (tmp_path / "constraints.json").write_text(json.dumps({"max_onchip_bytes": 32 << 20}))
     (tmp_path / "grid.json").write_text(json.dumps({"p": [0.25, 0.5, 1.0]}))
     (tmp_path / "negative.json").write_text(json.dumps(
@@ -79,30 +81,57 @@ def test_cost_side_commands_never_import_numpy(tmp_path):
                                     rng.standard_normal(16 * 8 * 9)),
                weights.WeightTensor("conv.bias", (16,), rng.standard_normal(16))]
     weights.save_sdnw(tensors, tmp_path / "in.sdnw")
-    done = run_fresh("-c", SCRIPT, str(tmp_path))
-    assert done.returncode == 0, done.stderr
-    codec = ["compress", "descriptor", "huffman", "weights"]
-    assert json.loads(done.stdout.splitlines()[-1]) == [
+    return tmp_path, tensors
+
+
+def test_cost_side_commands_never_import_numpy(work):
+    work, _ = work
+    steps = run_steps(work, [
+        ["describe", "--family", "squeezenet", "--json"],
+        ["check", "--family", "squeezenet", "--constraints", "{work}/constraints.json"],
+        ["sweep", "--family", "squeezenet", "--grid", "{work}/grid.json", "--out", "{work}/sw"],
+        ["pareto", "--points", "{work}/sw.csv", "--objectives", "total_params:min,total_macs:min"],
+        # refused commands: deciding the exit code must not load a codec module
+        ["describe", "--family", "squeezenet", "--p", "5"],
+        ["describe", "--platform", "{work}/negative.json", "--family", "squeezenet"],
+        ["describe", "--platform", "{work}/missing.json", "--family", "squeezenet"],
+        ["sweep", "--grid", "{work}/collapse.json", "--family", "squeezenet", "--out", "{work}/x"],
+        ["describe", "--arch", "{work}/broken.json"],
+        ["describe", "--arch", "{work}/squeezenet.json", "--json"],
+        *CODEC_COMMANDS,
+    ])
+    arch = sorted([*COST, "descriptor"])
+    assert steps == [
         ["import convdse", None, False, []],
         ["import convdse.cli", None, False, []],
-        ["describe --family", 0, False, []],
-        ["check --family", 0, False, []],
-        ["sweep --family", 0, False, []],
-        ["pareto --points", 0, False, []],
-        ["describe --family", 2, False, []],
-        ["describe --platform", 2, False, []],
-        ["describe --platform", 3, False, []],
-        ["sweep --grid", 1, False, []],
-        ["describe --arch", 3, False, ["descriptor"]],
-        ["describe --arch", 0, False, ["descriptor"]],
-        ["compress --weights", 0, True, codec],
-        ["decompress --in", 0, True, codec],
+        ["describe --family", 0, False, COST],
+        ["check --family", 0, False, COST],
+        ["sweep --family", 0, False, COST],
+        ["pareto --points", 0, False, COST],
+        ["describe --family", 2, False, COST],
+        ["describe --platform", 2, False, COST],
+        ["describe --platform", 3, False, COST],
+        ["sweep --grid", 1, False, COST],
+        ["describe --arch", 3, False, arch],
+        ["describe --arch", 0, False, arch],
+        ["compress --weights", 0, True, sorted({*arch, *CODEC})],
+        ["decompress --in", 0, True, sorted({*arch, *CODEC})],
+    ]
+
+
+def test_codec_commands_never_execute_the_cost_model(work):
+    work, tensors = work
+    assert run_steps(work, CODEC_COMMANDS) == [
+        ["import convdse", None, False, []],
+        ["import convdse.cli", None, False, []],
+        ["compress --weights", 0, True, CODEC],
+        ["decompress --in", 0, True, CODEC],
     ]
     # the codec's first numpy import happened inside compress and decompress,
     # and both wrote what this process (numpy loaded throughout) writes
     model = compress.compress_model(tensors, 0.7, 6)
-    assert (tmp_path / "out.sdnc").read_bytes() == compress.write_sdnc(model)
-    assert (tmp_path / "out.sdnw").read_bytes() == weights.write_sdnw(
+    assert (work / "out.sdnc").read_bytes() == compress.write_sdnc(model)
+    assert (work / "out.sdnw").read_bytes() == weights.write_sdnw(
         compress.decode_model(model))
 
 
@@ -146,10 +175,6 @@ def test_every_module_is_registered_and_every_export_resolves():
     assert sorted(registered) == sorted(
         f"convdse.{p.stem}" for p in package.glob("*.py")
         if p.stem not in ("__init__", "properties"))
-    # every first-use module precedes every eager one, so code that walks
-    # sys.modules and touches each module in turn (bench/tracing.py, patching
-    # traced functions) executes them before it patches a module they import from
-    assert sorted(registered[:len(FIRST_USE)]) == [f"convdse.{m}" for m in FIRST_USE]
 
     listed = dir(convdse)
     for module_name, names in EXPORTS.items():
