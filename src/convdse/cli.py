@@ -9,6 +9,7 @@ tables read the same records.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import functools
@@ -243,13 +244,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    tensors = weights.load_sdnw(args.weights)
-    model = compress_mod.compress_model(tensors, args.sparsity, args.bits,
-                                        rel_index_bits=args.gap_bits)
+    queue = collections.deque(weights.load_sdnw(args.weights))
+    dense = sum(4 * t.size for t in queue)
+    # handed over one at a time, so that each tensor is dropped once pruned
+    model = compress_mod.compress_model((queue.popleft() for _ in range(len(queue))),
+                                        args.sparsity, args.bits, rel_index_bits=args.gap_bits)
     container = compress_mod.write_sdnc(model)
     with open(args.out, "wb") as fh:
         fh.write(container)
-    dense = sum(4 * t.size for t in tensors)
     rep = compress_mod.compression_report(dense, model, container)
     if args.json:
         doc = {

@@ -17,6 +17,7 @@ never silently decoded.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import zlib
@@ -45,8 +46,10 @@ def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTenso
     lowest flat index first; a pruned entry becomes +0.0 and a kept one
     keeps its bits, -0.0 included. NaN or infinite weights are refused.
 
-    The cut magnitude comes from one O(N) ``np.partition``. Every entry at
-    or above it is kept, except the first of the entries equal to it, in
+    The cut magnitude comes from one O(N) partition of the magnitudes in
+    place, which are then refilled, so the input is never written and at
+    most one other float array of its size is alive. Every entry at or
+    above the cut is kept, except the first of the entries equal to it, in
     flat order, that the count still needs. The kept mask, negated as int8
     to all-ones or zero, is ANDed into the float32 bits in one pass, with
     no per-element branch."""
@@ -60,10 +63,13 @@ def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTenso
     n_prune = math.floor(target_sparsity * values.size)
     if not n_prune:
         return WeightTensor(tensor.name, tensor.shape, values.copy())
-    threshold = np.partition(magnitude, n_prune - 1)[n_prune - 1]
+    magnitude.partition(n_prune - 1)
+    threshold = magnitude[n_prune - 1]
+    np.abs(values, out=magnitude)
     keep = magnitude >= threshold
     extra = n_prune - (values.size - int(np.count_nonzero(keep)))
     keep[np.flatnonzero(magnitude == threshold)[:extra]] = False
+    del magnitude
     flags = keep.view(np.int8)
     np.negative(flags, out=flags)
     pruned = np.empty_like(values)
@@ -92,6 +98,11 @@ class QuantizedTensor:
         return WeightTensor(self.name, self.shape, values)
 
 
+def _index_dtype(size: int) -> type:
+    """int32 for the flat indices of ``size`` elements where they fit, else int64."""
+    return np.int32 if size < 2**31 else np.int64
+
+
 _KMEANS_ITERS = 50  # Lloyd steps at most
 _KMEANS_TOL = 1e-8  # stop once no centroid moves by this much
 
@@ -118,6 +129,14 @@ def _prefix_sums(ordered: np.ndarray) -> Optional[np.ndarray]:
     return prefix
 
 
+def _nonzeros(tensor: WeightTensor) -> tuple[str, tuple[int, ...], np.ndarray, np.ndarray]:
+    """The name, shape, nonzero positions and nonzero values of ``tensor``;
+    the positions are int32 where they fit, as every tensor's are held at once."""
+    # a bool mask is several times faster to search than the float values
+    positions = np.flatnonzero(tensor.values != 0).astype(_index_dtype(tensor.values.size))
+    return tensor.name, tensor.shape, positions, tensor.values[positions]
+
+
 class _SortedNonzeros:
     """One tensor's state in the Lloyd loop: the positions of its
     nonzeros, the permutation that sorts them, the sorted values in
@@ -125,17 +144,14 @@ class _SortedNonzeros:
 
     __slots__ = ("name", "shape", "positions", "order", "ordered", "prefix")
 
-    def __init__(self, tensor: WeightTensor):
-        self.name, self.shape = tensor.name, tensor.shape
-        # held as int32 where they fit: every tensor's state is held at once
-        index = np.int32 if tensor.values.size < 2**31 else np.int64
-        # a bool mask is several times faster to search than the float values
-        self.positions = np.flatnonzero(tensor.values != 0).astype(index)
-        nz = tensor.values[self.positions]
+    def __init__(self, name: str, shape: tuple[int, ...], positions: np.ndarray,
+                 nz: np.ndarray):
+        self.name, self.shape, self.positions = name, shape, positions
         # equal values may swap places: the sorted sequence, and so every
         # run sum, is the same
-        self.order = np.argsort(nz).astype(index)
-        self.ordered = nz.take(self.order).astype(np.float64)
+        self.order = np.argsort(nz).astype(positions.dtype)
+        # indexing, unlike take, gathers by int32 indices without an intp copy
+        self.ordered = nz[self.order].astype(np.float64)
         self.prefix = None
         if self.ordered.size:
             # NaN sorts last and the infinities sit at the ends
@@ -146,15 +162,20 @@ class _SortedNonzeros:
     def quantized(self, centroids: np.ndarray, counts: np.ndarray) -> QuantizedTensor:
         """The tensor quantized to the final ``centroids``, whose runs of the
         sorted values hold ``counts`` values each: each run's codebook slot
-        is repeated over it and scattered back to position order."""
+        is repeated over it and scattered back to position order. This
+        spends the state: each of its arrays is released once used."""
         codebook = centroids.astype(np.float32)
         zero = (counts > 0) & (codebook == 0.0)
         used = (counts > 0) & ~zero
-        # codebook slot per run; -1 marks the members of a zero centroid
-        slot = np.where(used, np.cumsum(used) - 1, -1)
+        # codebook slot per run; -1 marks the members of a zero centroid.
+        # k <= 256, so a slot fits an int16.
+        slot = np.where(used, np.cumsum(used) - 1, -1).astype(np.int16)
+        self.ordered = self.prefix = None
         labels = np.empty(self.positions.size, dtype=np.int64)
         labels[self.order] = np.repeat(slot, counts)
+        self.order = None
         positions = self.positions.astype(np.int64)
+        self.positions = None
         if zero.any():
             keep = labels >= 0
             positions, labels = positions[keep], labels[keep]
@@ -182,7 +203,9 @@ def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[Quantized
     more search gives its final runs, and its state is released as soon as
     its labels are built."""
     k = 1 << BITS.check(bits)
-    states = [_SortedNonzeros(t) for t in tensors]
+    # map, unlike a comprehension's loop variable, holds no tensor past its
+    # call, so each dense tensor is gone before its nonzeros are sorted
+    states = list(itertools.starmap(_SortedNonzeros, map(_nonzeros, tensors)))
     out: list[Optional[QuantizedTensor]] = [None] * len(states)
     none = np.zeros(0, dtype=np.int64)
     for i, state in enumerate(states):
@@ -275,15 +298,26 @@ def _gap_index_symbols(quantized: QuantizedTensor,
     symbol streams. A gap of at least 2**b positions is bridged by filler
     records (gap 2**b - 1 plus one zero-valued padding slot each, so a gap g
     takes g >> b of them); the filler index symbol is one past the last
-    codebook slot."""
-    gaps = np.diff(quantized.positions, prepend=-1) - 1
-    fillers = gaps >> rel_index_bits
-    # each nonzero's record follows its own fillers and all earlier records
-    slots = np.arange(gaps.size) + np.cumsum(fillers)
-    records = gaps.size + int(fillers.sum())
-    gap_symbols = np.full(records, (1 << rel_index_bits) - 1, dtype=np.uint16)
+    codebook slot. Gaps and slots are computed in place, in int32 where
+    the element count allows."""
+    positions = quantized.positions
+    gaps = np.empty(positions.size, dtype=_index_dtype(quantized.element_count()))
+    gaps[:1] = positions[:1]
+    np.subtract(positions[1:], positions[:-1], out=gaps[1:], casting="unsafe")
+    gaps[1:] -= 1
+    # each nonzero's record follows its own fillers and all earlier records,
+    # so its slot is the running count of fillers plus one, less one
+    slots = gaps >> rel_index_bits
+    records = gaps.size + int(slots.sum())
+    slots += 1
+    np.cumsum(slots, dtype=slots.dtype, out=slots)
+    slots -= 1
+    mask = (1 << rel_index_bits) - 1
+    gaps &= mask
+    gap_symbols = np.full(records, mask, dtype=np.uint16)
+    gap_symbols[slots] = gaps
+    del gaps
     index_symbols = np.full(records, quantized.codebook.size, dtype=np.uint16)
-    gap_symbols[slots] = gaps & ((1 << rel_index_bits) - 1)
     index_symbols[slots] = quantized.assignments
     return gap_symbols, index_symbols
 
@@ -467,16 +501,21 @@ def _parse_record(r: Cursor) -> CompressedTensor:
                             index_bits, index_payload)
 
 
-def compress_model(tensors: Sequence[WeightTensor], target_sparsity: float, bits: int,
+def compress_model(tensors: Iterable[WeightTensor], target_sparsity: float, bits: int,
                    rel_index_bits: int = GAP_BITS.default) -> CompressedModel:
     """Full pipeline: prune each tensor, quantize the survivors of all of
     them in one ``quantize_model``, encode. Both widths and the sparsity are
-    checked before any work; NaN or infinite weights are refused."""
+    checked before any work; NaN or infinite weights are refused.
+
+    ``tensors`` is read once, in order, and each tensor is held only until
+    it is pruned: given a one-shot iterator that keeps no reference, as
+    ``convdse compress`` does, only the dense tensors not yet reached stay
+    alive. A list keeps them all, with the same output."""
     GAP_BITS.check(rel_index_bits)
     BITS.check(bits)
     SPARSITY.check(target_sparsity)
     # pruned one at a time as the quantizer reads them
-    pruned = (prune_magnitude(t, target_sparsity) for t in tensors)
+    pruned = map(prune_magnitude, tensors, itertools.repeat(target_sparsity))
     return encode(quantize_model(pruned, bits), rel_index_bits)
 
 

@@ -104,6 +104,8 @@ def encode(symbols: Sequence[int], lengths: dict[int, int]) -> tuple[bytes, int]
     """Encode symbols with the canonical codes implied by ``lengths``;
     returns (payload bytes, exact bit count)."""
     symbols = np.asarray(symbols).ravel()
+    if symbols.dtype == bool:  # as an index, a bool array would be a mask
+        symbols = symbols.view(np.uint8)
     if symbols.size == 0:
         return b"", 0
     check_lengths(lengths)
@@ -119,7 +121,8 @@ def encode(symbols: Sequence[int], lengths: dict[int, int]) -> tuple[bytes, int]
     len_of = np.zeros(top + 1, dtype=np.uint64)
     code_of[list(codes)] = [code for code, _ in codes.values()]
     len_of[list(codes)] = [length for _, length in codes.values()]
-    ends = len_of.take(symbols)  # each code's length, summed in place below
+    # indexing, unlike take, gathers by narrow symbols without an intp copy
+    ends = len_of[symbols]  # each code's length, summed in place below
     if not ends.all():
         raise ValueError(f"symbol {int(symbols[(ends == 0).argmax()])} has no code")
     np.cumsum(ends, out=ends)
@@ -128,14 +131,22 @@ def encode(symbols: Sequence[int], lengths: dict[int, int]) -> tuple[bytes, int]
     # at least one code, and the codes ending in one word are adjacent
     word_starts = np.arange((total + 63) // 64, dtype=np.uint64) << np.uint64(6)
     firsts = np.searchsorted(ends, word_starts, side="right")
-    shifted = code_of.take(symbols)
-    shifted <<= -ends & np.uint64(63)
-    words = np.bitwise_or.reduceat(shifted, firsts)
     # the first code ending in word w may start in word w - 1; its bits past
     # the ones in word w go there (none when it does not cross)
     crossing = firsts[1:]
-    words[:-1] |= code_of.take(symbols.take(crossing)) >> (ends.take(crossing)
-                                                          - word_starts[1:])
+    carried = code_of.take(symbols.take(crossing)) >> (ends.take(crossing) - word_starts[1:])
+    # each code's shift to the end of its word, the low 6 bits of -end, is
+    # kept in a byte, so the ends are gone before the shifted codes are made
+    shifts = ends.astype(np.uint8)
+    del ends
+    np.negative(shifts, out=shifts)
+    shifts &= np.uint8(63)
+    shifted = code_of[symbols]
+    shifted <<= shifts
+    del shifts
+    words = np.bitwise_or.reduceat(shifted, firsts)
+    del shifted
+    words[:-1] |= carried
     return words.astype(">u8").view(np.uint8)[:(total + 7) // 8].tobytes(), total
 
 

@@ -3,6 +3,8 @@ import functools
 import json
 import math
 import struct
+import tracemalloc
+import weakref
 import zlib
 from dataclasses import fields, replace
 
@@ -714,6 +716,48 @@ class TestCompressionCommands:
         assert bodies == ["t0", "t1", "t2"]
         doc = json.loads(capsys.readouterr().out)
         assert doc["compressed_bytes"] == (tmp_path / "w.sdnc").stat().st_size
+
+    def test_compress_drops_each_input_tensor_once_pruned(self, tmp_path, capsys,
+                                                          monkeypatch):
+        rng = np.random.default_rng(3)
+        sdnw = tmp_path / "w.sdnw"
+        weights.save_sdnw([weights.WeightTensor(f"t{i}", (200,), rng.standard_normal(200))
+                           for i in range(4)], sdnw)
+        inputs, alive = [], []
+        prune = compress.prune_magnitude
+
+        def watched(tensor, sparsity):
+            # how many of the inputs pruned before this one are still held
+            alive.append(sum(ref() is not None for ref in inputs))
+            inputs.append(weakref.ref(tensor.values))
+            return prune(tensor, sparsity)
+        monkeypatch.setattr(compress, "prune_magnitude", watched)
+        assert run_cli("compress", "--weights", str(sdnw), "--out",
+                       str(tmp_path / "w.sdnc")) == 0
+        assert alive == [0, 0, 0, 0]
+
+    def test_compress_peak_memory_stays_under_three_times_the_input(self, tmp_path, capsys):
+        # a small model shaped like AlexNet's weights: one fully connected
+        # tensor holds most of them, with smaller ones before and after it
+        rng = np.random.default_rng(7)
+        shapes = [("conv1.weight", (32, 3, 5, 5)), ("conv2.weight", (64, 32, 3, 3)),
+                  ("fc1.weight", (256, 1024)), ("fc2.weight", (128, 256)),
+                  ("fc3.weight", (10, 128))]
+        sdnw = tmp_path / "w.sdnw"
+        weights.save_sdnw([weights.WeightTensor(name, shape, rng.standard_normal(shape))
+                           for name, shape in shapes], sdnw)
+        argv = ["compress", "--weights", str(sdnw), "--out", str(tmp_path / "w.sdnc")]
+        # the first run executes the codec modules, so the traced one measures only the work
+        assert run_cli(*argv) == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # reading the file alone holds its bytes and the loaded tensors: 2x
+        assert peak < 3.0 * sdnw.stat().st_size
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_weight_exits_2_naming_the_tensor(self, tmp_path, capsys, bad):

@@ -1,6 +1,7 @@
 import heapq
 import re
 import struct
+import weakref
 import zlib
 from dataclasses import replace
 
@@ -275,6 +276,20 @@ class TestPrune:
         for sparsity in (np.float32(0.7), 0.7):
             assert int((prune_magnitude(t, sparsity).values == 0).sum()) == 62
 
+    @pytest.mark.parametrize("values, sparsity",
+                             [pytest.param(*case.values[:2], id=case.id)
+                              for case in equivalence_cases()])
+    def test_input_is_never_written(self, values, sparsity):
+        # the cases hold ties, -0.0 and sparsity 0; a read-only input makes
+        # any write into it raise, and its bytes are compared besides
+        t = wt(values)
+        t.values.setflags(write=False)
+        before = t.values.tobytes()
+        pruned = prune_magnitude(t, sparsity)
+        assert t.values.tobytes() == before
+        assert not np.shares_memory(pruned.values, t.values)
+        assert pruned.values.flags.writeable
+
     def test_sparsity_range(self):
         with pytest.raises(ValueError):
             prune_magnitude(wt([1.0]), 1.0)
@@ -382,6 +397,41 @@ def test_codec_settings_may_be_numpy_scalars():
     assert (write_sdnc(compress_model(tensors, np.float32(0.5), np.int64(4),
                                       rel_index_bits=np.int64(3)))
             == write_sdnc(compress_model(tensors, 0.5, 4, rel_index_bits=3)))
+
+
+class TestStreaming:
+    """``compress_model`` reads its tensors once, in order, and holds each
+    only until it is pruned."""
+
+    SPECS = [("a", (3000,)), ("zeros", (5, 8)), ("b", (7, 100)), ("c", (1,))]
+
+    def values(self):
+        rng = np.random.default_rng(16)
+        return [np.zeros(shape) if name == "zeros" else rng.standard_normal(shape)
+                for name, shape in self.SPECS]
+
+    def test_one_shot_generator_codes_like_the_list(self):
+        listed = write_sdnc(compress_model([wt(v.ravel(), name, v.shape) for (name, _), v
+                                            in zip(self.SPECS, self.values())], 0.7, 6))
+        pulled, inputs = [], []
+
+        def one_shot():
+            for (name, _), v in zip(self.SPECS, self.values()):
+                # every tensor pulled before this one was pruned and dropped
+                assert [ref() for ref in inputs] == [None] * len(inputs)
+                t = wt(v.ravel(), name, v.shape)
+                pulled.append(name)
+                inputs.append(weakref.ref(t.values))
+                yield t
+                del t
+
+        assert write_sdnc(compress_model(one_shot(), 0.7, 6)) == listed
+        assert pulled == [name for name, _ in self.SPECS]
+
+    def test_empty_generator_codes_like_the_empty_list(self):
+        model = compress_model(iter(()), 0.7, 6)
+        assert model.records == ()
+        assert write_sdnc(model) == write_sdnc(compress_model([], 0.7, 6))
 
 
 def test_uint8_widths_code_like_python_ints():
@@ -671,6 +721,11 @@ class TestEncodeMatchesTheBitArrayReference:
             "uint64_symbols", "uint16_symbols"])
     def test_edge_cases(self, lengths, symbols):
         self.assert_same(symbols, lengths)
+
+    def test_bool_symbols_code_as_zero_and_one(self):
+        lengths = {0: 1, 1: 2, 2: 2}
+        assert (huffman.encode(np.array([True, False, True, True]), lengths)
+                == huffman.encode([1, 0, 1, 1], lengths))
 
     @pytest.mark.parametrize("symbols, message", [
         ([1, -2, 0, 5], "symbol -2 has no code"),
