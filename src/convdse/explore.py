@@ -122,7 +122,12 @@ def sweep(family: str, grid: dict[str, list], platform: PlatformSpec,
     axes as given. Deterministic: same grid and platform, same points. A
     grid that does not map axis names to lists is refused. A cell whose
     graph is invalid raises the GraphError (or ShapeError) of ``report``,
-    prefixed with the family and the cell's metaparameters."""
+    prefixed with the family and the cell's metaparameters.
+
+    The cells share one pricing memo, made here and dropped on return: a
+    layer whose shared spec instance an earlier cell priced on the same
+    input shape is not priced again (``costs._price``). The points are the
+    ones each cell's own ``report`` gives."""
     if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
         raise SweepError("grid must map axis names to value lists")
     axes = list(grid.keys())
@@ -134,11 +139,12 @@ def sweep(family: str, grid: dict[str, list], platform: PlatformSpec,
         raise SweepError(f"grid has {total} cells, exceeding the cap of {_MAX_POINTS}")
     BATCH.check(batch, SweepError)
     points = []
+    memo: dict = {}
     for combo in itertools.product(*(grid[a] for a in axes)):
         metaparams = dict(zip(axes, combo))
         graph = build_family(family, metaparams)
         try:
-            metrics = report(graph, platform, batch)
+            metrics = report(graph, platform, batch, memo=memo)
         except GraphError as exc:  # the graph's name does not tell the cells apart
             raise type(exc)(f"family {family!r}, metaparameters {metaparams}: {exc}") from exc
         points.append(DesignPoint(metaparams, metrics))

@@ -17,8 +17,10 @@ channels) triples, and only ``infer_shapes`` wraps them in TensorShape.
 Equal layer specs are one shared instance: ``GraphBuilder`` and the
 descriptor parser build every spec through ``shared_spec``, a bounded cache
 keyed by the layer class and its typed arguments. A spec is immutable, so
-sharing it is safe, and nothing depends on a spec's identity: specs compare
-by value, and the walk and the pricing loop compare only rules with ``is``.
+sharing it is safe, and no result depends on a spec's identity: specs
+compare by value, and the walk and the pricing loop compare only rules with
+``is``. Only the hit rate of a sweep's pricing memo does (``costs._price``):
+it is keyed by the spec instance, so an unshared spec is priced again.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ MAX_CODE_LENGTH = 57
 
 _CHUNK_BITS = 1 << 14  # decode: bits whose successor is found per step
 _TABLE_BITS = 12       # decode: window bits looked up in one table
+_COUNT_SLICE = 1 << 16  # code_lengths: symbols counted per bincount call
 
 # decode: every chunk starts on a byte, so a chunk's bit positions and their
 # offsets in their bytes are the same arrays; a shorter chunk uses a prefix
@@ -46,10 +47,15 @@ def code_lengths(symbols: Sequence[int]) -> dict[int, int]:
     """Huffman code length per distinct non-negative symbol (empty input ->
     empty table). The two lightest subtrees merge first, ties to the lower
     least symbol; a symbol's length is its leaf's depth in the tree."""
-    symbols = np.asarray(symbols)
+    symbols = np.asarray(symbols).ravel()
     if symbols.size == 0:
         return {}
-    counts = np.bincount(symbols.ravel())
+    # bincount copies a narrower integer array to intp: count bounded slices
+    counts = np.zeros(0, dtype=np.intp)
+    for start in range(0, symbols.size, _COUNT_SLICE):
+        part = np.bincount(symbols[start:start + _COUNT_SLICE], minlength=counts.size)
+        part[:counts.size] += counts
+        counts = part
     present = np.flatnonzero(counts).tolist()
     if len(present) == 1:
         return {present[0]: 1}

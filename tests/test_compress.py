@@ -1,6 +1,7 @@
 import heapq
 import re
 import struct
+import tracemalloc
 import weakref
 import zlib
 from dataclasses import replace
@@ -805,6 +806,27 @@ class TestCodeLengthsMatchTheListMergingReference:
             assert huffman.code_lengths(symbols) == expected, symbols
             sizes.add(len(expected))
         assert {1, 2} <= sizes and max(sizes) > 150
+
+    def test_streams_counted_over_several_slices(self):
+        # symbols first seen in a later slice, and a count that spans slices
+        rng = np.random.default_rng(35)
+        size = huffman._COUNT_SLICE
+        for dtype, high in ((np.uint8, 256), (np.uint16, 3000), (np.int64, 70000)):
+            symbols = np.concatenate([rng.integers(0, 5, size), [high - 1],
+                                      rng.integers(0, high, 2 * size + 7)]).astype(dtype)
+            assert huffman.code_lengths(symbols) == code_lengths_reference(symbols), dtype
+
+    def test_counting_never_widens_the_whole_stream(self):
+        # np.bincount of the whole uint16 stream would copy it to intp: 4x its bytes
+        symbols = np.random.default_rng(36).integers(0, 1000, 4_000_000).astype(np.uint16)
+        tracemalloc.start()
+        try:
+            lengths = huffman.code_lengths(symbols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lengths) == 1000
+        assert peak < symbols.nbytes / 4, (peak, symbols.nbytes)
 
     def test_both_streams_of_a_squeezenet_size_model(self):
         tensors = refexec.random_weights(zoo.squeezenet(), np.random.default_rng(47))

@@ -22,6 +22,7 @@ The rest keep it valid: nodes declared out of order, or subclass specs.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -369,3 +370,30 @@ def test_walk_matches_the_isinstance_rules(index):
     assert costs.model_macs(graph) == report.total_macs
     assert costs.peak_activation_bytes(graph, 2) == 2 * max(r[7] for r in ref_rows)
 
+
+def test_one_memo_across_many_graphs_prices_as_a_fresh_run():
+    # the pricing memo of a sweep, here shared by the corpus and 300 more
+    # draws in a seeded order: a layer with weights met again on the same
+    # input is read from the memo, and a declined graph adds nothing to it
+    rng = np.random.default_rng(35)
+    graphs = [random_graph(rng) for _ in range(300)] + CORPUS
+    memo: dict = {}
+    declined = refused = weighted = 0
+    for i in rng.permutation(len(graphs)):
+        graph = graphs[i]
+        before = dict(memo)
+        priced = costs._price(graph.nodes, graph.preds, memo=memo)
+        assert priced == costs._price(graph.nodes, graph.preds)
+        if priced is None:
+            declined += 1
+            assert memo == before
+        # a graph declared out of order is priced again in the walk's order
+        outcome = _outcome(functools.partial(costs._priced, memo=memo), graph)
+        assert outcome == _outcome(costs._priced, graph)
+        if outcome[0] != "value":
+            refused += 1
+            assert memo == before
+        else:
+            weighted += sum(weight is not None for _, weight, _, _ in outcome[1][2])
+    # a layer with weights that did not add an entry was read from the memo
+    assert declined > refused >= 150 and weighted - len(memo) > 1000
