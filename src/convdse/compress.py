@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -41,18 +42,18 @@ class CompressedFormatError(ValueError):
     exit_code = 3
 
 
-def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTensor:
-    """Zero the floor(sparsity * N) smallest-magnitude entries, ties pruned
-    lowest flat index first; a pruned entry becomes +0.0 and a kept one
-    keeps its bits, -0.0 included. NaN or infinite weights are refused.
+def _keep_mask(tensor: WeightTensor,
+               target_sparsity: float) -> tuple[Optional[np.ndarray], float]:
+    """The bool mask of the entries that pruning ``tensor`` to
+    ``target_sparsity`` keeps (None when it prunes none) and the cut
+    magnitude (0.0 then): the floor(sparsity * N) smallest magnitudes go,
+    ties lowest flat index first. NaN or infinite weights are refused.
 
-    The cut magnitude comes from one O(N) partition of the magnitudes in
-    place, which are then refilled, so the input is never written and at
-    most one other float array of its size is alive. Every entry at or
-    above the cut is kept, except the first of the entries equal to it, in
-    flat order, that the count still needs. The kept mask, negated as int8
-    to all-ones or zero, is ANDed into the float32 bits in one pass, with
-    no per-element branch."""
+    The cut comes from one O(N) partition of the magnitudes in place, which
+    are then refilled, so the input is never written and at most one other
+    float array of its size is alive. Every entry at or above the cut is
+    kept, except the first of the entries equal to it, in flat order, that
+    the count still needs."""
     target_sparsity = SPARSITY.check(target_sparsity)
     values = tensor.values
     magnitude = np.abs(values)
@@ -62,14 +63,27 @@ def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTenso
         raise ValueError(f"{tensor.name}: weights contain NaN or infinity")
     n_prune = math.floor(target_sparsity * values.size)
     if not n_prune:
-        return WeightTensor(tensor.name, tensor.shape, values.copy())
+        return None, 0.0
     magnitude.partition(n_prune - 1)
     threshold = magnitude[n_prune - 1]
     np.abs(values, out=magnitude)
     keep = magnitude >= threshold
     extra = n_prune - (values.size - int(np.count_nonzero(keep)))
     keep[np.flatnonzero(magnitude == threshold)[:extra]] = False
-    del magnitude
+    return keep, float(threshold)
+
+
+def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTensor:
+    """Zero the floor(sparsity * N) smallest-magnitude entries, ties pruned
+    lowest flat index first; a pruned entry becomes +0.0 and a kept one
+    keeps its bits, -0.0 included. NaN or infinite weights are refused.
+
+    The kept mask of ``_keep_mask``, negated as int8 to all-ones or zero, is
+    ANDed into the float32 bits in one pass, with no per-element branch."""
+    keep, _ = _keep_mask(tensor, target_sparsity)
+    values = tensor.values
+    if keep is None:
+        return WeightTensor(tensor.name, tensor.shape, values.copy())
     flags = keep.view(np.int8)
     np.negative(flags, out=flags)
     pruned = np.empty_like(values)
@@ -129,35 +143,78 @@ def _prefix_sums(ordered: np.ndarray) -> Optional[np.ndarray]:
     return prefix
 
 
-def _nonzeros(tensor: WeightTensor) -> tuple[str, tuple[int, ...], np.ndarray, np.ndarray]:
-    """The name, shape, nonzero positions and nonzero values of ``tensor``;
-    the positions are int32 where they fit, as every tensor's are held at once."""
-    # a bool mask is several times faster to search than the float values
-    positions = np.flatnonzero(tensor.values != 0).astype(_index_dtype(tensor.values.size))
-    return tensor.name, tensor.shape, positions, tensor.values[positions]
+def _nonzeros(tensor: WeightTensor, target_sparsity: Optional[float]
+              ) -> tuple[str, tuple[int, ...], np.ndarray, np.ndarray]:
+    """The name, shape, nonzero positions and nonzero values of ``tensor``,
+    or of ``prune_magnitude(tensor, target_sparsity)`` when a sparsity is
+    given; the positions are int32 where they fit, as every tensor's are
+    held at once.
+
+    A pruned tensor's nonzeros are read straight off ``_keep_mask``, with no
+    pruned copy: every kept entry is at least the cut magnitude, so zeros,
+    -0.0 included, need dropping only when that cut is 0."""
+    values = tensor.values
+    mask, cut = (None, 0.0) if target_sparsity is None else _keep_mask(tensor, target_sparsity)
+    if mask is None:
+        # a bool mask is several times faster to search than the float values
+        mask = values != 0
+    elif not cut:
+        mask &= values != 0
+    positions = np.flatnonzero(mask).astype(_index_dtype(values.size))
+    del mask
+    return tensor.name, tensor.shape, positions, values[positions]
+
+
+# where the high int32 half of a native int64 sits in its int32 view
+_HIGH = 1 if sys.byteorder == "little" else 0
 
 
 class _SortedNonzeros:
     """One tensor's state in the Lloyd loop: the positions of its
     nonzeros, the permutation that sorts them, the sorted values in
-    float64, and their prefix sums when those are exact (else None)."""
+    float64, and their prefix sums when those are exact (else None).
+
+    The permutation and the sorted values come from one in-place sort of
+    an int64 key per nonzero. Its high half holds the value's float32 bits
+    b as ``b ^ ((b >> 31) & 0x7FFFFFFF)``, which orders as a signed int32
+    exactly as the floats do; its low half holds the value's index. Every
+    key is distinct, so equal values keep their index order whatever sort
+    numpy runs, and at most 2**32 - 1 nonzeros can be keyed. The key is
+    built in an int64 ``arange`` and read back through views of its
+    halves, so no temporary is as large as the key."""
 
     __slots__ = ("name", "shape", "positions", "order", "ordered", "prefix")
 
     def __init__(self, name: str, shape: tuple[int, ...], positions: np.ndarray,
                  nz: np.ndarray):
         self.name, self.shape, self.positions = name, shape, positions
-        # equal values may swap places: the sorted sequence, and so every
-        # run sum, is the same
-        self.order = np.argsort(nz).astype(positions.dtype)
-        # indexing, unlike take, gathers by int32 indices without an intp copy
-        self.ordered = nz[self.order].astype(np.float64)
-        self.prefix = None
-        if self.ordered.size:
-            # NaN sorts last and the infinities sit at the ends
-            if not (math.isfinite(self.ordered[0]) and math.isfinite(self.ordered[-1])):
-                raise ValueError(f"{self.name}: weights contain NaN or infinity")
-            self.prefix = _prefix_sums(self.ordered)
+        if nz.size > 0xFFFFFFFF:
+            raise ValueError(f"{name}: {nz.size} nonzeros, more than the 2**32 - 1 "
+                             "a sort key can index")
+        key = np.arange(nz.size, dtype=np.int64)
+        high = key.view(np.int32)[_HIGH::2]
+        bits = nz.view(np.int32)
+        # built contiguous, then copied in: faster than three strided passes
+        flipped = bits >> 31
+        flipped &= 0x7FFFFFFF
+        flipped ^= bits
+        high[...] = flipped
+        del flipped
+        key.sort()
+        # the negative values lead, and their xor undone gives back their bits
+        high[:int(key.searchsorted(0))] ^= 0x7FFFFFFF
+        ordered = high.view(np.float32)
+        # a NaN sorts past the infinity of its sign, so both ends are finite
+        # exactly when every value is; checked before a signalling NaN is cast
+        if ordered.size and not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
+            raise ValueError(f"{self.name}: weights contain NaN or infinity")
+        self.ordered = ordered.astype(np.float64)
+        del high, ordered
+        # a mask, not a truncating cast, so an index past 2**31 survives in int64
+        key &= 0xFFFFFFFF
+        self.order = key.astype(positions.dtype, copy=False)
+        del key
+        self.prefix = _prefix_sums(self.ordered) if self.ordered.size else None
 
     def quantized(self, centroids: np.ndarray, counts: np.ndarray) -> QuantizedTensor:
         """The tensor quantized to the final ``centroids``, whose runs of the
@@ -192,20 +249,29 @@ def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[Quantized
     codebook; NaN or infinite weights are refused.
 
     ``tensors`` is read once, one tensor at a time, and only each tensor's
-    sorted nonzeros are kept (``_SortedNonzeros``). In one dimension every
-    cluster is a run of the sorted values, so a Lloyd step finds the run
-    bounds with one ``searchsorted`` of the k - 1 midpoints per tensor, and
-    the counts, centroid update and movement on (tensors x k) arrays. A
-    run's sum is the difference of two prefix sums when ``_prefix_sums``
-    shows them exact; otherwise ``np.add.reduceat`` sums the runs, the one
-    way to reproduce those sums' rounding. A tensor leaves the loop once no
-    centroid moved by ``_KMEANS_TOL`` or after ``_KMEANS_ITERS`` steps; one
-    more search gives its final runs, and its state is released as soon as
-    its labels are built."""
+    sorted nonzeros are kept (``_SortedNonzeros``, one packed-key sort per
+    tensor). In one dimension every cluster is a run of the sorted values,
+    so a Lloyd step finds the run bounds with one ``searchsorted`` of the
+    k - 1 midpoints per tensor, and the counts, centroid update and
+    movement on (tensors x k) arrays. A run's sum is the difference of two
+    prefix sums when ``_prefix_sums`` shows them exact; otherwise
+    ``np.add.reduceat`` sums the runs, the one way to reproduce those sums'
+    rounding. A tensor leaves the loop once no centroid moved by
+    ``_KMEANS_TOL`` or after ``_KMEANS_ITERS`` steps; one more search gives
+    its final runs, and its state is released as soon as its labels are
+    built."""
+    return _quantize(tensors, bits, None)
+
+
+def _quantize(tensors: Iterable[WeightTensor], bits: int,
+              target_sparsity: Optional[float]) -> list[QuantizedTensor]:
+    """``quantize_model`` of ``tensors``, each first pruned to
+    ``target_sparsity`` unless that is None (``_nonzeros``)."""
     k = 1 << BITS.check(bits)
     # map, unlike a comprehension's loop variable, holds no tensor past its
     # call, so each dense tensor is gone before its nonzeros are sorted
-    states = list(itertools.starmap(_SortedNonzeros, map(_nonzeros, tensors)))
+    nonzeros = map(_nonzeros, tensors, itertools.repeat(target_sparsity))
+    states = list(itertools.starmap(_SortedNonzeros, nonzeros))
     out: list[Optional[QuantizedTensor]] = [None] * len(states)
     none = np.zeros(0, dtype=np.int64)
     for i, state in enumerate(states):
@@ -505,18 +571,20 @@ def compress_model(tensors: Iterable[WeightTensor], target_sparsity: float, bits
                    rel_index_bits: int = GAP_BITS.default) -> CompressedModel:
     """Full pipeline: prune each tensor, quantize the survivors of all of
     them in one ``quantize_model``, encode. Both widths and the sparsity are
-    checked before any work; NaN or infinite weights are refused.
+    checked before any work; NaN or infinite weights are refused. The bytes
+    are those of ``encode(quantize_model(prune_magnitude(t, sparsity) for t
+    in tensors, bits), rel_index_bits)``, but each tensor's survivors are
+    read straight off its keep mask (``_nonzeros``), so no pruned copy is
+    made.
 
     ``tensors`` is read once, in order, and each tensor is held only until
-    it is pruned: given a one-shot iterator that keeps no reference, as
-    ``convdse compress`` does, only the dense tensors not yet reached stay
-    alive. A list keeps them all, with the same output."""
+    its survivors are gathered: given a one-shot iterator that keeps no
+    reference, as ``convdse compress`` does, only the dense tensors not yet
+    reached stay alive. A list keeps them all, with the same output."""
     GAP_BITS.check(rel_index_bits)
     BITS.check(bits)
     SPARSITY.check(target_sparsity)
-    # pruned one at a time as the quantizer reads them
-    pruned = map(prune_magnitude, tensors, itertools.repeat(target_sparsity))
-    return encode(quantize_model(pruned, bits), rel_index_bits)
+    return encode(_quantize(tensors, bits, target_sparsity), rel_index_bits)
 
 
 @dataclass(frozen=True)

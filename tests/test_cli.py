@@ -724,14 +724,14 @@ class TestCompressionCommands:
         weights.save_sdnw([weights.WeightTensor(f"t{i}", (200,), rng.standard_normal(200))
                            for i in range(4)], sdnw)
         inputs, alive = [], []
-        prune = compress.prune_magnitude
+        nonzeros = compress._nonzeros
 
         def watched(tensor, sparsity):
             # how many of the inputs pruned before this one are still held
             alive.append(sum(ref() is not None for ref in inputs))
             inputs.append(weakref.ref(tensor.values))
-            return prune(tensor, sparsity)
-        monkeypatch.setattr(compress, "prune_magnitude", watched)
+            return nonzeros(tensor, sparsity)
+        monkeypatch.setattr(compress, "_nonzeros", watched)
         assert run_cli("compress", "--weights", str(sdnw), "--out",
                        str(tmp_path / "w.sdnc")) == 0
         assert alive == [0, 0, 0, 0]
@@ -778,7 +778,7 @@ class TestCompressionCommands:
 
         def no_pruning(tensor, sparsity):
             raise AssertionError("pruned before the gap width was checked")
-        monkeypatch.setattr(compress, "prune_magnitude", no_pruning)
+        monkeypatch.setattr(compress, "_keep_mask", no_pruning)
         sdnc = tmp_path / "w.sdnc"
         assert usage_error(capsys, "compress", "--weights", str(sdnw), "--out", str(sdnc),
                            "--gap-bits", gap_bits) == (

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import re
 import struct
 import tracemalloc
@@ -381,6 +382,153 @@ class TestKmeans:
             quantize_model(tensors(), 0)
 
 
+class ArgsortNonzeros(compress._SortedNonzeros):
+    """The quantizer state as it was built before the packed-key sort: an
+    argsort of the nonzeros, a gather of them in that order, and a widening
+    to float64. Equal values may come out of the argsort in any order."""
+
+    def __init__(self, name, shape, positions, nz):
+        self.name, self.shape, self.positions = name, shape, positions
+        self.order = np.argsort(nz).astype(positions.dtype)
+        self.ordered = nz[self.order].astype(np.float64)
+        self.prefix = None
+        if self.ordered.size:
+            if not (np.isfinite(self.ordered[0]) and np.isfinite(self.ordered[-1])):
+                raise ValueError(f"{self.name}: weights contain NaN or infinity")
+            self.prefix = compress._prefix_sums(self.ordered)
+
+
+def float32_bits(*words):
+    return np.array(words, dtype=np.uint32).view(np.float32)
+
+
+FLT_MAX = np.finfo(np.float32).max
+FLT_MIN = np.finfo(np.float32).tiny  # the smallest normal
+SIGN_BOUNDARY = np.concatenate([
+    [FLT_MAX, -FLT_MAX, FLT_MIN, -FLT_MIN, 1.0, -1.0, 0.0, -0.0],
+    float32_bits(0x00000001, 0x80000001,    # the smallest denormals
+                 0x007FFFFF, 0x807FFFFF,    # the largest denormals
+                 0x7F7FFFFE, 0xFF7FFFFE)])  # one step inside FLT_MAX
+
+
+class TestSortKey:
+    """``_SortedNonzeros`` sorts one int64 key per nonzero; each case's
+    expected result comes from ``ArgsortNonzeros``, the argsort it replaced."""
+
+    @staticmethod
+    def states(nz, positions_dtype=np.int32):
+        nz = np.asarray(nz, dtype=np.float32)
+        positions = np.flatnonzero(nz).astype(positions_dtype)
+        return [cls("t", (nz.size,), positions, nz[positions])
+                for cls in (compress._SortedNonzeros, ArgsortNonzeros)]
+
+    @staticmethod
+    def by_argsort(tensors, bits):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compress, "_SortedNonzeros", ArgsortNonzeros)
+            return quantize_model(tensors, bits)
+
+    def assert_sorts_like_the_argsort(self, nz, positions_dtype=np.int32):
+        state, expected = self.states(nz, positions_dtype)
+        assert state.ordered.dtype == np.float64
+        assert state.ordered.tobytes() == expected.ordered.tobytes()
+        assert (state.prefix is None) == (expected.prefix is None)
+        if state.prefix is not None:
+            assert state.prefix.tobytes() == expected.prefix.tobytes()
+        # every key is distinct: equal values keep their index order
+        assert state.order.dtype == positions_dtype
+        nonzeros = np.asarray(nz, dtype=np.float32)[state.positions]
+        assert np.array_equal(state.order, np.argsort(nonzeros, kind="stable"))
+
+    def assert_quantizes_like_the_argsort(self, tensors, bits):
+        for qt, expected in zip(quantize_model(tensors, bits),
+                                self.by_argsort(tensors, bits), strict=True):
+            assert_same_quantization(qt, (expected.codebook, expected.positions,
+                                          expected.assignments))
+        assert (write_sdnc(encode(quantize_model(tensors, bits)))
+                == write_sdnc(encode(self.by_argsort(tensors, bits))))
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_values_either_side_of_the_sign_boundary(self, bits):
+        rng = np.random.default_rng(60)
+        values = rng.permutation(np.repeat(SIGN_BOUNDARY, rng.integers(1, 40, SIGN_BOUNDARY.size)))
+        self.assert_sorts_like_the_argsort(values)
+        state, _ = self.states(values)
+        # both zeros are left out, and the denormals sit next to them
+        assert state.ordered.size == np.count_nonzero(values)
+        assert state.ordered[0] == -FLT_MAX and state.ordered[-1] == FLT_MAX
+        i = int(np.searchsorted(state.ordered, 0.0))
+        assert state.ordered[i - 1:i + 1].tolist() == [-float(float32_bits(1)[0]),
+                                                       float(float32_bits(1)[0])]
+        tensors = [wt(values, "boundary"), wt(values[np.abs(values) < 1e-30], "denormals"),
+                   wt(values[values > 0], "positive"), wt(values[values < 0], "negative")]
+        self.assert_quantizes_like_the_argsort(tensors, bits)
+
+    @pytest.mark.parametrize("word", [0x7FC00000, 0xFFC00000, 0xFF800001, 0x7F800001],
+                             ids=["nan", "minus_nan", "minus_signalling_nan", "signalling_nan"])
+    def test_nan_of_either_sign_is_refused(self, word):
+        # a NaN with the sign bit set keys below -inf, so it sorts first
+        nan = float32_bits(word)[0]
+        for values in ([nan], [1.0, nan, -2.0, 0.0], [-np.inf, nan, np.inf]):
+            message = re.escape("t: weights contain NaN or infinity")
+            with pytest.raises(ValueError, match=message):
+                quantize_model([wt(values)], 4)
+            # the argsort state's cast of a signalling NaN also warned
+            with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore"):
+                self.by_argsort([wt(values)], 4)
+
+    @pytest.mark.parametrize("bits", [1, 2, 5, 8])
+    def test_heavy_ties(self, bits):
+        rng = np.random.default_rng(61)
+        levels = rng.permutation(np.repeat([-3.5, -0.125, 0.5, 0.75, 7.0],
+                                           [40_000, 3, 25_000, 1, 35_000]))
+        self.assert_sorts_like_the_argsort(levels)
+        self.assert_sorts_like_the_argsort(np.full(5000, -2.0))
+        self.assert_quantizes_like_the_argsort([wt(levels, "levels"),
+                                                wt(np.full(5000, -2.0), "equal")], bits)
+
+    def test_int64_positions_take_the_index_by_mask(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        values = np.round(rng.standard_normal(3000) * 4) / 4
+        self.assert_sorts_like_the_argsort(values, np.int64)
+        tensors = [prune_magnitude(wt(case.values[0], case.id), case.values[1])
+                   for case in equivalence_cases()]
+        narrow = write_sdnc(encode(quantize_model(tensors, 5)))
+        monkeypatch.setattr(compress, "_index_dtype", lambda size: np.int64)
+        assert write_sdnc(encode(quantize_model(tensors, 5))) == narrow
+
+    def test_more_nonzeros_than_a_key_can_index_are_refused_naming_the_tensor(self):
+        # zero strides: neither array holds more than one element
+        nz = np.broadcast_to(np.float32(1.0), (1 << 32,))
+        positions = np.broadcast_to(np.int64(0), (1 << 32,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    "fc6.weight: 4294967296 nonzeros, more than the 2**32 - 1 "
+                    "a sort key can index")):
+                compress._SortedNonzeros("fc6.weight", (1 << 32,), positions, nz)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_quantize_peak_is_28_bytes_per_nonzero(self):
+        # the argsort state peaked at 28: int32 positions and order, the
+        # float32 nonzeros, float64 sorted values and prefix sums
+        values = np.random.default_rng(63).standard_normal(1 << 18).astype(np.float32)
+        pruned = prune_magnitude(wt(values), 0.7)
+        nonzeros = int(np.count_nonzero(pruned.values))
+        quantize_model([pruned], 6)  # numpy's first-use allocations stay out of the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            quantize_model([pruned], 6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * nonzeros + (16 << 10), (peak, nonzeros)
+
+
 # each codec entry point with one setting of the wrong kind: a fractional
 # width, a bool width, a string sparsity
 CODEC_CALLS = {
@@ -398,6 +546,38 @@ def test_codec_settings_may_be_numpy_scalars():
     assert (write_sdnc(compress_model(tensors, np.float32(0.5), np.int64(4),
                                       rel_index_bits=np.int64(3)))
             == write_sdnc(compress_model(tensors, 0.5, 4, rel_index_bits=3)))
+
+
+def parity_cases():
+    """The equivalence cases, plus signed zeros at sparsity 0 (nothing
+    pruned) and -0.0 kept under a cut of 0."""
+    signed = np.random.default_rng(64).standard_normal(600)
+    signed[::3], signed[1::5] = -0.0, 0.0
+    return equivalence_cases() + [
+        pytest.param(signed, 0.0, 4, id="signed_zeros_s0"),
+        pytest.param([-0.0] * 10 + [1.0, -2.0, 3.0], 0.2, 2, id="minus_zeros_kept"),
+    ]
+
+
+@pytest.mark.parametrize("values, sparsity, bits", parity_cases())
+def test_compress_model_codes_like_prune_then_quantize(values, sparsity, bits):
+    # compress_model reads each tensor's survivors off its keep mask
+    tensors = [wt(values, "t")]
+    expected = encode(quantize_model(map(prune_magnitude, tensors, itertools.repeat(sparsity)),
+                                     bits))
+    assert write_sdnc(compress_model(tensors, sparsity, bits)) == write_sdnc(expected)
+
+
+def test_parity_cases_keep_signed_zeros_under_a_cut_of_zero():
+    kept = []
+    for case in parity_cases():
+        values, sparsity, _ = case.values
+        t = wt(values)
+        keep, cut = compress._keep_mask(t, sparsity)
+        if cut == 0:
+            survivors = t.values if keep is None else t.values[keep]
+            kept.append((keep is None, bool(np.any(np.signbit(survivors) & (survivors == 0)))))
+    assert (True, True) in kept and (False, True) in kept
 
 
 class TestStreaming:

@@ -2,11 +2,14 @@
 ``cli.main``, in process.
 
 Each mutant is one valid file broken by one edit: a key dropped, an unknown
-key added, a key given twice, a value replaced by a string, a bool, ``null``,
+key added, a key given twice (with its own value or another one), a value
+replaced by a string, a bool, ``null``,
 ``NaN``, ``1e400`` or a list (in a grid, an axis or one of its values), the
 top level made a non-object, or the bytes truncated. Whatever the edit,
 ``main`` returns 0, 1, 2 or 3 and lets no exception escape; an exit of 2 or 3
-prints an ``error:`` line that names the file's path once.
+prints an ``error:`` line that names the file's path once. A key given twice
+always exits 3 naming the key: last-wins would take a record whose first
+value was never checked.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ BASES = {
 }
 ODD_VALUES = ['"8M"', "true", "false", "null", "NaN", "1e400", "[1]"]
 NON_OBJECTS = ["[]", "5", '"abc"', "null", "[{}]"]
-EDITS = ["drop", "unknown", "repeat", "replace", "non_object", "truncate"]
+EDITS = ["drop", "unknown", "repeat", "repeat_other", "replace", "non_object", "truncate"]
 MUTANTS_PER_EDIT = 30
 
 
@@ -47,8 +50,15 @@ def _text(pairs: list) -> str:
         for key, value in pairs) + "}"
 
 
-def _mutant(record: dict, edit: str, rng: np.random.Generator) -> str:
-    """The text of ``record`` broken by ``edit``."""
+def _other_value(value):
+    """A value text of the same kind that differs from ``value``'s."""
+    if isinstance(value, list):
+        return value[:-1] if len(value) > 1 else value + value
+    return json.dumps(json.loads(value) * 2)
+
+
+def _mutant(record: dict, edit: str, rng: np.random.Generator) -> tuple[str, str]:
+    """The text of ``record`` broken by ``edit``, and the key it edited."""
     pairs = [[key, list(map(json.dumps, value)) if isinstance(value, list) else json.dumps(value)]
              for key, value in record.items()]
     key, value = pairs[int(rng.integers(len(pairs)))]
@@ -56,8 +66,9 @@ def _mutant(record: dict, edit: str, rng: np.random.Generator) -> str:
         pairs.remove([key, value])
     elif edit == "unknown":
         pairs.insert(int(rng.integers(len(pairs) + 1)), ["sram", "1"])
-    elif edit == "repeat":
-        pairs.insert(int(rng.integers(len(pairs) + 1)), [key, value])
+    elif edit in ("repeat", "repeat_other"):
+        copy = value if edit == "repeat" else _other_value(value)
+        pairs.insert(int(rng.integers(len(pairs) + 1)), [key, copy])
     elif edit == "replace":
         odd = str(rng.choice(ODD_VALUES))
         if isinstance(value, list) and rng.random() < 0.5:
@@ -65,9 +76,9 @@ def _mutant(record: dict, edit: str, rng: np.random.Generator) -> str:
         else:
             pairs[[k for k, _ in pairs].index(key)][1] = odd
     elif edit == "non_object":
-        return str(rng.choice(NON_OBJECTS))
+        return str(rng.choice(NON_OBJECTS)), key
     text = _text(pairs)
-    return text[:int(rng.integers(len(text)))] if edit == "truncate" else text
+    return text[:int(rng.integers(len(text)))] if edit == "truncate" else text, key
 
 
 def test_mutated_record_files_exit_with_a_documented_code(tmp_path, capsys):
@@ -78,7 +89,7 @@ def test_mutated_record_files_exit_with_a_documented_code(tmp_path, capsys):
         argv = [arg.format(path=path, out=tmp_path / "sweep") for arg in command]
         for edit in EDITS:
             for _ in range(MUTANTS_PER_EDIT):
-                text = _mutant(record, edit, rng)
+                text, key = _mutant(record, edit, rng)
                 path.write_text(text, encoding="utf-8")
                 try:
                     code = main(argv)
@@ -90,6 +101,9 @@ def test_mutated_record_files_exit_with_a_documented_code(tmp_path, capsys):
                     errors = [line for line in err.splitlines() if line.startswith("error: ")]
                     assert errors, (kind, edit, text, err)
                     assert errors[0].count(str(path)) == 1, (kind, edit, text, errors[0])
+                if edit.startswith("repeat"):
+                    assert code == 3, (kind, edit, text, code)
+                    assert f"key {key!r} appears twice" in err, (kind, edit, text, err)
                 outcomes[kind, code if code in (2, 3) else "taken"] += 1
     # every file kind is both refused (2 and 3) and taken, so a generator
     # change cannot hollow the run out
