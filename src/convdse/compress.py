@@ -99,8 +99,10 @@ class QuantizedTensor:
     name: str
     shape: tuple[int, ...]
     codebook: np.ndarray     # float32, <= 2**bits entries, never contains zero slots
-    positions: np.ndarray    # int64 flat indices of nonzeros, ascending
-    assignments: np.ndarray  # int64 codebook index per nonzero
+    # flat indices of the nonzeros, strictly ascending, in
+    # _index_dtype(element_count()): int32 wherever the tensor allows
+    positions: np.ndarray
+    assignments: np.ndarray  # int16 codebook slot per nonzero
 
     def element_count(self) -> int:
         return math.prod(self.shape)
@@ -218,9 +220,10 @@ class _SortedNonzeros:
 
     def quantized(self, centroids: np.ndarray, counts: np.ndarray) -> QuantizedTensor:
         """The tensor quantized to the final ``centroids``, whose runs of the
-        sorted values hold ``counts`` values each: each run's codebook slot
-        is repeated over it and scattered back to position order. This
-        spends the state: each of its arrays is released once used."""
+        sorted values hold ``counts`` values each: each run's int16 codebook
+        slot is repeated over it and scattered back to position order, and
+        the positions are passed on in the dtype ``_nonzeros`` gave them.
+        This spends the state: each of its arrays is released once used."""
         codebook = centroids.astype(np.float32)
         zero = (counts > 0) & (codebook == 0.0)
         used = (counts > 0) & ~zero
@@ -228,11 +231,10 @@ class _SortedNonzeros:
         # k <= 256, so a slot fits an int16.
         slot = np.where(used, np.cumsum(used) - 1, -1).astype(np.int16)
         self.ordered = self.prefix = None
-        labels = np.empty(self.positions.size, dtype=np.int64)
+        labels = np.empty(self.positions.size, dtype=np.int16)
         labels[self.order] = np.repeat(slot, counts)
         self.order = None
-        positions = self.positions.astype(np.int64)
-        self.positions = None
+        positions, self.positions = self.positions, None
         if zero.any():
             keep = labels >= 0
             positions, labels = positions[keep], labels[keep]
@@ -246,7 +248,9 @@ def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[Quantized
     empty clusters hold their position; unused centroids are dropped
     afterwards. Members of a centroid that is 0.0 in float32 become pruned,
     so zero is never a codebook entry. All-zero tensors yield an empty
-    codebook; NaN or infinite weights are refused.
+    codebook; NaN or infinite weights are refused. Each tensor's positions
+    are in ``_index_dtype`` of its element count and its assignments are
+    int16, empty ones included: 6 bytes per nonzero where int32 fits.
 
     ``tensors`` is read once, one tensor at a time, and only each tensor's
     sorted nonzeros are kept (``_SortedNonzeros``, one packed-key sort per
@@ -273,11 +277,11 @@ def _quantize(tensors: Iterable[WeightTensor], bits: int,
     nonzeros = map(_nonzeros, tensors, itertools.repeat(target_sparsity))
     states = list(itertools.starmap(_SortedNonzeros, nonzeros))
     out: list[Optional[QuantizedTensor]] = [None] * len(states)
-    none = np.zeros(0, dtype=np.int64)
     for i, state in enumerate(states):
         if not state.ordered.size:
+            # the empty positions already have the tensor's index dtype
             out[i] = QuantizedTensor(state.name, state.shape, np.zeros(0, dtype=np.float32),
-                                     none, none)
+                                     state.positions, np.zeros(0, dtype=np.int16))
     # (index in out, state) of every tensor still in the loop
     live = [(i, state) for i, state in enumerate(states) if state.ordered.size]
     del states
@@ -364,19 +368,38 @@ def _gap_index_symbols(quantized: QuantizedTensor,
     symbol streams. A gap of at least 2**b positions is bridged by filler
     records (gap 2**b - 1 plus one zero-valued padding slot each, so a gap g
     takes g >> b of them); the filler index symbol is one past the last
-    codebook slot. Gaps and slots are computed in place, in int32 where
-    the element count allows."""
+    codebook slot. Gaps and slots are computed in place in one width:
+    ``_index_dtype`` of the element count, or the positions' own if wider.
+
+    Positions that are negative, repeated or out of order are refused:
+    while none is negative, no difference wraps around the gaps' width, so
+    a position that does not follow the one before shows as a negative gap.
+    Once they ascend, the last one is the largest."""
     positions = quantized.positions
-    gaps = np.empty(positions.size, dtype=_index_dtype(quantized.element_count()))
+    gaps = np.empty(positions.size,
+                    dtype=np.promote_types(positions.dtype,
+                                           _index_dtype(quantized.element_count())))
     gaps[:1] = positions[:1]
-    np.subtract(positions[1:], positions[:-1], out=gaps[1:], casting="unsafe")
+    # in the gaps' width, so the difference of narrower positions cannot wrap
+    np.subtract(positions[1:], positions[:-1], out=gaps[1:], dtype=gaps.dtype)
     gaps[1:] -= 1
+    if gaps.size and (positions.min() < 0 or gaps.min() < 0):
+        if positions[0] < 0:
+            raise ValueError(f"{quantized.name}: nonzero position {int(positions[0])} "
+                             "is negative")
+        # compared, not subtracted: a wrapped difference hides its descent
+        at = int(np.argmax(positions[1:] <= positions[:-1])) + 1
+        raise ValueError(f"{quantized.name}: nonzero positions not ascending: "
+                         f"{int(positions[at - 1])} then {int(positions[at])} at index {at}")
+    if gaps.size and positions[-1] >= quantized.element_count():
+        raise ValueError(f"{quantized.name}: nonzero position out of range")
     # each nonzero's record follows its own fillers and all earlier records,
-    # so its slot is the running count of fillers plus one, less one
+    # so its slot is the running count of fillers plus one, less one; the
+    # last running count is the number of records
     slots = gaps >> rel_index_bits
-    records = gaps.size + int(slots.sum())
     slots += 1
     np.cumsum(slots, dtype=slots.dtype, out=slots)
+    records = int(slots[-1]) if slots.size else 0
     slots -= 1
     mask = (1 << rel_index_bits) - 1
     gaps &= mask
@@ -397,17 +420,28 @@ def _unusable_entry(codebook: np.ndarray) -> Optional[int]:
 
 def encode(quantized: Sequence[QuantizedTensor],
            rel_index_bits: int = GAP_BITS.default) -> CompressedModel:
-    """Entropy-code pruned+quantized tensors into a compressed model."""
+    """Entropy-code pruned+quantized tensors into a compressed model.
+
+    Positions and assignments may be of any integer dtype within int64, and
+    equal values give the same bytes whatever their dtype. A tensor whose
+    positions or assignments are not integers, whose positions are
+    negative, repeated, out of order or past its end, or whose assignments
+    fall outside its codebook is refused with a ValueError that names it."""
     rel_index_bits = GAP_BITS.check(rel_index_bits)
     records = []
     for qt in quantized:
+        for field in ("positions", "assignments"):
+            dtype = getattr(qt, field).dtype
+            # a float would be truncated and a bool read as a mask; a uint64
+            # has no signed dtype to take differences in
+            if dtype.kind not in "iu" or not np.can_cast(dtype, np.int64):
+                raise ValueError(f"{qt.name}: {field} are {dtype}, not integers "
+                                 "within int64")
         codebook = qt.codebook.astype(np.float32)
         bad = _unusable_entry(codebook)
         if bad is not None:
             raise ValueError(f"{qt.name}: codebook entry {bad} is {codebook[bad]}, "
                              "not a finite nonzero")
-        if qt.positions.size and qt.positions.max() >= qt.element_count():
-            raise ValueError(f"{qt.name}: nonzero position out of range")
         if qt.assignments.size and (qt.assignments.min() < 0
                                     or qt.assignments.max() >= qt.codebook.size):
             raise ValueError(f"{qt.name}: assignment out of codebook range")

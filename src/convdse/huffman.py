@@ -4,16 +4,18 @@ Only code lengths are stored; codes are reassigned canonically (shorter
 codes first, ties by symbol value), so encoder and decoder agree from the
 length table alone. A single-symbol alphabet gets one 1-bit code.
 
-Both directions are array code. Encoding looks up one code per symbol and
-packs the codes MSB-first into big-endian 64-bit words: each code is
-shifted into the word that holds its last bit, the codes ending in one word
-are OR-reduced, and a code that crosses a word boundary adds its high bits
-to the previous word. Decoding works on bounded chunks and gives every bit
-position of a chunk the code word that would start there: a table over the
-first (at most 12) bits of its window, and for the prefixes of longer
-codes a search over the left-justified canonical interval ends (Moffat &
-Turpin, IEEE Trans. Commun. 1997), run only when the table is shorter than
-the longest code. A chunk starts on a byte, so its positions and their bit
+Both directions are array code. Encoding gathers one entry per symbol
+from a table of ``code << 6 | length``, whose low 6 bits give the lengths
+and whose shift right by 6 gives the codes, and packs the codes MSB-first
+into big-endian 64-bit words: each code is shifted into the word that
+holds its last bit, the codes ending in one word are OR-reduced, and a
+code that crosses a word boundary adds its high bits to the previous
+word. Decoding works on bounded chunks and gives every bit position of a
+chunk the code word that would start there: a table over the first (at
+most 12) bits of its window, and for the prefixes of longer codes a search
+over the left-justified canonical interval ends (Moffat & Turpin, IEEE
+Trans. Commun. 1997), run only when the table is shorter than the longest
+code. A chunk starts on a byte, so its positions and their bit
 offsets are module constants. Each position's successor (the start of
 the next code word) is composed with itself three times, so the only Python
 loop walks the chunk 8 code words per step; the composed successors then
@@ -108,7 +110,8 @@ def check_lengths(lengths: dict[int, int]) -> None:
 
 def encode(symbols: Sequence[int], lengths: dict[int, int]) -> tuple[bytes, int]:
     """Encode symbols with the canonical codes implied by ``lengths``;
-    returns (payload bytes, exact bit count)."""
+    returns (payload bytes, exact bit count). Each symbol's code and length
+    come from one gather of a packed ``code << 6 | length`` table."""
     symbols = np.asarray(symbols).ravel()
     if symbols.dtype == bool:  # as an index, a bool array would be a mask
         symbols = symbols.view(np.uint8)
@@ -122,15 +125,17 @@ def encode(symbols: Sequence[int], lengths: dict[int, int]) -> tuple[bytes, int]
     if symbols.max() > top:
         missing = ~np.isin(symbols, list(lengths))
         raise ValueError(f"symbol {int(symbols[missing.argmax()])} has no code")
-    codes = canonical_codes(lengths)
-    code_of = np.zeros(top + 1, dtype=np.uint64)
-    len_of = np.zeros(top + 1, dtype=np.uint64)
-    code_of[list(codes)] = [code for code, _ in codes.values()]
-    len_of[list(codes)] = [length for _, length in codes.values()]
+    # one table of code << 6 | length: a code is at most 57 bits, a length
+    # at most 57, so both fit one uint64 and one gather reads them
+    canonical = canonical_codes(lengths)
+    table = np.zeros(top + 1, dtype=np.uint64)
+    table[list(canonical)] = [code << 6 | length for code, length in canonical.values()]
     # indexing, unlike take, gathers by narrow symbols without an intp copy
-    ends = len_of[symbols]  # each code's length, summed in place below
+    codes = table[symbols]
+    ends = codes & np.uint64(63)  # each code's length, summed in place below
     if not ends.all():
         raise ValueError(f"symbol {int(symbols[(ends == 0).argmax()])} has no code")
+    codes >>= np.uint64(6)
     np.cumsum(ends, out=ends)
     total = int(ends[-1])
     # every code is shorter than a word, so each word holds the last bit of
@@ -140,18 +145,17 @@ def encode(symbols: Sequence[int], lengths: dict[int, int]) -> tuple[bytes, int]
     # the first code ending in word w may start in word w - 1; its bits past
     # the ones in word w go there (none when it does not cross)
     crossing = firsts[1:]
-    carried = code_of.take(symbols.take(crossing)) >> (ends.take(crossing) - word_starts[1:])
+    carried = codes.take(crossing) >> (ends.take(crossing) - word_starts[1:])
     # each code's shift to the end of its word, the low 6 bits of -end, is
-    # kept in a byte, so the ends are gone before the shifted codes are made
+    # kept in a byte, so the ends are dropped before the codes are shifted
     shifts = ends.astype(np.uint8)
     del ends
     np.negative(shifts, out=shifts)
     shifts &= np.uint8(63)
-    shifted = code_of[symbols]
-    shifted <<= shifts
+    codes <<= shifts
     del shifts
-    words = np.bitwise_or.reduceat(shifted, firsts)
-    del shifted
+    words = np.bitwise_or.reduceat(codes, firsts)
+    del codes
     words[:-1] |= carried
     return words.astype(">u8").view(np.uint8)[:(total + 7) // 8].tobytes(), total
 

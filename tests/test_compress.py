@@ -114,8 +114,8 @@ def kmeans_sort_search(tensor, bits, steps=None):
 def assert_same_quantization(qt, expected):
     codebook, positions, assignments = expected
     assert np.array_equal(qt.codebook, codebook) and qt.codebook.dtype == codebook.dtype
-    assert np.array_equal(qt.positions, positions) and qt.positions.dtype == np.int64
-    assert np.array_equal(qt.assignments, assignments) and qt.assignments.dtype == np.int64
+    assert np.array_equal(qt.positions, positions) and qt.positions.dtype == np.int32
+    assert np.array_equal(qt.assignments, assignments) and qt.assignments.dtype == np.int16
 
 
 def assert_matches_reference(t, sparsity, bits):
@@ -703,18 +703,58 @@ class TestEncodeDecode:
                 f"t: codebook entry 1 is {shown}, not a finite nonzero")):
             encode([qt])
 
-    # kmeans_quantize keeps 13 of the 20 elements of 0..19 mod 3, codebook [1, 2]
-    @pytest.mark.parametrize("field, value, message", [
-        ("positions", 20, "t: nonzero position out of range"),
-        ("assignments", 2, "t: assignment out of codebook range"),
-        ("assignments", -1, "t: assignment out of codebook range"),
-    ], ids=["position_past_the_end", "assignment_past_the_codebook", "negative_assignment"])
-    def test_out_of_range_nonzero_is_refused(self, field, value, message):
+    # kmeans_quantize keeps 13 of the 20 elements of 0..19 mod 3, at
+    # positions 1, 2, 4, 5, ..., 17, 19, with codebook [1, 2]; each case
+    # edits one column
+    @pytest.mark.parametrize("field, edit, message", [
+        ("positions", lambda c: np.r_[c[:-1], 20], "t: nonzero position out of range"),
+        ("assignments", lambda c: np.r_[c[:-1], 2], "t: assignment out of codebook range"),
+        ("assignments", lambda c: np.r_[c[:-1], -1], "t: assignment out of codebook range"),
+        ("positions", lambda c: np.r_[5, 3, c[2:]],
+         "t: nonzero positions not ascending: 5 then 3 at index 1"),
+        ("positions", lambda c: np.r_[2, 2, c[2:]],
+         "t: nonzero positions not ascending: 2 then 2 at index 1"),
+        ("positions", lambda c: np.r_[c[:-2], 19, 17],
+         "t: nonzero positions not ascending: 19 then 17 at index 12"),
+        ("positions", lambda c: np.r_[-1, 4, c[2:]], "t: nonzero position -1 is negative"),
+        # 5 - (-2**31) - 1 wraps in int32 to a gap of 2**31 - 6, and every
+        # later gap is non-negative
+        ("positions", lambda c: np.array([5, -2**31, -1, 3, *c[4:]], dtype=np.int32),
+         "t: nonzero positions not ascending: 5 then -2147483648 at index 1"),
+        ("positions", lambda c: np.r_[1.7, 4.2, c[2:]],
+         "t: positions are float64, not integers within int64"),
+        ("positions", lambda c: c.astype(bool),
+         "t: positions are bool, not integers within int64"),
+        ("positions", lambda c: c.astype(np.uint64),
+         "t: positions are uint64, not integers within int64"),
+        ("assignments", lambda c: np.r_[0.9, c[1:]],
+         "t: assignments are float64, not integers within int64"),
+        ("assignments", lambda c: c.astype(bool),
+         "t: assignments are bool, not integers within int64"),
+    ], ids=["position_past_the_end", "assignment_past_the_codebook", "negative_assignment",
+            "positions_out_of_order", "repeated_position", "last_positions_out_of_order",
+            "negative_position", "wrapped_gaps", "float_positions", "bool_positions",
+            "uint64_positions", "float_assignment", "bool_assignments"])
+    def test_out_of_range_nonzero_is_refused(self, field, edit, message):
         qt = kmeans_quantize(wt(np.arange(20) % 3), bits=1)
-        column = getattr(qt, field).copy()
-        column[-1] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            encode([replace(qt, **{field: column})])
+            encode([replace(qt, **{field: edit(getattr(qt, field))})])
+
+    # the quantizer's int32 positions and int16 assignments, and every other
+    # integer dtype that holds them, code alike; 3-bit gaps need fillers
+    @pytest.mark.parametrize("positions", [np.int32, np.int64])
+    @pytest.mark.parametrize("assignments", [np.uint8, np.int16, np.int32, np.int64])
+    def test_any_integer_dtype_writes_the_same_bytes(self, positions, assignments):
+        rng = np.random.default_rng(37)
+        # 3,000-odd nonzeros spread evenly enough to fill all 256 slots
+        qt = kmeans_quantize(wt(rng.uniform(1.0, 2.0, 20_000) * (rng.random(20_000) < 0.15)),
+                             bits=8)
+        assert qt.positions.dtype == np.int32 and qt.assignments.dtype == np.int16
+        assert qt.assignments.max() == 255 and np.diff(qt.positions).max() > 8
+        held = replace(qt, positions=qt.positions.astype(positions),
+                       assignments=qt.assignments.astype(assignments))
+        assert (write_sdnc(encode([held], rel_index_bits=3))
+                == write_sdnc(encode([qt], rel_index_bits=3)))
 
     def test_rel_index_bits_range(self):
         qt = kmeans_quantize(wt([1.0]), bits=1)
