@@ -47,14 +47,15 @@ def _keep_mask(tensor: WeightTensor,
     """The bool mask of the entries that pruning ``tensor`` to
     ``target_sparsity`` keeps (None when it prunes none) and the cut
     magnitude (0.0 then): the floor(sparsity * N) smallest magnitudes go,
-    ties lowest flat index first. NaN or infinite weights are refused.
+    ties lowest flat index first. The sparsity is the caller's, already
+    checked. NaN or infinite weights are refused here, the one place every
+    codec route refuses them, before any quantizer state is built.
 
     The cut comes from one O(N) partition of the magnitudes in place, which
     are then refilled, so the input is never written and at most one other
     float array of its size is alive. Every entry at or above the cut is
     kept, except the first of the entries equal to it, in flat order, that
     the count still needs."""
-    target_sparsity = SPARSITY.check(target_sparsity)
     values = tensor.values
     magnitude = np.abs(values)
     # NaN and infinity propagate through max, so it is finite exactly when
@@ -78,17 +79,14 @@ def prune_magnitude(tensor: WeightTensor, target_sparsity: float) -> WeightTenso
     lowest flat index first; a pruned entry becomes +0.0 and a kept one
     keeps its bits, -0.0 included. NaN or infinite weights are refused.
 
-    The kept mask of ``_keep_mask``, negated as int8 to all-ones or zero, is
-    ANDed into the float32 bits in one pass, with no per-element branch."""
-    keep, _ = _keep_mask(tensor, target_sparsity)
+    The float32 bits, viewed as int32, are multiplied by the bool kept mask
+    of ``_keep_mask`` in one pass, with no per-element branch."""
+    keep, _ = _keep_mask(tensor, SPARSITY.check(target_sparsity))
     values = tensor.values
     if keep is None:
         return WeightTensor(tensor.name, tensor.shape, values.copy())
-    flags = keep.view(np.int8)
-    np.negative(flags, out=flags)
     pruned = np.empty_like(values)
-    # numpy widens the int8 flags to int32 in its own small buffers
-    np.bitwise_and(values.view(np.int32), flags, out=pruned.view(np.int32))
+    np.multiply(values.view(np.int32), keep, out=pruned.view(np.int32))
     return WeightTensor(tensor.name, tensor.shape, pruned)
 
 
@@ -145,18 +143,18 @@ def _prefix_sums(ordered: np.ndarray) -> Optional[np.ndarray]:
     return prefix
 
 
-def _nonzeros(tensor: WeightTensor, target_sparsity: Optional[float]
+def _nonzeros(tensor: WeightTensor, target_sparsity: float
               ) -> tuple[str, tuple[int, ...], np.ndarray, np.ndarray]:
-    """The name, shape, nonzero positions and nonzero values of ``tensor``,
-    or of ``prune_magnitude(tensor, target_sparsity)`` when a sparsity is
-    given; the positions are int32 where they fit, as every tensor's are
-    held at once.
+    """The name, shape, nonzero positions and nonzero values of
+    ``prune_magnitude(tensor, target_sparsity)``; the positions are int32
+    where they fit, as every tensor's are held at once.
 
-    A pruned tensor's nonzeros are read straight off ``_keep_mask``, with no
-    pruned copy: every kept entry is at least the cut magnitude, so zeros,
-    -0.0 included, need dropping only when that cut is 0."""
+    They are read straight off ``_keep_mask``, which refuses NaN and
+    infinity, with no pruned copy: every kept entry is at least the cut
+    magnitude, so zeros, -0.0 included, need dropping only when that cut is
+    0, as it is at sparsity 0, where nothing is pruned."""
     values = tensor.values
-    mask, cut = (None, 0.0) if target_sparsity is None else _keep_mask(tensor, target_sparsity)
+    mask, cut = _keep_mask(tensor, target_sparsity)
     if mask is None:
         # a bool mask is several times faster to search than the float values
         mask = values != 0
@@ -183,7 +181,9 @@ class _SortedNonzeros:
     key is distinct, so equal values keep their index order whatever sort
     numpy runs, and at most 2**32 - 1 nonzeros can be keyed. The key is
     built in an int64 ``arange`` and read back through views of its
-    halves, so no temporary is as large as the key."""
+    halves, so no temporary is as large as the key. The nonzeros are
+    finite: ``_keep_mask`` refused any NaN or infinity before they were
+    gathered."""
 
     __slots__ = ("name", "shape", "positions", "order", "ordered", "prefix")
 
@@ -205,13 +205,8 @@ class _SortedNonzeros:
         key.sort()
         # the negative values lead, and their xor undone gives back their bits
         high[:int(key.searchsorted(0))] ^= 0x7FFFFFFF
-        ordered = high.view(np.float32)
-        # a NaN sorts past the infinity of its sign, so both ends are finite
-        # exactly when every value is; checked before a signalling NaN is cast
-        if ordered.size and not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
-            raise ValueError(f"{self.name}: weights contain NaN or infinity")
-        self.ordered = ordered.astype(np.float64)
-        del high, ordered
+        self.ordered = high.view(np.float32).astype(np.float64)
+        del high
         # a mask, not a truncating cast, so an index past 2**31 survives in int64
         key &= 0xFFFFFFFF
         self.order = key.astype(positions.dtype, copy=False)
@@ -263,15 +258,20 @@ def quantize_model(tensors: Iterable[WeightTensor], bits: int) -> list[Quantized
     rounding. A tensor leaves the loop once no centroid moved by
     ``_KMEANS_TOL`` or after ``_KMEANS_ITERS`` steps; one more search gives
     its final runs, and its state is released as soon as its labels are
-    built."""
-    return _quantize(tensors, bits, None)
+    built.
+
+    This is ``compress_model``'s route into the quantizer at sparsity 0:
+    nothing is pruned, and only the zeros are left out."""
+    return _quantize(tensors, bits, 0.0)
 
 
 def _quantize(tensors: Iterable[WeightTensor], bits: int,
-              target_sparsity: Optional[float]) -> list[QuantizedTensor]:
+              target_sparsity: float) -> list[QuantizedTensor]:
     """``quantize_model`` of ``tensors``, each first pruned to
-    ``target_sparsity`` unless that is None (``_nonzeros``)."""
+    ``target_sparsity`` (``_nonzeros``); both settings are checked before
+    any tensor is read."""
     k = 1 << BITS.check(bits)
+    target_sparsity = SPARSITY.check(target_sparsity)
     # map, unlike a comprehension's loop variable, holds no tensor past its
     # call, so each dense tensor is gone before its nonzeros are sorted
     nonzeros = map(_nonzeros, tensors, itertools.repeat(target_sparsity))
@@ -604,20 +604,19 @@ def _parse_record(r: Cursor) -> CompressedTensor:
 def compress_model(tensors: Iterable[WeightTensor], target_sparsity: float, bits: int,
                    rel_index_bits: int = GAP_BITS.default) -> CompressedModel:
     """Full pipeline: prune each tensor, quantize the survivors of all of
-    them in one ``quantize_model``, encode. Both widths and the sparsity are
-    checked before any work; NaN or infinite weights are refused. The bytes
-    are those of ``encode(quantize_model(prune_magnitude(t, sparsity) for t
-    in tensors, bits), rel_index_bits)``, but each tensor's survivors are
-    read straight off its keep mask (``_nonzeros``), so no pruned copy is
-    made.
+    them in one Lloyd loop, encode. The gap width is checked here, and the
+    bits and the sparsity by ``_quantize``, all before any tensor is read;
+    NaN or infinite weights are refused by ``_keep_mask``. The bytes are
+    those of ``encode(quantize_model(prune_magnitude(t, sparsity) for t in
+    tensors, bits), rel_index_bits)``, but each tensor's survivors are read
+    straight off its keep mask (``_nonzeros``), so no pruned copy is made;
+    ``quantize_model`` is this same route at sparsity 0.
 
     ``tensors`` is read once, in order, and each tensor is held only until
     its survivors are gathered: given a one-shot iterator that keeps no
     reference, as ``convdse compress`` does, only the dense tensors not yet
     reached stay alive. A list keeps them all, with the same output."""
     GAP_BITS.check(rel_index_bits)
-    BITS.check(bits)
-    SPARSITY.check(target_sparsity)
     return encode(_quantize(tensors, bits, target_sparsity), rel_index_bits)
 
 

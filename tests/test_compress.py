@@ -529,6 +529,31 @@ class TestSortKey:
         assert peak <= 28 * nonzeros + (16 << 10), (peak, nonzeros)
 
 
+# quiet and signalling NaN of either sign, and both infinities, as float32 words
+NON_FINITE = {"nan": 0x7FC00000, "minus_nan": 0xFFC00000,
+              "minus_signalling_nan": 0xFF800001, "signalling_nan": 0x7F800001,
+              "inf": 0x7F800000, "minus_inf": 0xFF800000}
+
+
+@pytest.mark.parametrize("word", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_every_codec_route_refuses_non_finite_weights_before_any_quantizer_state(
+        word, monkeypatch):
+    def no_state(*args):
+        raise AssertionError("a quantizer state was built")
+    monkeypatch.setattr(compress, "_SortedNonzeros", no_state)
+    # 1.0, the word, 0.0, -2.0
+    bad = wt(float32_bits(0x3F800000, word, 0, 0xC0000000), "conv1.weight")
+    routes = [lambda: quantize_model([bad], 4), lambda: quantize_model((t for t in [bad]), 4),
+              lambda: kmeans_quantize(bad, 4)]
+    for sparsity in (0.0, 0.5):
+        routes += [lambda s=sparsity: compress_model([bad], s, 4),
+                   lambda s=sparsity: compress_model((t for t in [bad]), s, 4)]
+    for route in routes:
+        with pytest.raises(ValueError, match=re.escape(
+                "conv1.weight: weights contain NaN or infinity")):
+            route()
+
+
 # each codec entry point with one setting of the wrong kind: a fractional
 # width, a bool width, a string sparsity
 CODEC_CALLS = {

@@ -3,6 +3,7 @@ command executes only the modules it reads, and the cost-side commands start
 without numpy. Checked in fresh interpreters, because this process has all of
 them loaded."""
 
+import ast
 import json
 import os
 import subprocess
@@ -185,3 +186,20 @@ def test_every_module_is_registered_and_every_export_resolves():
             assert name in listed
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         convdse.no_such_name
+
+
+def test_type_checking_imports_and_lazy_names_hold_the_same_pairs():
+    # both lists are written out in convdse/__init__.py; read as source, so
+    # neither is taken from the other
+    tree = ast.parse(Path(convdse.__file__).read_text())
+    imported, lazy = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            imported |= {(imp.module, alias.name) for imp in node.body
+                         for alias in imp.names}
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_LAZY_NAMES":
+            # {name: module for module, names in [(module, "name ..."), ...] for name in ...}
+            pairs = node.value.generators[0].iter.elts
+            lazy |= {(module.id, name) for module, names in (pair.elts for pair in pairs)
+                     for name in names.value.split()}
+    assert imported and imported == lazy, (imported - lazy, lazy - imported)
