@@ -18,7 +18,9 @@ Conventions, stated once:
 Integers inside, objects at the edge: one loop binds each node's
 (height, width, channels) triple and prices it in the same step, and
 ``report`` reads its totals from that loop; only ``layer_costs`` wraps its
-numbers in LayerCost rows. A graph declared in topological order, as every
+numbers in LayerCost rows, and ``layer_params`` and ``layer_macs`` price
+one layer as the only node after an Input, in the same loop, so they refuse
+what the walk refuses. A graph declared in topological order, as every
 ``GraphBuilder`` graph is, is bound and priced in that one loop; any other
 graph is checked by the graph walk first (``graph._bind``). A sweep hands
 ``report`` one pricing memo for all its cells, so a layer with weights
@@ -36,9 +38,9 @@ from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import ClassVar, Optional, get_args, get_type_hints
 
-from .graph import (_SHAPE_RULES, ArchGraph, Conv, Dims, FullyConnected, LayerSpec, ShapeError,
-                    TensorShape, _bind, _concat_shape, _conv_shape, _fc_shape, _input_shape,
-                    _rule_for)
+from .graph import (_SHAPE_RULES, ArchGraph, Conv, Dims, FullyConnected, Input, LayerSpec,
+                    ShapeError, TensorShape, _bind, _concat_shape, _conv_shape, _fc_shape,
+                    _input_shape, _rule_for)
 from .settings import BATCH, Field, check_record
 
 
@@ -164,12 +166,10 @@ class MetricsReport:
 # shape, (F, C/g, kh, kw) for a convolution and (F, C, H, W) for a
 # fully-connected layer. A layer with weights also has a 'bias' of shape
 # (F,) when ``spec.bias`` is set; one whose shape rule has no entry has none.
+# Only ``_price`` calls them, after the shape rule found no violation.
 
 def _conv_weight(spec: Conv, in_shape: Dims) -> tuple[int, int, int, int]:
-    c_in = in_shape[2]
-    if c_in % spec.groups != 0:
-        raise ValueError(f"groups must divide input channels (g={spec.groups}, C_in={c_in})")
-    return spec.filters, c_in // spec.groups, spec.kernel_h, spec.kernel_w
+    return spec.filters, in_shape[2] // spec.groups, spec.kernel_h, spec.kernel_w
 
 
 def _fc_weight(spec: FullyConnected, in_shape: Dims) -> tuple[int, int, int, int]:
@@ -181,28 +181,26 @@ def _fc_weight(spec: FullyConnected, in_shape: Dims) -> tuple[int, int, int, int
 _WEIGHT_RULES = {_conv_shape: _conv_weight, _fc_shape: _fc_weight}
 
 
-def _layer_weight(spec: LayerSpec, in_shape: TensorShape):
-    """The shape rule of ``spec``, its input triple and its weight shape, or
-    None; a ValueError for a type without a shape rule."""
-    rule = _rule_for(_SHAPE_RULES, spec)
-    if rule is None:
-        raise ValueError(f"unknown layer type {type(spec).__name__}")
-    s = in_shape.height, in_shape.width, in_shape.channels
-    weight_rule = _WEIGHT_RULES.get(rule)
-    return rule, s, weight_rule(spec, s) if weight_rule else None
+def _layer_totals(spec: LayerSpec, in_shape: TensorShape) -> tuple[int, int]:
+    """Parameters and MACs of ``spec`` priced as the one node, named after
+    its type, that reads an Input of ``in_shape``; a layer the walk refuses
+    raises as ``infer_shapes`` does for that graph."""
+    name = type(spec).__name__
+    graph = ArchGraph(name, (("input", Input(in_shape)), (name, spec)),
+                      {"input": (), name: ("input",)})
+    return _priced(graph)[4][:2]
 
 
 def layer_params(spec: LayerSpec, in_shape: TensorShape) -> int:
-    """Learnable parameter count of one layer bound to its input shape."""
-    weight = _layer_weight(spec, in_shape)[2]
-    return math.prod(weight) + (spec.filters if spec.bias else 0) if weight else 0
+    """Learnable parameter count of one layer bound to its input shape, from the
+    pricing loop; a layer the walk refuses raises (``_layer_totals``)."""
+    return _layer_totals(spec, in_shape)[0]
 
 
 def layer_macs(spec: LayerSpec, in_shape: TensorShape) -> int:
-    """Multiply-accumulate count of one layer bound to its input shape."""
-    rule, s, weight = _layer_weight(spec, in_shape)
-    h, w, _ = rule(spec, (s,), type(spec).__name__, [])
-    return math.prod(weight) * h * w if weight else 0
+    """Multiply-accumulate count of one layer bound to its input shape, from the
+    pricing loop; a layer the walk refuses raises (``_layer_totals``)."""
+    return _layer_totals(spec, in_shape)[1]
 
 
 @dataclass(slots=True)

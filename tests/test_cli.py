@@ -490,9 +490,10 @@ class TestPareto:
         ("a,b\n1,2\n", "a:min,c:min", "points file {points} is missing metric 'c'"),
         ("a,b\n", "c:max", "points file {points} is missing metric 'c'"),
         ("a,b\n1,2\n2,1\n", "a:min,a:max", "objective 'a' given twice"),
+        ("a,b\n1,2\n", "a:up", "objective sense must be 'min' or 'max', got 'up'"),
     ], ids=["no_header", "no_objectives", "non_numeric_cell", "nan_cell", "empty_cell",
             "non_numeric_cell_after_a_blank_line", "missing_column", "missing_column_no_rows",
-            "objective_given_twice"])
+            "objective_given_twice", "unknown_sense"])
     def test_refusal_exits_2_naming_it(self, tmp_path, capsys, text, objectives, message):
         points = tmp_path / "points.csv"
         points.write_text(text)
@@ -884,7 +885,8 @@ class TestCompressionCommands:
     @pytest.mark.parametrize("change, message", [
         ({"nonzero_count": 12}, "t: decoded 13 nonzeros, header declares 12"),
         ({"shape": (13,)}, "t: decoded position 13 exceeds element count 13"),
-    ], ids=["nonzero_count_off_by_one", "shape_too_small"])
+        ({"gap_lengths": {}}, "t: gap stream: cannot decode with an empty code table"),
+    ], ids=["nonzero_count_off_by_one", "shape_too_small", "records_with_no_gap_code"])
     def test_header_that_disagrees_with_the_streams_exits_3(self, tmp_path, capsys, change,
                                                             message):
         assert self._decompress(tmp_path, replace(self._record(), **change)) == 3

@@ -473,8 +473,7 @@ class TestSortKey:
             message = re.escape("t: weights contain NaN or infinity")
             with pytest.raises(ValueError, match=message):
                 quantize_model([wt(values)], 4)
-            # the argsort state's cast of a signalling NaN also warned
-            with pytest.raises(ValueError, match=message), np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=message):
                 self.by_argsort([wt(values)], 4)
 
     @pytest.mark.parametrize("bits", [1, 2, 5, 8])

@@ -12,6 +12,7 @@ from convdse.graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPoo
                            topological_order, validate)
 from convdse import costs, graph
 from convdse.descriptor import DescriptorError, parse, serialize
+from convdse.properties import random_graph
 
 
 def chain(*layers, input_shape=TensorShape(8, 8, 4), name="chain"):
@@ -410,11 +411,14 @@ class TestLayerTypeLookup:
         with pytest.raises(GraphError) as exc:
             costs.layer_costs(g)
         assert type(exc.value) is GraphError and str(exc.value) == message
-        with pytest.raises(ValueError, match="^unknown layer type Unregistered$"):
+        with pytest.raises(GraphError) as exc:
             costs.layer_params(Unregistered(), TensorShape(4, 4, 2))
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == ("invalid graph 'Unregistered': "
+                                  "Unregistered: unknown layer type Unregistered")
 
-    # the single-layer functions find a layer's weight rule through its shape
-    # rule, so they follow the same base-class lookup as the graph walk
+    # the single-layer functions price the layer in the graph pricing loop,
+    # so they follow the same base-class lookup as the graph walk
 
     @pytest.mark.parametrize("sub, base", [
         (TaggedConv(3, 2, 8, groups=2, stride=2, pad=1), Conv(3, 2, 8, groups=2, stride=2, pad=1)),
@@ -428,23 +432,62 @@ class TestLayerTypeLookup:
         assert costs.layer_macs(sub, shape) == costs.layer_macs(base, shape) > 0
 
     def test_collapsed_subclass_pool_raises_shape_error_from_layer_macs(self):
-        with pytest.raises(ShapeError, match="^TaggedPool: pool output 0x-2 is not positive"):
-            costs.layer_macs(TaggedPool("max", 12, 1), TensorShape(11, 9, 6))
-        assert costs.layer_params(TaggedPool("max", 12, 1), TensorShape(11, 9, 6)) == 0
+        message = ("^invalid graph 'TaggedPool': "
+                   "TaggedPool: pool output 0x-2 is not positive")
+        for cost in (costs.layer_params, costs.layer_macs):
+            with pytest.raises(ShapeError, match=message):
+                cost(TaggedPool("max", 12, 1), TensorShape(11, 9, 6))
 
     @pytest.mark.parametrize("spec", [Conv(1, 1, 8, groups=4), TaggedConv(1, 1, 8, groups=4)],
                              ids=["conv", "subclass"])
     def test_bad_groups_raise_from_both_single_layer_functions(self, spec):
-        message = r"^groups must divide input channels \(g=4, C_in=6\)$"
+        name = type(spec).__name__
+        message = (f"invalid graph '{name}': "
+                   f"{name}: groups must divide input channels (g=4, C_in=6)")
         for cost in (costs.layer_params, costs.layer_macs):
-            with pytest.raises(ValueError, match=message) as exc:
+            with pytest.raises(GraphError) as exc:
                 cost(spec, TensorShape(11, 9, 6))
-            assert type(exc.value) is ValueError
+            assert type(exc.value) is GraphError and str(exc.value) == message
 
     def test_unregistered_type_is_refused_by_layer_macs(self):
-        with pytest.raises(ValueError, match="^unknown layer type Unregistered$") as exc:
+        with pytest.raises(GraphError) as exc:
             costs.layer_macs(Unregistered(), TensorShape(4, 4, 2))
-        assert type(exc.value) is ValueError
+        assert type(exc.value) is GraphError
+        assert str(exc.value) == ("invalid graph 'Unregistered': "
+                                  "Unregistered: unknown layer type Unregistered")
+
+    @pytest.mark.parametrize("spec, error, message", [
+        (Conv(3, 3, 8, groups=3), GraphError, "Conv: groups must divide filters (g=3, F=8)"),
+        (Conv(5, 5, 8), ShapeError, "Conv: convolution output 0x0 is not positive "
+                                    "(input 4x4x6, kernel 5x5, stride 1, pad 0)"),
+        (Concat(), GraphError, "Concat: Concat needs at least 2 predecessors, has 1"),
+        (Input(TensorShape(4, 4, 6)), GraphError, "graph: multiple Input nodes (input, Input); "
+                                                  "Input: Input node must have no predecessors"),
+    ], ids=["filters_not_divisible_by_groups", "collapsed_conv", "concat", "input"])
+    def test_single_layer_functions_refuse_what_the_walk_refuses(self, spec, error, message):
+        name = type(spec).__name__
+        b = GraphBuilder(name)
+        b.add(spec, (b.input(TensorShape(4, 4, 6)),), name=name)
+        with pytest.raises(error) as walked:
+            infer_shapes(b.build())
+        assert str(walked.value) == f"invalid graph '{name}': {message}"
+        for cost in (costs.layer_params, costs.layer_macs):
+            with pytest.raises(error) as exc:
+                cost(spec, TensorShape(4, 4, 6))
+            assert type(exc.value) is error and str(exc.value) == str(walked.value)
+
+    def test_single_layer_functions_equal_the_layer_cost_rows(self):
+        rng = np.random.default_rng(39)
+        rows = 0
+        for _ in range(60):
+            for row in costs.layer_costs(random_graph(rng)):
+                if isinstance(row.spec, (Input, Concat)):
+                    continue
+                (in_shape,) = row.in_shapes
+                assert costs.layer_params(row.spec, in_shape) == row.params
+                assert costs.layer_macs(row.spec, in_shape) == row.macs
+                rows += 1
+        assert rows > 500
 
 
 class TestSharedSpec:
