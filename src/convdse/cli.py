@@ -54,7 +54,8 @@ def _platform(path: Optional[str]):
     try:
         yield costs.PlatformSpec.load(path) if path else costs.DEFAULT_PLATFORM
     except costs.CostOverflowError as exc:
-        exc.platform = f" on {costs.PlatformSpec.label} {path}" if path else ""
+        if path:
+            raise costs.CostOverflowError(f"{costs.PlatformSpec.label} {path}: {exc}") from None
         raise
 
 
@@ -99,7 +100,7 @@ def cmd_describe(args) -> int:
 
 def cmd_sweep(args) -> int:
     with _platform(args.platform) as platform:
-        grid = costs.load_json(args.grid)
+        grid = settings.load_json(args.grid)
         try:
             points = explore.sweep(args.family, grid, platform, batch=args.batch)
         except explore.SweepError as exc:  # a cell's GraphError keeps its text and exit code
@@ -107,7 +108,7 @@ def cmd_sweep(args) -> int:
 
     unmatched: list[dict] = []
     if args.accuracy:
-        table = explore.load_accuracy_table(costs.read_text(args.accuracy), args.accuracy)
+        table = explore.load_accuracy_table(settings.read_text(args.accuracy), args.accuracy)
         points, unmatched = explore.attach_accuracy(points, table,
                                                     f"accuracy table {args.accuracy}")
         for row in unmatched:
@@ -205,7 +206,7 @@ def _parse_objectives(spec: str) -> list[tuple[str, str]]:
 def cmd_pareto(args) -> int:
     objectives = _parse_objectives(args.objectives)
     what = f"points file {args.points}"
-    fieldnames, numbered = explore.read_csv(costs.read_text(args.points), what)
+    fieldnames, numbered = explore.read_csv(settings.read_text(args.points), what)
     if not fieldnames:
         raise explore.SweepError(f"{what} has no header row")
     for metric, _ in objectives:

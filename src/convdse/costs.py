@@ -2,7 +2,7 @@
 
 Counts parameters, storage, multiply-accumulates, peak live activation
 bytes, and a first-order energy and throughput estimate for one inference
-at batch size 1 (the natural batch for embedded vision).
+at batch size 1 (the natural batch for embedded vision). It reads no file.
 
 Conventions, stated once:
   * one MAC = one multiply + one add; bias additions are not MACs
@@ -30,88 +30,16 @@ instead of priced again; every other caller prices without one.
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 import operator
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
-from typing import ClassVar, Optional, get_args, get_type_hints
+from typing import ClassVar, Optional
 
 from .graph import (_SHAPE_RULES, ArchGraph, Conv, Dims, FullyConnected, Input, LayerSpec,
                     ShapeError, TensorShape, _bind, _concat_shape, _conv_shape, _fc_shape,
                     _input_shape, _rule_for)
-from .settings import BATCH, Field, check_record
-
-
-class InputFileError(ValueError):
-    """A text input that is not UTF-8, or a JSON one that is not JSON, is
-    nested too deeply for the parser or repeats a key in one object; the
-    message names the file."""
-
-    exit_code = 3
-
-
-def read_text(path) -> str:
-    """The text of the UTF-8 file at ``path``, line endings as written, so
-    a CSV reader sees a quoted line break as it is; any other bytes raise
-    ``InputFileError`` naming the file and the byte offset."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise InputFileError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x} "
-                                 f"at offset {exc.start})") from None
-
-
-def parse_json(text: str, source, error: type[ValueError], object_pairs_hook=None):
-    """The document in JSON ``text``; a syntax error, or nesting past the
-    parser's recursion limit, raises ``error`` naming ``source``. An
-    ``object_pairs_hook`` builds each object, as in ``json.loads``."""
-    try:
-        return json.loads(text, object_pairs_hook=object_pairs_hook)
-    except json.JSONDecodeError as exc:
-        raise error(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise error(f"{source}: JSON nested too deeply") from None
-
-
-def load_json(path):
-    """The document in the JSON file at ``path``; a refusal names the file,
-    and a key given twice in one object is refused naming the key."""
-
-    def unique_keys(pairs: list) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            seen: set = set()
-            key = next(k for k, _ in pairs if k in seen or seen.add(k))
-            raise InputFileError(f"{path}: key {key!r} appears twice in one object")
-        return obj
-
-    return parse_json(read_text(path), path, InputFileError, unique_keys)
-
-
-@functools.cache
-def config_fields(cls) -> tuple[Field, ...]:
-    """The fields of NumericConfig ``cls``: positive numbers, integers where annotated so."""
-    hints = get_type_hints(cls)
-    return tuple(Field(f.name, int if int in (hints[f.name], *get_args(hints[f.name])) else float,
-                       f.default, "(0, inf)") for f in fields(cls))
-
-
-class NumericConfig:
-    """Base of a frozen dataclass of JSON numbers checked by ``config_fields``, named ``label``."""
-
-    label: ClassVar[str]
-
-    def __post_init__(self):
-        cls = type(self)
-        for name, value in check_record(vars(self), config_fields(cls), cls.__name__).items():
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def load(cls, path):
-        return cls(**check_record(load_json(path), config_fields(cls), f"{cls.label} {path}"))
+from .settings import BATCH, NumericConfig
 
 
 @dataclass(frozen=True)
@@ -415,19 +343,15 @@ def energy_from_counts(total_macs: int, total_params: int, activation_words: int
 
 
 class CostOverflowError(ValueError):
-    """A metric past the float range: the graph, what overflowed, and the platform's source."""
-
-    platform = ""
-
-    def __str__(self):
-        graph, detail = self.args
-        return f"graph {graph!r}{self.platform}: cost metrics overflow a float ({detail})"
+    """A metric past the float range, refused by ``report`` naming the graph; a caller
+    that knows the platform file or the sweep cell re-raises it with that as a prefix."""
 
 
 def report(graph: ArchGraph, platform: PlatformSpec = DEFAULT_PLATFORM,
            batch: int = BATCH.default, *, memo=None) -> MetricsReport:
     """Assemble the full metric vector for one architecture. A metric past
-    the float range is a CostOverflowError naming the graph. ``memo`` is
+    the float range is a CostOverflowError whose text is written here once:
+    ``graph 'x': cost metrics overflow a float (...)``. ``memo`` is
     the pricing memo of ``_price``, which one sweep shares between its
     cells; the report is the same with it or without it."""
     params, macs, peak_words, traffic = _priced(graph, memo=memo)[4]
@@ -441,7 +365,8 @@ def report(graph: ArchGraph, platform: PlatformSpec = DEFAULT_PLATFORM,
         fps = platform.macs_per_second / macs if macs > 0 else math.inf
         float(storage + peak)  # the tables print byte counts as floats too
     except OverflowError as exc:
-        raise CostOverflowError(graph.name, exc) from None
+        raise CostOverflowError(f"graph {graph.name!r}: cost metrics overflow a float "
+                                f"({exc})") from None
     return MetricsReport(
         name=graph.name,
         total_params=params,

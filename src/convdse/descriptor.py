@@ -15,9 +15,9 @@ import json
 from dataclasses import MISSING, fields
 from typing import Any, get_type_hints
 
-from .costs import parse_json, read_text
 from .graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPool, Input, LayerSpec,
                     Pool, ReLU, Shuffle, TensorShape, shared_spec)
+from .settings import parse_json, read_text
 
 
 class DescriptorError(ValueError):

@@ -16,9 +16,9 @@ import operator
 from dataclasses import dataclass, fields, replace
 from typing import Callable, ClassVar, Optional, Sequence
 
-from .costs import MetricsReport, NumericConfig, PlatformSpec, report
+from .costs import CostOverflowError, MetricsReport, PlatformSpec, report
 from .graph import ArchGraph, GraphError
-from .settings import BATCH, Field, check_record
+from .settings import BATCH, Field, NumericConfig, check_record
 from .zoo import POOL_STRATEGIES, PoolPlacement, alexnet, mobilenet_like, squeezenet, vgg19
 
 
@@ -120,9 +120,9 @@ def sweep(family: str, grid: dict[str, list], platform: PlatformSpec,
           batch: int = BATCH.default) -> list[DesignPoint]:
     """One design point per grid cell, in lexicographic order over the grid
     axes as given. Deterministic: same grid and platform, same points. A
-    grid that does not map axis names to lists is refused. A cell whose
-    graph is invalid raises the GraphError (or ShapeError) of ``report``,
-    prefixed with the family and the cell's metaparameters.
+    grid that does not map axis names to lists is refused. A cell's GraphError
+    (or ShapeError) or CostOverflowError from ``report`` is raised again with
+    the family and the cell's metaparameters as a prefix.
 
     The cells share one pricing memo, made here and dropped on return: a
     layer whose shared spec instance an earlier cell priced on the same
@@ -145,7 +145,7 @@ def sweep(family: str, grid: dict[str, list], platform: PlatformSpec,
         graph = build_family(family, metaparams)
         try:
             metrics = report(graph, platform, batch, memo=memo)
-        except GraphError as exc:  # the graph's name does not tell the cells apart
+        except (GraphError, CostOverflowError) as exc:  # cells may share a graph name
             raise type(exc)(f"family {family!r}, metaparameters {metaparams}: {exc}") from exc
         points.append(DesignPoint(metaparams, metrics))
     return points

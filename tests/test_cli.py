@@ -54,6 +54,18 @@ class TestDescribe:
         out = capsys.readouterr().out
         assert "60,965,224 params" in out
 
+    def test_small_counts_print_bare_and_in_thousands(self, tmp_path, capsys):
+        # 256 parameters and 12,288 MACs: one count under a thousand, one in thousands
+        arch = tmp_path / "small.json"
+        arch.write_text(json.dumps({"name": "small", "nodes": [
+            {"id": "in", "op": "input", "params": {"height": 8, "width": 8, "channels": 3},
+             "inputs": []},
+            {"id": "c", "op": "conv", "params": {"kernel": 1, "filters": 64},
+             "inputs": ["in"]}]}))
+        assert run_cli("describe", "--arch", str(arch)) == 0
+        out = capsys.readouterr().out
+        assert "256 params (256)\n" in out and "12,288 MACs (12.29k)\n" in out
+
     def test_json_output_has_fixed_key_order(self, capsys):
         assert run_cli("describe", "--family", "alexnet", "--json") == 0
         doc = capsys.readouterr().out
@@ -169,8 +181,10 @@ class TestDescribe:
         for command in commands:
             assert run_cli(*command, *source, "--platform", str(path)) == 2
             captured = capsys.readouterr()
-            assert captured.err.startswith(
-                f"error: graph {name!r} on platform config {path}: cost metrics overflow a float (")
+            # a sweep names the cell, here the family's one cell
+            cell = "family 'alexnet', metaparameters {}: " if command[0] == "sweep" else ""
+            assert captured.err.startswith(f"error: platform config {path}: {cell}"
+                                           f"graph {name!r}: cost metrics overflow a float (")
             assert captured.out == ""
             assert not (tmp_path / "x.csv").exists()
 
@@ -380,10 +394,29 @@ class TestSweep:
         assert run_cli("sweep", "--family", "squeezenet", "--grid", grid,
                        "--platform", str(platform), "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err == (
-            f"error: graph 'squeezenet(p=0.5)' on platform config {platform}: cost metrics "
-            "overflow a float (energy per frame is inf)\n")
+            f"error: platform config {platform}: family 'squeezenet', metaparameters "
+            "{'p': 0.5}: graph 'squeezenet(p=0.5)': cost metrics overflow a float "
+            "(energy per frame is inf)\n")
         assert not (tmp_path / "x.csv").exists()
         assert not (tmp_path / "x.json").exists()
+
+    def test_overflow_names_the_cell_of_two_with_one_graph_name(self, tmp_path, capsys):
+        # both cells build a graph named 'squeezenet(p=0.5)': only the metaparameters tell
+        # them apart
+        platform = tmp_path / "platform.json"
+        platform.write_text(json.dumps({**PLATFORM, "e_mac": 1e300}))
+        grid = {"pool_count": [2, 3]}
+        cell = ("family 'squeezenet', metaparameters {'pool_count': 2}: "
+                "graph 'squeezenet(p=0.5)': ")
+        with pytest.raises(costs.CostOverflowError) as exc:
+            explore.sweep("squeezenet", grid, costs.PlatformSpec.load(platform))
+        assert str(exc.value) == f"{cell}cost metrics overflow a float (energy per frame is inf)"
+        assert run_cli("sweep", "--family", "squeezenet", "--grid",
+                       self.write_grid(tmp_path, grid), "--platform", str(platform),
+                       "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr() == ("", f"error: platform config {platform}: {cell}cost "
+                                           "metrics overflow a float (energy per frame is inf)\n")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_non_finite_accuracy_cell_exits_2_naming_it(self, tmp_path, capsys):
         grid = self.write_grid(tmp_path, {"p": [0.5, 1.0], "pool_placement": ["even"],

@@ -764,6 +764,19 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             encode([replace(qt, **{field: edit(getattr(qt, field))})])
 
+    # the same record: 2 codebook entries and the filler make 3 index
+    # symbols; 4-bit gaps make 16 gap symbols
+    @pytest.mark.parametrize("field, lengths, message", [
+        ("index_lengths", {0: 1, 3: 1}, "t: symbol 3 outside alphabet of 3"),
+        ("gap_lengths", {-1: 1, 0: 1}, "t: symbol -1 outside alphabet of 16"),
+        ("gap_lengths", {0: 1, 1: 256}, "t: code length 256 not storable"),
+    ], ids=["index_past_the_alphabet", "negative_gap", "length_past_a_byte"])
+    def test_code_table_the_container_cannot_hold_is_refused(self, field, lengths, message):
+        model = encode([kmeans_quantize(wt(np.arange(20) % 3), bits=1)])
+        record = replace(model.records[0], **{field: lengths})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_sdnc(replace(model, records=(record,)))
+
     # the quantizer's int32 positions and int16 assignments, and every other
     # integer dtype that holds them, code alike; 3-bit gaps need fillers
     @pytest.mark.parametrize("positions", [np.int32, np.int64])
@@ -1143,7 +1156,8 @@ class TestHuffman:
         ({0: 1, 1: 1, 2: 1}, "over-subscribe the Kraft sum"),
         ({0: 1, 1: 58}, "code lengths must be in 1..57"),
         ({0: 0, 1: 1}, "code lengths must be in 1..57"),
-    ], ids=["over_subscribed", "past_window", "zero_length"])
+        ({-1: 1, 0: 1}, "symbol -1 is negative"),
+    ], ids=["over_subscribed", "past_window", "zero_length", "negative_symbol"])
     def test_undecodable_length_table_is_refused(self, lengths, message):
         with pytest.raises(ValueError, match=message):
             huffman.decode(b"\x00" * 8, 64, lengths, 3)
@@ -1191,6 +1205,11 @@ class TestHuffman:
             huffman.decode(data, 107, self.SHORT_CODE, 46)
         # the count is reached just before the invalid code word
         assert huffman.decode(data, 108, self.SHORT_CODE, 45).tolist() == [0, 1, 2] * 15
+
+    def test_stream_shorter_than_its_bit_count_is_refused(self):
+        data = self.pack(self.SHORT_STREAM)  # 105 bits in 14 bytes
+        with pytest.raises(ValueError, match=r"^bit stream too short: 112 < 113$"):
+            huffman.decode(data, 113, self.SHORT_CODE, 45)
 
     def test_last_code_past_the_bit_count_is_exhausted(self, monkeypatch):
         monkeypatch.setattr(huffman, "_CHUNK_BITS", 64)
@@ -1287,6 +1306,12 @@ class TestSdnw:
             WeightTensor("conv1.weight", (dim, 2), np.zeros(4, dtype=np.float32))
         assert str(exc.value) == (
             f"conv1.weight: dimensions must be positive integers, got {(dim, 2)}")
+
+    @pytest.mark.parametrize("count", [3, 5], ids=["too_few", "too_many"])
+    def test_values_that_do_not_fill_the_shape_are_refused_naming_the_tensor(self, count):
+        with pytest.raises(ValueError) as exc:
+            WeightTensor("conv1.weight", (2, 2), np.zeros(count, dtype=np.float32))
+        assert str(exc.value) == f"conv1.weight: {count} values do not fill shape (2, 2)"
 
     def test_numpy_integer_dimensions_are_stored_as_python_ints(self):
         t = WeightTensor("w", (np.int64(2), np.uint8(3)), np.zeros(6, dtype=np.float32))

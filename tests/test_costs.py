@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import convdse
-from convdse import costs, explore, graph, zoo
+from convdse import costs, explore, graph, settings, zoo
 from convdse.costs import (DEFAULT_PLATFORM, PlatformSpec, activation_traffic_words,
                            energy_from_counts, layer_costs, layer_macs, layer_params,
                            model_macs, model_params, peak_activation_bytes, report)
@@ -307,11 +307,11 @@ class TestReport:
 
 
 class TestCheckRecord:
-    FIELDS = costs.config_fields(PlatformSpec)
+    FIELDS = settings.config_fields(PlatformSpec)
     REQUIRED = {"on_chip_bytes": 1, "e_mac": 1e-12, "macs_per_second": 1e9}
 
     def test_absent_keys_take_their_defaults(self):
-        assert costs.check_record(self.REQUIRED, self.FIELDS, "p.json") == {
+        assert settings.check_record(self.REQUIRED, self.FIELDS, "p.json") == {
             **self.REQUIRED, "offchip_ratio": 100.0, "word_bytes": 4}
 
     @pytest.mark.parametrize("record, message", [
@@ -323,32 +323,32 @@ class TestCheckRecord:
     ], ids=["not_an_object", "unknown_key", "missing_key", "refused_value"])
     def test_each_refusal_names_the_label(self, record, message):
         with pytest.raises(ValueError) as exc:
-            costs.check_record(record, self.FIELDS, "p.json")
+            settings.check_record(record, self.FIELDS, "p.json")
         assert type(exc.value) is ValueError and str(exc.value) == message
 
 
-@pytest.mark.parametrize("config", costs.NumericConfig.__subclasses__(),
+@pytest.mark.parametrize("config", settings.NumericConfig.__subclasses__(),
                          ids=lambda config: config.__name__)
 def test_a_numpy_config_value_is_stored_as_a_python_number(config):
     given = {f.name: np.int64(2) if f.kind is int else np.float32(0.5)
-             for f in costs.config_fields(config)}
+             for f in settings.config_fields(config)}
     stored = config(**given)
-    for f in costs.config_fields(config):
+    for f in settings.config_fields(config):
         assert type(getattr(stored, f.name)) is f.kind and getattr(stored, f.name) == given[f.name]
 
 
 def every_field():
-    """Every ``costs.Field`` of the package: those bound to a module-level
+    """Every ``settings.Field`` of the package: those bound to a module-level
     name (keyed by the field's name), each family's metaparameters and each
     numeric config's fields."""
     modules = [importlib.import_module(f"convdse.{m.name}")
                for m in pkgutil.iter_modules(convdse.__path__)]
     found = {f.name: f for module in modules for f in vars(module).values()
-             if isinstance(f, costs.Field)}
+             if isinstance(f, settings.Field)}
     for family, spec in explore.FAMILIES.items():
         found.update({f"{family}.{f.name}": f for f in spec.params})
-    for config in costs.NumericConfig.__subclasses__():
-        found.update({f"{config.__name__}.{f.name}": f for f in costs.config_fields(config)})
+    for config in settings.NumericConfig.__subclasses__():
+        found.update({f"{config.__name__}.{f.name}": f for f in settings.config_fields(config)})
     return found
 
 

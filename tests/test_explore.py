@@ -197,6 +197,26 @@ class TestAttachAccuracy:
         assert joined[0].top5_error is None
         assert unmatched == [{"p": 0.9, "top5_error": 0.3}]
 
+    def test_symbolic_column_joins_as_text(self):
+        points = sweep("squeezenet", {"pool_placement": ["even", "late"]}, PLATFORM)
+        table = load_accuracy_table("pool_placement,top5_error\nlate,0.2\nearly,0.3\n",
+                                    "a.csv")
+        joined, unmatched = attach_accuracy(points, table)
+        assert [p.top5_error for p in joined] == [None, 0.2]
+        assert unmatched == [{"pool_placement": "early", "top5_error": 0.3}]
+
+    def test_bool_key_is_text_not_the_number_one(self):
+        joined, unmatched = attach_accuracy([point(1, None, p=1.0)],
+                                            [{"p": True, "top5_error": 0.1}])
+        assert joined[0].top5_error is None
+        assert unmatched == [{"p": "True", "top5_error": 0.1}]
+
+    def test_rows_with_different_columns_are_refused(self):
+        with pytest.raises(SweepError, match="^a.csv rows disagree on metaparam columns$"):
+            attach_accuracy([point(1, None, p=0.5, q=1.0)],
+                            [{"p": 0.5, "top5_error": 0.1}, {"q": 1.0, "top5_error": 0.2}],
+                            "a.csv")
+
     def test_unknown_column_is_an_error(self):
         with pytest.raises(SweepError, match="not.*metaparameters"):
             attach_accuracy([point(1, None, p=0.5)], [{"q": 1.0, "top5_error": 0.1}])

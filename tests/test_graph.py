@@ -10,7 +10,7 @@ from convdse.graph import (ArchGraph, Concat, Conv, FullyConnected, GlobalAvgPoo
                            GraphBuilder, GraphError, Input, LayerSpec, Pool, ReLU, ShapeError,
                            Shuffle, TensorShape, infer_shapes, lower_fc,
                            topological_order, validate)
-from convdse import costs, graph
+from convdse import costs, graph, refexec
 from convdse.descriptor import DescriptorError, parse, serialize
 from convdse.properties import random_graph
 
@@ -407,10 +407,13 @@ class TestLayerTypeLookup:
         b.add(Unregistered(), (x,), name="mystery")
         g = b.build()
         assert validate(g) == ["mystery: unknown layer type Unregistered"]
+        with pytest.raises(DescriptorError, match="^cannot serialize layer type Unregistered$"):
+            serialize(g)
         message = "invalid graph 'odd': mystery: unknown layer type Unregistered"
-        with pytest.raises(GraphError) as exc:
-            costs.layer_costs(g)
-        assert type(exc.value) is GraphError and str(exc.value) == message
+        for walk in costs.layer_costs, refexec.count_macs_instrumented:
+            with pytest.raises(GraphError) as exc:
+                walk(g)
+            assert type(exc.value) is GraphError and str(exc.value) == message
         with pytest.raises(GraphError) as exc:
             costs.layer_params(Unregistered(), TensorShape(4, 4, 2))
         assert type(exc.value) is GraphError

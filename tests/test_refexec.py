@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,17 @@ class TestKernels:
         w = np.ones((4, 2, 1, 1), dtype=np.float32)
         out = conv_forward(x, Conv(1, 1, 4, groups=2, bias=False), w, None)
         assert out[:, 0, 0].tolist() == [11, 11, 1100, 1100]
+
+    @pytest.mark.parametrize("spec, weight_shape, message", [
+        (Conv(1, 1, 4, groups=3, bias=False), (4, 1, 1, 1),
+         "groups must divide channels and filters (g=3, C_in=6, F=4)"),
+        (Conv(3, 3, 4, groups=2, bias=False), (4, 6, 3, 3),
+         "weight shape (4, 6, 3, 3) does not match (4, 3, 3, 3)"),
+    ], ids=["groups_not_dividing", "wrong_weight_shape"])
+    def test_conv_refuses_what_it_cannot_run(self, spec, weight_shape, message):
+        x = np.zeros((6, 3, 3), dtype=np.float32)
+        with pytest.raises(ExecutionError, match=f"^{re.escape(message)}$"):
+            conv_forward(x, spec, np.zeros(weight_shape, dtype=np.float32), None)
 
     def test_depthwise_all_ones_box_filter(self):
         c, value = 3, 2.5
@@ -175,6 +187,13 @@ class TestRun:
         x = Tensor3D(TensorShape(5, 5, 2), np.zeros(50, dtype=np.float32))
         with pytest.raises(ExecutionError, match="conv_a"):
             run(g, bad, x)
+
+    def test_duplicate_weight_tensor(self):
+        g = single_layer(lambda b, x: b.conv(x, 1, 2, name="c", bias=False),
+                         TensorShape(2, 2, 2))
+        w = WeightTensor("c.weight", (2, 2, 1, 1), np.zeros(4, dtype=np.float32))
+        with pytest.raises(ExecutionError, match="^duplicate weight tensor 'c.weight'$"):
+            run(g, [w, w], Tensor3D(TensorShape(2, 2, 2), np.zeros(8, dtype=np.float32)))
 
     def test_missing_weight_tensor(self):
         g = single_layer(lambda b, x: b.conv(x, 1, 2, name="c", bias=False),

@@ -136,6 +136,21 @@ def test_codec_commands_never_execute_the_cost_model(work):
         compress.decode_model(model))
 
 
+def test_parsing_a_descriptor_executes_no_cost_model(work):
+    # the readers of descriptor text live in settings, so a parse prices nothing
+    work, _ = work
+    done = run_fresh("-c", "import json, sys\n"
+                           "from convdse import descriptor\n"
+                           f"g = descriptor.load({str(work / 'squeezenet.json')!r})\n"
+                           "print(json.dumps([len(g.nodes), 'numpy' in sys.modules, sorted(\n"
+                           "    n[len('convdse.'):] for n, m in sys.modules.items()\n"
+                           "    if n.startswith('convdse.') and '__builtins__' in\n"
+                           "    object.__getattribute__(m, '__dict__'))]))")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [len(zoo.squeezenet().nodes), False,
+                                       ["descriptor", "graph", "settings"]]
+
+
 @pytest.mark.parametrize("argv, name, content, message", [
     (["describe", "--arch"], "broken.json", "[1, 2]", "top level must be an object"),
     (["decompress", "--out", "out.sdnw", "--in"], "bad.sdnc", "not an sdnc file",

@@ -195,6 +195,11 @@ class TestPlaceDownsampling:
         assert str(exc.value) == (
             f"PoolPlacement.pool_count must be a positive integer, got {count!r}")
 
+    def test_unknown_strategy_is_refused(self):
+        with pytest.raises(ValueError, match="^strategy must be early/even/late, "
+                                             "got 'middle'$"):
+            PoolPlacement("middle", 3)
+
     def test_too_many_pools(self):
         with pytest.raises(ValueError):
             place_downsampling(3, PoolPlacement("even", 3))
